@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from synlin import container as cont
 from synlin import corpus as cp
 from synlin import decoder as dec
 from synlin import ffnn, lstm_lm, metrics
 from synlin.errors import ConfigError, DataError, SynlinError
-from synlin.transition import FULL, LIGHT, Action, realized_sentence
+from synlin.transition import FULL, LIGHT, Action, derivation_length, realized_sentence
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,13 +203,7 @@ def cmd_decode(args) -> int:
         alpha=args.alpha,
         renormalize_joint=args.renormalize,
     )
-    bags = _read_bags(args)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(lambda b: dec.beam_decode(b, models, config), bags))
-    else:
-        results = [dec.beam_decode(bag, models, config) for bag in bags]
-    lines = [_format_record(r) for r in results]
+    lines = [_format_record(dec.beam_decode(bag, models, config)) for bag in _read_bags(args)]
     out = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(out)
@@ -257,11 +250,10 @@ def cmd_oracle_check(args) -> int:
     failures = []
     for i, sent in enumerate(sentences, start=1):
         actions = cp.derive_oracle(sent, args.variant)
-        expected = (3 if args.variant == FULL else 2) * len(sent)
         state = cp.replay_oracle(sent, args.variant, actions)
         realized = [t.form for t in realized_sentence(state)]
         ok = (
-            len(actions) == expected
+            len(actions) == derivation_length(args.variant, len(sent))
             and realized == sent.forms()
             and state.arcs == cp.gold_arcs(sent, args.variant)
         )
@@ -323,8 +315,6 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--input", required=True)
     p.add_argument("--input-format", choices=("conll", "bags"), default="conll")
     p.add_argument("--output", default="-")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="reserved; decoding is deterministic")
 
     p = add("evaluate", cmd_evaluate, "corpus BLEU of hypotheses against references")
     p.add_argument("--refs", required=True)

@@ -10,7 +10,7 @@ so a saved model is self-describing; save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,6 +31,8 @@ FORMAT_VERSION = 1
 COMPONENT_LINEARIZER = "linearizer"
 COMPONENT_LM = "lm"
 COMPONENT_COMBINED = "combined"
+
+_REQUIRED_KEYS = ("component", "config", "indexers", "tensors")
 
 
 @dataclass
@@ -87,18 +89,26 @@ def load(path: str) -> ModelContainer:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelFormatError(f"{path}: bad container header ({exc})") from None
+        if not isinstance(header, dict):
+            raise ModelFormatError(f"{path}: container header is not a JSON object")
         version = header.get("format_version")
         if version != FORMAT_VERSION:
             raise ModelFormatError(
                 f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})"
             )
+        missing = [key for key in _REQUIRED_KEYS if key not in header]
+        if missing:
+            raise ModelFormatError(f"{path}: container header lacks {', '.join(missing)}")
         tensors = {}
-        for name, shape in header["tensors"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ModelFormatError(f"{path}: truncated payload for tensor {name}")
-            tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        try:
+            for name, shape in header["tensors"]:
+                count = int(np.prod(shape)) if shape else 1
+                buf = fh.read(count * 8)
+                if len(buf) != count * 8:
+                    raise ModelFormatError(f"{path}: truncated payload for tensor {name}")
+                tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{path}: bad tensor table ({exc})") from None
         if fh.read(1):
             raise ModelFormatError(f"{path}: trailing bytes after tensor payloads")
     return ModelContainer(
@@ -109,32 +119,6 @@ def load(path: str) -> ModelContainer:
         variant=header.get("variant"),
         feature_slots=header.get("feature_slots"),
     )
-
-
-def _train_config_dict(config: TrainConfig) -> dict:
-    return {
-        "learning_rate": config.learning_rate,
-        "l2_lambda": config.l2_lambda,
-        "dropout": config.dropout,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
-        "embed_dim": config.embed_dim,
-        "hidden_dim": config.hidden_dim,
-    }
-
-
-def _lm_config_dict(config: LmConfig) -> dict:
-    return {
-        "num_layers": config.num_layers,
-        "hidden_size": config.hidden_size,
-        "dropout": config.dropout,
-        "learning_rate": config.learning_rate,
-        "l2_lambda": config.l2_lambda,
-        "epochs": config.epochs,
-        "seed": config.seed,
-        "gate_bias": config.gate_bias,
-    }
 
 
 def _feature_slots(variant: str) -> dict:
@@ -148,7 +132,7 @@ def _feature_slots(variant: str) -> dict:
 def container_from_linearizer(model: Linearizer, lm: LanguageModel | None = None) -> ModelContainer:
     """Pack a linearizer (and, for feature-integrated models, its LM)."""
     tensors = {f"lin.{k}": v for k, v in model.params.named_tensors().items()}
-    config = {"linearizer": _train_config_dict(model.config)}
+    config = {"linearizer": asdict(model.config)}
     indexers = {"linearizer": _indexers_payload(model.indexers)}
     component = COMPONENT_LINEARIZER
     if model.lm_feat_dim is not None:
@@ -156,7 +140,7 @@ def container_from_linearizer(model: Linearizer, lm: LanguageModel | None = None
             raise ModelFormatError("feature-integrated model requires its language model")
         component = COMPONENT_COMBINED
         tensors.update({f"lm.{k}": v for k, v in lm.params.named_tensors().items()})
-        config["lm"] = _lm_config_dict(lm.config)
+        config["lm"] = asdict(lm.config)
         indexers["lm"] = _indexers_payload(lm.indexers)
     return ModelContainer(
         component=component,
@@ -171,10 +155,23 @@ def container_from_linearizer(model: Linearizer, lm: LanguageModel | None = None
 def container_from_lm(lm: LanguageModel) -> ModelContainer:
     return ModelContainer(
         component=COMPONENT_LM,
-        config={"lm": _lm_config_dict(lm.config)},
+        config={"lm": asdict(lm.config)},
         indexers={"lm": _indexers_payload(lm.indexers)},
         tensors={f"lm.{k}": v for k, v in lm.params.named_tensors().items()},
     )
+
+
+def _section(container: ModelContainer, section: str, prefix: str, config_cls):
+    """Indexers, config and prefix-stripped tensors of one component."""
+    try:
+        indexers = _indexers_from_payload(container.indexers[section])
+        config = config_cls(**container.config[section])
+    except (KeyError, TypeError) as exc:
+        raise ModelFormatError(
+            f"unusable {section} section in the model header ({type(exc).__name__}: {exc})"
+        ) from None
+    tensors = {k[len(prefix) :]: v for k, v in container.tensors.items() if k.startswith(prefix)}
+    return indexers, config, tensors
 
 
 def linearizer_from_container(container: ModelContainer) -> Linearizer:
@@ -182,22 +179,21 @@ def linearizer_from_container(container: ModelContainer) -> Linearizer:
         raise ModelFormatError(
             f"container holds {container.component!r}, not a linearizer"
         )
-    indexers = _indexers_from_payload(container.indexers["linearizer"])
-    config = TrainConfig(**container.config["linearizer"])
-    tensors = {
-        k[len("lin.") :]: v for k, v in container.tensors.items() if k.startswith("lin.")
-    }
-    params = LinearizerParams(
-        emb_word=tensors["emb_word"],
-        w1_word=tensors["w1_word"],
-        b1=tensors["b1"],
-        w2=tensors["w2"],
-        emb_pos=tensors.get("emb_pos"),
-        emb_label=tensors.get("emb_label"),
-        w1_pos=tensors.get("w1_pos"),
-        w1_label=tensors.get("w1_label"),
-        w1_lm=tensors.get("w1_lm"),
-    )
+    indexers, config, tensors = _section(container, "linearizer", "lin.", TrainConfig)
+    try:
+        params = LinearizerParams(
+            emb_word=tensors["emb_word"],
+            w1_word=tensors["w1_word"],
+            b1=tensors["b1"],
+            w2=tensors["w2"],
+            emb_pos=tensors.get("emb_pos"),
+            emb_label=tensors.get("emb_label"),
+            w1_pos=tensors.get("w1_pos"),
+            w1_label=tensors.get("w1_label"),
+            w1_lm=tensors.get("w1_lm"),
+        )
+    except KeyError as exc:
+        raise ModelFormatError(f"linearizer tensor {exc} missing") from None
     lm_feat_dim = params.w1_lm.shape[1] if params.w1_lm is not None else None
     inventory = ActionInventory.from_indexers(indexers, container.variant)
     if params.w2.shape[0] != len(inventory):
@@ -219,16 +215,15 @@ def lm_from_container(container: ModelContainer) -> LanguageModel:
         raise ModelFormatError(
             f"container holds {container.component!r}, not a language model"
         )
-    indexers = _indexers_from_payload(container.indexers["lm"])
-    config = LmConfig(**container.config["lm"])
-    tensors = {
-        k[len("lm.") :]: v for k, v in container.tensors.items() if k.startswith("lm.")
-    }
-    cells = tuple(tensors[f"cell{i}"] for i in range(config.num_layers))
-    biases = None
-    if config.gate_bias:
-        biases = tuple(tensors[f"cell{i}_bias"] for i in range(config.num_layers))
-    params = LmParams(
-        emb=tensors["emb"], cells=cells, out_emb=tensors["out_emb"], cell_biases=biases
-    )
+    indexers, config, tensors = _section(container, "lm", "lm.", LmConfig)
+    try:
+        cells = tuple(tensors[f"cell{i}"] for i in range(config.num_layers))
+        biases = None
+        if config.gate_bias:
+            biases = tuple(tensors[f"cell{i}_bias"] for i in range(config.num_layers))
+        params = LmParams(
+            emb=tensors["emb"], cells=cells, out_emb=tensors["out_emb"], cell_biases=biases
+        )
+    except KeyError as exc:
+        raise ModelFormatError(f"language model tensor {exc} missing") from None
     return LanguageModel(params=params, indexers=indexers, config=config)

@@ -32,6 +32,7 @@ from synlin.transition import (
     State,
     TokenRef,
     apply,
+    derivation_length,
     initial_state,
 )
 
@@ -184,15 +185,6 @@ class Indexers:
             return self._label_ids[label]
         except KeyError:
             raise DataError(f"arc label {label!r} not in the index") from None
-
-    def word_of(self, idx: int) -> str:
-        return self.words[idx]
-
-    def pos_of(self, idx: int) -> str:
-        return self.pos_tags[idx]
-
-    def label_of(self, idx: int) -> str:
-        return self.labels[idx]
 
 
 def build_indexers(corpus: Iterable[DepSentence], min_count: int = 1) -> Indexers:
@@ -439,8 +431,9 @@ def derive_oracle(sentence: DepSentence, variant: str) -> list[Action]:
             f"no arc-standard derivation (stack {stack}); tree is not projective"
         )
     actions.append(Action(END))
-    expected = 3 * n if full else 2 * n
-    assert len(actions) == expected, f"derivation length {len(actions)} != {expected}"
+    expected = derivation_length(variant, n)
+    if len(actions) != expected:
+        raise DerivationError(f"derivation length {len(actions)} != {expected}")
     return actions
 
 

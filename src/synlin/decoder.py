@@ -16,11 +16,12 @@ The beam is breadth-synchronous: every hypothesis at step t has taken t
 actions, and derivations have a fixed length (3n, 2n or n), so all
 surviving items finish together.  The LSTM state advances only on Shift.
 Ties in accumulated score break deterministically on the lexicographic
-history of (action kind, argument) keys.
+action history, actions ordered by (kind, argument).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,12 @@ from synlin.errors import ConfigError, DataError, SearchSpaceError
 from synlin.ffnn import Linearizer, forward
 from synlin.lstm_lm import LanguageModel, LmState, lm_step, next_word_logprobs, start_state
 from synlin.transition import (
-    FULL,
     LIGHT,
     SHIFT,
     Action,
     State,
     apply,
+    derivation_length,
     initial_state,
     legal_actions,
     realized_sentence,
@@ -78,7 +79,6 @@ class BeamItem:
     state: State
     score: float
     lm_state: LmState | None
-    tie_key: tuple
 
 
 @dataclass
@@ -123,19 +123,39 @@ def _validate(models: Models, config: DecodeConfig) -> str:
     return lin.variant
 
 
+def _successors(state: State, mode: str) -> tuple[Action, ...]:
+    """Next actions of a derivation: in lstm mode a Shift of each remaining
+    form, otherwise the transition system's legal actions.
+    """
+    if mode == MODE_LSTM:
+        return tuple(Action(SHIFT, f) for f in state.remaining_forms())
+    return legal_actions(state)
+
+
+def _is_terminal(state: State, mode: str) -> bool:
+    if mode == MODE_LSTM:
+        return not state.remaining
+    return state.terminal
+
+
+def _check_enumerable(n: int, mode: str):
+    bound = EXHAUSTIVE_MAX_LSTM if mode == MODE_LSTM else EXHAUSTIVE_MAX_TREE
+    if n > bound:
+        raise SearchSpaceError(
+            f"exhaustive enumeration limited to {bound} tokens in {mode} mode, got {n}"
+        )
+
+
 def step_scores(item: BeamItem, models: Models, config: DecodeConfig) -> dict[Action, float]:
     """Per-action log-score increments at this item, mode-dependent."""
     state = item.state
-    if config.mode == MODE_LSTM:
-        forms = state.remaining_forms()
-        if not forms:
-            raise DataError("lstm mode step on an exhausted bag")
-        ids = [models.lm.word_id(f) for f in forms]
-        logp = next_word_logprobs(models.lm, item.lm_state, ids)
-        return {Action(SHIFT, f): float(v) for f, v in zip(forms, logp)}
-    feasible = legal_actions(state)
+    feasible = _successors(state, config.mode)
     if not feasible:
         raise DataError(f"no legal actions at {state.summary()}")
+    if config.mode == MODE_LSTM:
+        ids = [models.lm.word_id(a.arg) for a in feasible]
+        logp = next_word_logprobs(models.lm, item.lm_state, ids)
+        return {a: float(v) for a, v in zip(feasible, logp)}
     lin = models.linearizer
     lm_feat = item.lm_state.top_h if config.mode == MODE_FEATURE else None
     base = forward(lin, lin.extract_features(state), feasible, lm_feat=lm_feat)
@@ -159,19 +179,11 @@ def step_scores(item: BeamItem, models: Models, config: DecodeConfig) -> dict[Ac
     return combined
 
 
-def _advance(
-    item: BeamItem, action: Action, score: float, key: tuple, models: Models
-) -> BeamItem:
+def _advance(item: BeamItem, action: Action, score: float, models: Models) -> BeamItem:
     lm_state = item.lm_state
     if lm_state is not None and action.kind == SHIFT:
         lm_state, _ = lm_step(models.lm, lm_state, models.lm.word_id(action.arg))
-    return BeamItem(apply(item.state, action), score, lm_state, key)
-
-
-def _is_terminal(item: BeamItem, mode: str) -> bool:
-    if mode == MODE_LSTM:
-        return not item.state.remaining
-    return item.state.terminal
+    return BeamItem(apply(item.state, action), score, lm_state)
 
 
 def _result(item: BeamItem, mode: str) -> DecodeResult:
@@ -199,13 +211,7 @@ def _root_item(bag: WordBag, models: Models, config: DecodeConfig, variant: str)
             bag, variant, lin.indexers.content_pos_tags, lin.indexers.content_labels
         )
     lm_state = start_state(models.lm) if config.mode != MODE_SYN else None
-    return BeamItem(state, 0.0, lm_state, ())
-
-
-def _n_steps(mode: str, variant: str, n: int) -> int:
-    if mode == MODE_LSTM:
-        return n
-    return 3 * n if variant == FULL else 2 * n
+    return BeamItem(state, 0.0, lm_state)
 
 
 def beam_decode(bag: WordBag, models: Models, config: DecodeConfig) -> DecodeResult:
@@ -215,20 +221,22 @@ def beam_decode(bag: WordBag, models: Models, config: DecodeConfig) -> DecodeRes
     if n == 0:
         raise DataError("cannot decode an empty bag")
     items = [_root_item(bag, models, config, variant)]
-    for _ in range(_n_steps(config.mode, variant, n)):
+    n_steps = n if config.mode == MODE_LSTM else derivation_length(variant, n)
+    for step in range(n_steps):
         candidates = []
         for item in items:
             for action, s in step_scores(item, models, config).items():
-                candidates.append(
-                    (item.score + s, item.tie_key + (action.sort_key(),), item, action)
-                )
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+                candidates.append((item.score + s, item, action))
+        if not all(math.isfinite(c[0]) for c in candidates):
+            raise SearchSpaceError(f"non-finite score at step {step + 1}: are the weights finite?")
+        candidates.sort(key=lambda c: (-c[0], c[1].state.history, c[2]))
         items = [
-            _advance(item, action, score, key, models)
-            for score, key, item, action in candidates[: config.beam_size]
+            _advance(item, action, score, models)
+            for score, item, action in candidates[: config.beam_size]
         ]
     best = items[0]
-    assert _is_terminal(best, config.mode)
+    if not _is_terminal(best.state, config.mode):
+        raise SearchSpaceError(f"unfinished after {n_steps} steps: {best.state.summary()}")
     return _result(best, config.mode)
 
 
@@ -240,27 +248,20 @@ def exhaustive_decode(bag: WordBag, models: Models, config: DecodeConfig) -> Dec
     """
     variant = _validate(models, config)
     n = len(bag)
-    bound = EXHAUSTIVE_MAX_LSTM if config.mode == MODE_LSTM else EXHAUSTIVE_MAX_TREE
-    if n > bound:
-        raise SearchSpaceError(
-            f"exhaustive enumeration limited to {bound} tokens in {config.mode} mode, got {n}"
-        )
+    _check_enumerable(n, config.mode)
     if n == 0:
         raise DataError("cannot decode an empty bag")
     best: BeamItem | None = None
 
     def walk(item: BeamItem):
         nonlocal best
-        if _is_terminal(item, config.mode):
-            if best is None or (-item.score, item.tie_key) < (-best.score, best.tie_key):
+        if _is_terminal(item.state, config.mode):
+            key = (-item.score, item.state.history)
+            if best is None or key < (-best.score, best.state.history):
                 best = item
             return
         for action, s in step_scores(item, models, config).items():
-            walk(
-                _advance(
-                    item, action, item.score + s, item.tie_key + (action.sort_key(),), models
-                )
-            )
+            walk(_advance(item, action, item.score + s, models))
 
     walk(_root_item(bag, models, config, variant))
     return _result(best, config.mode)
@@ -273,20 +274,16 @@ def count_derivations(
     pos_tags=(),
     arc_labels=(),
 ) -> int:
-    """Number of legal derivations for a bag (no models, structure only)."""
-    n = len(bag)
-    bound = EXHAUSTIVE_MAX_LSTM if mode == MODE_LSTM else EXHAUSTIVE_MAX_TREE
-    if n > bound:
-        raise SearchSpaceError(f"enumeration limited to {bound} tokens, got {n}")
+    """Number of legal derivations for a bag (no models, structure only).
+
+    Walks the same successors and terminal test as `exhaustive_decode`.
+    """
+    _check_enumerable(len(bag), mode)
     state = initial_state(bag, LIGHT if mode == MODE_LSTM else variant, pos_tags, arc_labels)
 
     def walk(st: State) -> int:
-        if mode == MODE_LSTM:
-            if not st.remaining:
-                return 1
-            return sum(walk(apply(st, Action(SHIFT, f))) for f in st.remaining_forms())
-        if st.terminal:
+        if _is_terminal(st, mode):
             return 1
-        return sum(walk(apply(st, a)) for a in legal_actions(st))
+        return sum(walk(apply(st, a)) for a in _successors(st, mode))
 
     return walk(state)

@@ -68,6 +68,7 @@ class TrainingError(SynlinError):
 
 
 class SearchSpaceError(SynlinError):
-    """Exhaustive enumeration refused: input exceeds the hard bound."""
+    """Search refused or failed: input exceeds the exhaustive bound, or a
+    decode step produced a non-finite score."""
 
     code = "search"

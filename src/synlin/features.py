@@ -75,13 +75,16 @@ def _referents(state: State) -> list[StackItem | None]:
     return out
 
 
-def extract(state: State, indexers: Indexers) -> FeatureVector:
-    """Full 42-slot feature vector (15 word + 15 POS + 12 label ids)."""
-    refs = _referents(state)
-    words = tuple(
+def _word_ids(refs: list[StackItem | None], indexers: Indexers) -> tuple[int, ...]:
+    return tuple(
         indexers.word_id(r.root.form) if r is not None else indexers.null_word_id
         for r in refs
     )
+
+
+def extract(state: State, indexers: Indexers) -> FeatureVector:
+    """Full 42-slot feature vector (15 word + 15 POS + 12 label ids)."""
+    refs = _referents(state)
     pos = tuple(
         indexers.pos_id(r.pos) if r is not None and r.pos is not None else indexers.null_pos_id
         for r in refs
@@ -92,14 +95,9 @@ def extract(state: State, indexers: Indexers) -> FeatureVector:
         else indexers.null_label_id
         for r in refs[3:]
     )
-    return FeatureVector(word_ids=words, pos_ids=pos, label_ids=labels)
+    return FeatureVector(word_ids=_word_ids(refs, indexers), pos_ids=pos, label_ids=labels)
 
 
 def extract_light(state: State, indexers: Indexers) -> FeatureVector:
     """Word-only 15-slot feature vector."""
-    refs = _referents(state)
-    words = tuple(
-        indexers.word_id(r.root.form) if r is not None else indexers.null_word_id
-        for r in refs
-    )
-    return FeatureVector(word_ids=words)
+    return FeatureVector(word_ids=_word_ids(_referents(state), indexers))

@@ -32,7 +32,7 @@ from synlin.features import (
     extract,
     extract_light,
 )
-from synlin.optim import Adagrad
+from synlin.optim import Adagrad, max_grad_error
 from synlin.transition import (
     END,
     FULL,
@@ -399,8 +399,6 @@ def forward(
     fv: FeatureVector,
     feasible: tuple[Action, ...],
     lm_feat: np.ndarray | None = None,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> dict[Action, float]:
     """Log-probabilities over the feasible actions (a map action -> logp)."""
     if not feasible:
@@ -422,10 +420,6 @@ def forward(
     elif lm_feat is not None:
         raise ConfigError("model has no LM feature block but one was supplied")
     h = np.tanh(pre + p.b1)
-    if train_mode and model.config.dropout > 0.0:
-        if rng is None:
-            raise ConfigError("train_mode forward needs an rng for dropout")
-        h = h * (rng.random(h.shape) >= model.config.dropout) / (1.0 - model.config.dropout)
     rows = [model.inventory.row(a) for a in feasible]
     logits = p.w2[rows] @ h
     m = logits.max()
@@ -498,8 +492,7 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    Dropout is off; the error is relative for large gradients and absolute
-    near zero (denominator max(1, |a|, |n|)).
+    Dropout is off; see `optim.max_grad_error` for the error measure.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -512,24 +505,6 @@ def grad_check(
         val, _ = _batch_pass(model, packed, idx, l2, want_grads=False)
         return val
 
-    worst = 0.0
-    for name, tensor in model.params.named_tensors().items():
-        flat = tensor.reshape(-1)
-        size = flat.shape[0]
-        if size <= samples_per_tensor:
-            coords = np.arange(size)
-        else:
-            coords = rng.choice(size, size=samples_per_tensor, replace=False)
-        gflat = grads[name].reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + epsilon
-            f_plus = objective()
-            flat[c] = orig - epsilon
-            f_minus = objective()
-            flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            analytic = gflat[c]
-            denom = max(1.0, abs(analytic), abs(numeric))
-            worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
+    return max_grad_error(
+        model.params.named_tensors(), grads, objective, epsilon, samples_per_tensor, rng
+    )

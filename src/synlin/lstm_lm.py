@@ -26,7 +26,7 @@ import numpy as np
 
 from synlin.corpus import DepSentence, Indexers
 from synlin.errors import ConfigError, DataError, TrainingError
-from synlin.optim import Adagrad
+from synlin.optim import Adagrad, max_grad_error
 
 START_SYMBOL = "<s>"
 EOS_SYMBOL = "</s>"
@@ -140,7 +140,15 @@ def lstm_cell(
         raise ConfigError(
             f"cell shapes inconsistent: W{weights.shape}, below {h_below.shape}, width {n}"
         )
-    z = weights @ np.concatenate([h_below, h_prev])
+    h, c, _ = _cell(weights, h_below, h_prev, c_prev, bias)
+    return h, c
+
+
+def _cell(weights, h_below, h_prev, c_prev, bias):
+    """The cell math: (h, c, cache), the cache holding what backprop needs."""
+    n = h_prev.shape[0]
+    u = np.concatenate([h_below, h_prev])
+    z = weights @ u
     if bias is not None:
         z = z + bias
     i = _sigmoid(z[:n])
@@ -148,8 +156,9 @@ def lstm_cell(
     o = _sigmoid(z[2 * n : 3 * n])
     g = np.tanh(z[3 * n :])
     c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, {"u": u, "i": i, "f": f, "o": o, "g": g, "c_prev": c_prev, "tc": tc}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -236,40 +245,17 @@ def _forward_sentence(model, inputs, targets, dropout=0.0, rng=None):
         below = p.emb[wid]
         step = {"wid": wid, "target": target, "layers": []}
         for layer in range(n_layers):
-            w = p.cells[layer]
             bias = p.cell_biases[layer] if p.cell_biases is not None else None
-            u = np.concatenate([below, h_prev[layer]])
-            z = w @ u
-            if bias is not None:
-                z = z + bias
-            i = _sigmoid(z[:n])
-            f = _sigmoid(z[n : 2 * n])
-            o = _sigmoid(z[2 * n : 3 * n])
-            g = np.tanh(z[3 * n :])
-            c = f * c_prev[layer] + i * g
-            tc = np.tanh(c)
-            h = o * tc
+            h, c, cache = _cell(p.cells[layer], below, h_prev[layer], c_prev[layer], bias)
             if dropout > 0.0:
-                mask = (rng.random(n) >= dropout) / (1.0 - dropout)
+                cache["mask"] = (rng.random(n) >= dropout) / (1.0 - dropout)
+                below = h * cache["mask"]
             else:
-                mask = None
-            dropped = h * mask if mask is not None else h
-            step["layers"].append(
-                {
-                    "u": u,
-                    "i": i,
-                    "f": f,
-                    "o": o,
-                    "g": g,
-                    "c_prev": c_prev[layer].copy(),
-                    "c": c,
-                    "tc": tc,
-                    "mask": mask,
-                }
-            )
+                cache["mask"] = None
+                below = h
+            step["layers"].append(cache)
             h_prev[layer] = h
             c_prev[layer] = c
-            below = dropped
         logits = p.out_emb @ below
         m = logits.max()
         logz = m + np.log(np.sum(np.exp(logits - m)))
@@ -385,23 +371,6 @@ def lm_grad_check(
         _, caches = _forward_sentence(model, inputs, targets)
         for name, g in _backward_sentence(model, caches).items():
             analytic[name] += g
-    worst = 0.0
-    for name, tensor in model.params.named_tensors().items():
-        flat = tensor.reshape(-1)
-        size = flat.shape[0]
-        if size <= samples_per_tensor:
-            coords = np.arange(size)
-        else:
-            coords = rng.choice(size, size=samples_per_tensor, replace=False)
-        gflat = analytic[name].reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + epsilon
-            f_plus = total_loss()
-            flat[c] = orig - epsilon
-            f_minus = total_loss()
-            flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            denom = max(1.0, abs(gflat[c]), abs(numeric))
-            worst = max(worst, abs(gflat[c] - numeric) / denom)
-    return worst
+    return max_grad_error(
+        model.params.named_tensors(), analytic, total_loss, epsilon, samples_per_tensor, rng
+    )

@@ -61,6 +61,10 @@ class Action:
     def sort_key(self) -> tuple[int, str]:
         return (_KIND_ORDER[self.kind], self.arg or "")
 
+    def __lt__(self, other: "Action") -> bool:
+        """Canonical order; decoders break score ties on action histories."""
+        return self.sort_key() < other.sort_key()
+
 
 @dataclass(frozen=True)
 class StackItem:
@@ -124,6 +128,11 @@ class State:
         stack = " ".join(item.root.form for item in self.stack)
         rho = " ".join(tok.form for tok in self.remaining)
         return f"stack=[{stack}] remaining=[{rho}] step={len(self.history)}"
+
+
+def derivation_length(variant: str, n: int) -> int:
+    """Actions in every derivation of n words: 3n in the full variant, 2n in light."""
+    return 3 * n if variant == FULL else 2 * n
 
 
 def initial_state(

@@ -169,7 +169,7 @@ def test_distribution_laws(synth220):
             allowed = [idx.word_id(f) for f in state.remaining_forms()]
             dist = next_word_distribution(lm, start_state(lm), allowed=allowed)
             worst_lm = max(worst_lm, abs(sum(dist.values()) - 1.0))
-        item = decoder.BeamItem(state, 0.0, start_state(lm), ())
+        item = decoder.BeamItem(state, 0.0, start_state(lm))
         joint = decoder.step_scores(
             item, Models(linearizer=lin, lm=lm), DecodeConfig(mode="syn+lstm", alpha=0.4)
         )

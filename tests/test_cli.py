@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from synlin.cli import main
-from synlin.container import load
+from synlin.container import container_from_linearizer, linearizer_from_container, load, save
 from synlin.corpus import to_conll
 from synlin.synth import toy_corpus
 
@@ -146,13 +147,18 @@ class TestDecode:
         assert main([*args, "--output", str(b)]) == 0
         assert read(a) == read(b)
 
-    def test_threads_do_not_change_output(self, data_dir, models_dir, tmp_path):
-        dev = str(data_dir / "dev.conll")
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        base = ["decode", "--model", str(models_dir / "syn.slm"), "--input", dev, "--beam", "2"]
-        assert main([*base, "--output", str(a), "--threads", "1"]) == 0
-        assert main([*base, "--output", str(b), "--threads", "3"]) == 0
-        assert read(a) == read(b)
+    def test_nan_weights_are_a_search_error(self, data_dir, models_dir, tmp_path, capsys):
+        model = linearizer_from_container(load(str(models_dir / "syn.slm")))
+        for tensor in model.params.named_tensors().values():
+            tensor[...] = np.nan
+        path = tmp_path / "nan.slm"
+        save(container_from_linearizer(model), str(path))
+        capsys.readouterr()
+        code = main(["decode", "--model", str(path), "--input", str(data_dir / "dev.conll")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: search: ") and captured.err.count("\n") == 1
 
     def test_alpha_zero_matches_syn(self, data_dir, models_dir, tmp_path):
         dev = str(data_dir / "dev.conll")

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import small_linearizer, small_lm
 from synlin import container as cont
+from synlin.cli import main
 from synlin.corpus import build_indexers
 from synlin.errors import ModelFormatError
 from synlin.synth import toy_corpus
@@ -16,6 +19,43 @@ def idx():
 def _bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _set(section, key, value):
+    def edit(header):
+        header["config"][section][key] = value
+        return header
+
+    return edit
+
+
+def _rename_tensor(old, new):
+    def edit(header):
+        header["tensors"] = [[new if n == old else n, shape] for n, shape in header["tensors"]]
+        return header
+
+    return edit
+
+
+# Header edits that leave the payload in place; each must be a model error.
+MALFORMED_HEADERS = {
+    "no-indexers": ("linearizer", _without("indexers")),
+    "no-tensors": ("linearizer", _without("tensors")),
+    "list-header": ("linearizer", lambda header: [header]),
+    "tensor-table-not-a-list": ("linearizer", lambda header: {**header, "tensors": 5}),
+    "tensor-shape-not-numbers": (
+        "linearizer",
+        lambda header: {**header, "tensors": [[n, ["a"]] for n, _ in header["tensors"]]},
+    ),
+    "unknown-linearizer-config-key": ("linearizer", _set("linearizer", "warp_speed", 9)),
+    "missing-linearizer-tensor": ("linearizer", _rename_tensor("lin.w2", "lin.w9")),
+    "unknown-lm-config-key": ("lm", _set("lm", "warp_speed", 9)),
+    "missing-lm-tensor": ("lm", _rename_tensor("lm.cell1", "lm.cell9")),
+}
 
 
 class TestRoundTrip:
@@ -126,3 +166,27 @@ class TestFormatErrors:
         model = small_linearizer(idx, "light", seed=13, lm_feat_dim=6)
         with pytest.raises(ModelFormatError):
             cont.container_from_linearizer(model)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header(self, case, idx, tmp_path, capsys):
+        kind, edit = MALFORMED_HEADERS[case]
+        path = tmp_path / "m.slm"
+        if kind == "lm":
+            cont.save(cont.container_from_lm(small_lm(idx, seed=14)), path)
+            from_container = cont.lm_from_container
+            decode = ["--mode", "lstm", "--lm", str(path)]
+        else:
+            cont.save(cont.container_from_linearizer(small_linearizer(idx, "full", seed=14)), path)
+            from_container = cont.linearizer_from_container
+            decode = ["--model", str(path)]
+        header, payload = _bytes(path).split(b"\n", 1)
+        path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + payload)
+        with pytest.raises(ModelFormatError):
+            from_container(cont.load(path))
+        bags = tmp_path / "bags.txt"
+        bags.write_text("the dog ran\n")
+        capsys.readouterr()
+        assert main(["decode", *decode, "--input", str(bags), "--input-format", "bags"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model: ") and err.count("\n") == 1
+        assert "Traceback" not in err

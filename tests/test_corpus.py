@@ -18,7 +18,13 @@ from synlin.corpus import (
     to_bag,
     to_conll,
 )
-from synlin.errors import ConllError, DataError, NonProjectiveError, TreeError
+from synlin.errors import (
+    ConllError,
+    DataError,
+    DerivationError,
+    NonProjectiveError,
+    TreeError,
+)
 from synlin.transition import Action, realized_sentence
 
 
@@ -172,6 +178,14 @@ class TestOracle:
         acts = derive_oracle(sent, "full")
         assert names(acts) == ["Shift-Go", "Pos-VB", "End"]
         assert len(acts) == 3 * 1
+
+    def test_wrong_length_is_a_derivation_error(self, table2, monkeypatch):
+        # a coded error rather than an assert, so the check survives python -O
+        from synlin import corpus
+
+        monkeypatch.setattr(corpus, "derivation_length", lambda variant, n: 2 * n + 1)
+        with pytest.raises(DerivationError, match="derivation length 6 != 7"):
+            derive_oracle(table2, "light")
 
     def test_shift_preferred_over_left_arc(self, table2):
         # After [I love] the arc I<-love is available but NLP is shifted first.

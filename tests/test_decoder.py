@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import small_linearizer, small_lm
+from conftest import random_projective_sentence, small_linearizer, small_lm
 from synlin import decoder, ffnn
 from synlin.corpus import bag_from_forms, build_indexers, to_bag
 from synlin.decoder import (
@@ -124,9 +128,9 @@ class TestStepScores:
         for _ in range(2):
             scores = step_scores(item, models, joint_cfg)
             shift = next(a for a in scores if a.kind == "Shift")
-            item = decoder._advance(item, shift, 0.0, (), models)
+            item = decoder._advance(item, shift, 0.0, models)
         joint = step_scores(item, models, joint_cfg)
-        syn_item = decoder.BeamItem(item.state, 0.0, None, ())
+        syn_item = decoder.BeamItem(item.state, 0.0, None)
         syn = step_scores(syn_item, models, syn_cfg)
         nonshift = [a for a in joint if a.kind != "Shift"]
         assert nonshift
@@ -139,7 +143,7 @@ class TestStepScores:
         item = self.root_item(bag, models, DecodeConfig(mode="syn+lstm", alpha=0.0))
         joint = step_scores(item, models, DecodeConfig(mode="syn+lstm", alpha=0.0))
         syn = step_scores(
-            decoder.BeamItem(item.state, 0.0, None, ()), models, DecodeConfig(mode="syn")
+            decoder.BeamItem(item.state, 0.0, None), models, DecodeConfig(mode="syn")
         )
         assert joint == syn
 
@@ -179,7 +183,7 @@ class TestStepScores:
             item.state, 0.0, start_state(lm).__class__(
                 layers=tuple((h + 1.0, c) for h, c in item.lm_state.layers),
                 consumed=item.lm_state.consumed,
-            ), ()
+            )
         )
         changed = step_scores(other, models, cfg)
         assert any(abs(base[a] - changed[a]) > 1e-9 for a in base)
@@ -195,7 +199,7 @@ class TestBeam:
         while not item.state.terminal:
             scores = step_scores(item, models, cfg)
             best = min(scores, key=lambda a: (-scores[a], a.sort_key()))
-            item = decoder._advance(item, best, item.score + scores[best], (), models)
+            item = decoder._advance(item, best, item.score + scores[best], models)
         assert result.actions == item.state.history
         assert abs(result.score - item.score) < 1e-12
 
@@ -257,10 +261,16 @@ class TestBeam:
         while not item.state.terminal:
             scores = step_scores(item, models, cfg)
             action = max(scores, key=lambda a: (scores[a], a.sort_key()))
-            item = decoder._advance(item, action, 0.0, (), models)
+            item = decoder._advance(item, action, 0.0, models)
             shifts += action.kind == "Shift"
             # start symbol plus one step per shifted word
             assert item.lm_state.consumed == 1 + shifts
+
+    def test_unfinished_derivation_is_a_search_error(self, corpus, lin_full, monkeypatch):
+        # a coded error rather than an assert, so the check survives python -O
+        monkeypatch.setattr(decoder, "derivation_length", lambda variant, n: 3 * n - 1)
+        with pytest.raises(SearchSpaceError, match="unfinished"):
+            beam_decode(to_bag(corpus[5]), Models(linearizer=lin_full), DecodeConfig(mode="syn"))
 
     def test_deterministic(self, corpus, lin_full):
         models = Models(linearizer=lin_full)
@@ -296,24 +306,30 @@ class TestExhaustive:
         with pytest.raises(SearchSpaceError):
             exhaustive_decode(bag, Models(linearizer=lin_light), DecodeConfig(mode="syn"))
 
-    def test_argmax_beats_all(self, corpus, lin_light):
+    @pytest.mark.parametrize("mode", ["syn", "syn+lstm", "synxlstm", "lstm"])
+    def test_argmax_beats_all(self, mode, lin_light, lin_feat, lm):
         bag = bag_from_forms(["the", "dog", "ran"])
-        models = Models(linearizer=lin_light)
-        cfg = DecodeConfig(mode="syn")
+        models = Models(
+            linearizer={"syn": lin_light, "syn+lstm": lin_light, "synxlstm": lin_feat}.get(mode),
+            lm=None if mode == "syn" else lm,
+        )
+        cfg = DecodeConfig(mode=mode, alpha=0.4)
         best = exhaustive_decode(bag, models, cfg)
-        # enumerate scores by DFS and confirm none beats it
-        scores = []
+        # enumerate (score, history) by DFS: none beats the argmax, and the
+        # argmax wins every exact tie on the lexicographic history
+        leaves = []
 
         def walk(item):
-            if item.state.terminal:
-                scores.append(item.score)
+            if decoder._is_terminal(item.state, mode):
+                leaves.append((item.score, item.state.history))
                 return
             for a, s in step_scores(item, models, cfg).items():
-                walk(decoder._advance(item, a, item.score + s, item.tie_key + (a.sort_key(),), models))
+                walk(decoder._advance(item, a, item.score + s, models))
 
-        walk(decoder._root_item(bag, models, cfg, "light"))
-        assert len(scores) == count_derivations(bag, "syn")
-        assert all(best.score >= s - 1e-12 for s in scores)
+        walk(decoder._root_item(bag, models, cfg, decoder._validate(models, cfg)))
+        assert len(leaves) == count_derivations(bag, mode)
+        assert all(best.score >= s for s, _ in leaves)
+        assert min(leaves, key=lambda leaf: (-leaf[0], leaf[1])) == (best.score, best.actions)
 
     @pytest.mark.parametrize("mode", ["syn", "syn+lstm", "synxlstm", "lstm"])
     def test_beam_covering_space_equals_exhaustive(self, mode, lin_light, lin_feat, lm):
@@ -345,3 +361,41 @@ class TestExhaustive:
         beamed = beam_decode(bag, models, cfg)
         assert beamed.actions == exact.actions
         assert abs(beamed.score - exact.score) < 1e-9
+
+
+def exhaustive_with_leaf_count(bag, models, cfg):
+    """exhaustive_decode, plus the number of terminal states its walk reached."""
+    is_terminal = decoder._is_terminal
+    leaves = 0
+
+    def counting(state, mode):
+        nonlocal leaves
+        done = is_terminal(state, mode)
+        leaves += done
+        return done
+
+    with mock.patch.object(decoder, "_is_terminal", counting):
+        return exhaustive_decode(bag, models, cfg), leaves
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    variant=st.sampled_from(["full", "light"]),
+)
+def test_beam_covering_space_equals_exhaustive_on_random_trees(seed, n, variant):
+    if variant == "full":
+        n = min(n, 3)  # with the sentence's own tags and labels, n=4 has up to 5e5 derivations
+    sent = random_projective_sentence(np.random.default_rng(seed), n)
+    idx = build_indexers([sent])
+    models = Models(linearizer=small_linearizer(idx, variant, seed=seed % 1000, scale=0.3))
+    bag = to_bag(sent)
+    space = count_derivations(bag, "syn", variant, idx.content_pos_tags, idx.content_labels)
+    cfg = DecodeConfig(mode="syn", beam_size=space)
+    exact, leaves = exhaustive_with_leaf_count(bag, models, cfg)
+    beamed = beam_decode(bag, models, cfg)
+    assert leaves == space
+    assert beamed.tokens == exact.tokens
+    assert beamed.actions == exact.actions
+    assert abs(beamed.score - exact.score) < 1e-9

@@ -120,12 +120,6 @@ class TestForward:
         r2 = forward(model, fv, feasible)
         assert r1 == r2
 
-    def test_dropout_needs_rng(self, idx, corpus):
-        model = small_linearizer(idx, "full", seed=6, dropout=0.5)
-        state = self.feasible_state(model, corpus)
-        with pytest.raises(ConfigError):
-            forward(model, model.extract_features(state), legal_actions(state), train_mode=True)
-
     def test_empty_feasible(self, idx, corpus):
         model = small_linearizer(idx, "full")
         state = self.feasible_state(model, corpus)
