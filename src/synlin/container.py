@@ -16,7 +16,14 @@ import numpy as np
 
 from synlin.corpus import Indexers
 from synlin.errors import ModelFormatError
-from synlin.features import LABEL_SLOTS, POS_SLOTS, WORD_SLOTS
+from synlin.features import (
+    LABEL_SLOTS,
+    N_LABEL_SLOTS,
+    N_POS_SLOTS,
+    N_WORD_SLOTS,
+    POS_SLOTS,
+    WORD_SLOTS,
+)
 from synlin.ffnn import (
     ActionInventory,
     Linearizer,
@@ -24,7 +31,7 @@ from synlin.ffnn import (
     TrainConfig,
 )
 from synlin.lstm_lm import LanguageModel, LmConfig, LmParams
-from synlin.transition import FULL
+from synlin.transition import FULL, VARIANTS
 
 FORMAT_VERSION = 1
 
@@ -170,8 +177,26 @@ def _section(container: ModelContainer, section: str, prefix: str, config_cls):
         raise ModelFormatError(
             f"unusable {section} section in the model header ({type(exc).__name__}: {exc})"
         ) from None
+    if indexers.n_words < 2:
+        raise ModelFormatError(f"{section} word table lacks the unknown and padding entries")
     tensors = {k[len(prefix) :]: v for k, v in container.tensors.items() if k.startswith(prefix)}
     return indexers, config, tensors
+
+
+def _check_shapes(section: str, tensors: dict[str, np.ndarray], expected: dict[str, tuple]):
+    """Exactly the expected tensors, each with its expected shape."""
+    missing = sorted(set(expected) - set(tensors))
+    if missing:
+        raise ModelFormatError(f"{section} tensor(s) {', '.join(missing)} missing")
+    extra = sorted(set(tensors) - set(expected))
+    if extra:
+        raise ModelFormatError(f"unexpected {section} tensor(s) {', '.join(extra)}")
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise ModelFormatError(
+                f"{section} tensor {name} has shape {list(tensors[name].shape)}, "
+                f"expected {list(shape)} from the indexers, config and feature slots"
+            )
 
 
 def linearizer_from_container(container: ModelContainer) -> Linearizer:
@@ -179,32 +204,37 @@ def linearizer_from_container(container: ModelContainer) -> Linearizer:
         raise ModelFormatError(
             f"container holds {container.component!r}, not a linearizer"
         )
+    variant = container.variant
+    if variant not in VARIANTS:
+        raise ModelFormatError(f"unknown linearizer variant {variant!r}")
+    if container.feature_slots is not None and container.feature_slots != _feature_slots(variant):
+        raise ModelFormatError("feature slot layout differs from this version's")
     indexers, config, tensors = _section(container, "linearizer", "lin.", TrainConfig)
-    try:
-        params = LinearizerParams(
-            emb_word=tensors["emb_word"],
-            w1_word=tensors["w1_word"],
-            b1=tensors["b1"],
-            w2=tensors["w2"],
-            emb_pos=tensors.get("emb_pos"),
-            emb_label=tensors.get("emb_label"),
-            w1_pos=tensors.get("w1_pos"),
-            w1_label=tensors.get("w1_label"),
-            w1_lm=tensors.get("w1_lm"),
-        )
-    except KeyError as exc:
-        raise ModelFormatError(f"linearizer tensor {exc} missing") from None
-    lm_feat_dim = params.w1_lm.shape[1] if params.w1_lm is not None else None
-    inventory = ActionInventory.from_indexers(indexers, container.variant)
-    if params.w2.shape[0] != len(inventory):
-        raise ModelFormatError(
-            f"output matrix rows {params.w2.shape[0]} != inventory size {len(inventory)}"
-        )
+    inventory = ActionInventory.from_indexers(indexers, variant)
+    d, h = config.embed_dim, config.hidden_dim
+    expected = {
+        "emb_word": (indexers.n_words, d),
+        "w1_word": (h, N_WORD_SLOTS * d),
+        "b1": (h,),
+        "w2": (len(inventory), h),
+    }
+    if variant == FULL:
+        if indexers.n_pos < 1 or indexers.n_labels < 1:
+            raise ModelFormatError("POS or label table lacks its padding entry")
+        expected["emb_pos"] = (indexers.n_pos, d)
+        expected["emb_label"] = (indexers.n_labels, d)
+        expected["w1_pos"] = (h, N_POS_SLOTS * d)
+        expected["w1_label"] = (h, N_LABEL_SLOTS * d)
+    lm_feat_dim = None
+    if container.component == COMPONENT_COMBINED:
+        lm_feat_dim = _section(container, "lm", "lm.", LmConfig)[1].hidden_size
+        expected["w1_lm"] = (h, lm_feat_dim)
+    _check_shapes("linearizer", tensors, expected)
     return Linearizer(
-        params=params,
+        params=LinearizerParams(**tensors),
         indexers=indexers,
         inventory=inventory,
-        variant=container.variant,
+        variant=variant,
         config=config,
         lm_feat_dim=lm_feat_dim,
     )
@@ -216,14 +246,18 @@ def lm_from_container(container: ModelContainer) -> LanguageModel:
             f"container holds {container.component!r}, not a language model"
         )
     indexers, config, tensors = _section(container, "lm", "lm.", LmConfig)
-    try:
-        cells = tuple(tensors[f"cell{i}"] for i in range(config.num_layers))
-        biases = None
+    n, vocab = config.hidden_size, indexers.n_words + 2
+    expected = {"emb": (vocab, n), "out_emb": (vocab, n)}
+    for i in range(config.num_layers):
+        expected[f"cell{i}"] = (4 * n, 2 * n)
         if config.gate_bias:
-            biases = tuple(tensors[f"cell{i}_bias"] for i in range(config.num_layers))
-        params = LmParams(
-            emb=tensors["emb"], cells=cells, out_emb=tensors["out_emb"], cell_biases=biases
-        )
-    except KeyError as exc:
-        raise ModelFormatError(f"language model tensor {exc} missing") from None
+            expected[f"cell{i}_bias"] = (4 * n,)
+    _check_shapes("language model", tensors, expected)
+    layers = range(config.num_layers)
+    params = LmParams(
+        emb=tensors["emb"],
+        cells=tuple(tensors[f"cell{i}"] for i in layers),
+        out_emb=tensors["out_emb"],
+        cell_biases=tuple(tensors[f"cell{i}_bias"] for i in layers) if config.gate_bias else None,
+    )
     return LanguageModel(params=params, indexers=indexers, config=config)

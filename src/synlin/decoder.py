@@ -146,44 +146,88 @@ def _check_enumerable(n: int, mode: str):
         )
 
 
-def step_scores(item: BeamItem, models: Models, config: DecodeConfig) -> dict[Action, float]:
-    """Per-action log-score increments at this item, mode-dependent."""
-    state = item.state
-    feasible = _successors(state, config.mode)
-    if not feasible:
-        raise DataError(f"no legal actions at {state.summary()}")
-    if config.mode == MODE_LSTM:
-        ids = [models.lm.word_id(a.arg) for a in feasible]
-        logp = next_word_logprobs(models.lm, item.lm_state, ids)
-        return {a: float(v) for a, v in zip(feasible, logp)}
-    lin = models.linearizer
-    lm_feat = item.lm_state.top_h if config.mode == MODE_FEATURE else None
-    base = forward(lin, lin.extract_features(state), feasible, lm_feat=lm_feat)
-    if config.mode != MODE_JOINT:
-        return {a: float(v) for a, v in base.items()}
-    shift_forms = [a.arg for a in feasible if a.kind == SHIFT]
-    lm_lp: dict[str, float] = {}
-    if shift_forms:
-        ids = [models.lm.word_id(f) for f in shift_forms]
-        arr = next_word_logprobs(models.lm, item.lm_state, ids)
-        lm_lp = {f: float(v) for f, v in zip(shift_forms, arr)}
-    combined = {
-        a: float(v) + (config.alpha * lm_lp[a.arg] if a.kind == SHIFT else 0.0)
-        for a, v in base.items()
-    }
+def step_scores(
+    items: list[BeamItem], models: Models, config: DecodeConfig
+) -> list[tuple[float, BeamItem, Action]]:
+    """The candidates of one search step, scored as one batch.
+
+    Returns (accumulated score, item, action) for every successor action of
+    every item, items in the given order and each item's actions in
+    canonical order.  One scorer call covers all items.
+    """
+    mode = config.mode
+    feasibles = [_successors(item.state, mode) for item in items]
+    for item, feasible in zip(items, feasibles):
+        if not feasible:
+            raise DataError(f"no legal actions at {item.state.summary()}")
+    lm = models.lm
+    if mode == MODE_LSTM:
+        increments = [
+            next_word_logprobs(lm, item.lm_state, [lm.word_id(a.arg) for a in feasible])
+            for item, feasible in zip(items, feasibles)
+        ]
+    else:
+        lin = models.linearizer
+        lm_feats = None
+        if mode == MODE_FEATURE:
+            lm_feats = np.stack([item.lm_state.top_h for item in items])
+        features = [lin.extract_features(item.state) for item in items]
+        increments = forward(lin, features, feasibles, lm_feats)
+        if mode == MODE_JOINT:
+            increments = [
+                _joint(lm, item.lm_state, feasible, base, config)
+                for item, feasible, base in zip(items, feasibles, increments)
+            ]
+    return [
+        (item.score + s, item, action)
+        for item, feasible, inc in zip(items, feasibles, increments)
+        for action, s in zip(feasible, inc.tolist())
+    ]
+
+
+def _joint(
+    lm: LanguageModel,
+    lm_state: LmState,
+    feasible: tuple[Action, ...],
+    base: np.ndarray,
+    config: DecodeConfig,
+) -> np.ndarray:
+    """Scorer log-probs plus alpha times the LM log-prob of each shifted word."""
+    shifts = [k for k, a in enumerate(feasible) if a.kind == SHIFT]
+    combined = base
+    if shifts:
+        ids = [lm.word_id(feasible[k].arg) for k in shifts]
+        combined = base.copy()
+        combined[shifts] += config.alpha * next_word_logprobs(lm, lm_state, ids)
     if config.renormalize_joint:
-        vals = np.array(list(combined.values()))
-        m = vals.max()
-        logz = m + np.log(np.sum(np.exp(vals - m)))
-        combined = {a: v - float(logz) for a, v in combined.items()}
+        m = combined.max()
+        combined = combined - (m + np.log(np.sum(np.exp(combined - m))))
     return combined
 
 
-def _advance(item: BeamItem, action: Action, score: float, models: Models) -> BeamItem:
-    lm_state = item.lm_state
-    if lm_state is not None and action.kind == SHIFT:
-        lm_state, _ = lm_step(models.lm, lm_state, models.lm.word_id(action.arg))
+def _advance(item: BeamItem, action: Action, score: float, lm_state: LmState | None) -> BeamItem:
+    """The item one kept candidate leads to, given its already advanced LM state."""
     return BeamItem(apply(item.state, action), score, lm_state)
+
+
+def _advance_all(
+    candidates: list[tuple[float, BeamItem, Action]], models: Models
+) -> list[BeamItem]:
+    """The items the candidates lead to; one LM step covers every Shift among them."""
+    lm_states = [item.lm_state for _, item, _ in candidates]
+    shifts = [
+        k
+        for k, (_, item, action) in enumerate(candidates)
+        if item.lm_state is not None and action.kind == SHIFT
+    ]
+    if shifts:
+        ids = [models.lm.word_id(candidates[k][2].arg) for k in shifts]
+        for k, state in zip(shifts, lm_step(models.lm, [lm_states[k] for k in shifts], ids)):
+            lm_states[k] = state
+    return [
+        _advance(item, action, score, lm_state)
+        for (score, item, action), lm_state in zip(candidates, lm_states)
+    ]
 
 
 def _result(item: BeamItem, mode: str) -> DecodeResult:
@@ -223,17 +267,11 @@ def beam_decode(bag: WordBag, models: Models, config: DecodeConfig) -> DecodeRes
     items = [_root_item(bag, models, config, variant)]
     n_steps = n if config.mode == MODE_LSTM else derivation_length(variant, n)
     for step in range(n_steps):
-        candidates = []
-        for item in items:
-            for action, s in step_scores(item, models, config).items():
-                candidates.append((item.score + s, item, action))
+        candidates = step_scores(items, models, config)
         if not all(math.isfinite(c[0]) for c in candidates):
             raise SearchSpaceError(f"non-finite score at step {step + 1}: are the weights finite?")
         candidates.sort(key=lambda c: (-c[0], c[1].state.history, c[2]))
-        items = [
-            _advance(item, action, score, models)
-            for score, item, action in candidates[: config.beam_size]
-        ]
+        items = _advance_all(candidates[: config.beam_size], models)
     best = items[0]
     if not _is_terminal(best.state, config.mode):
         raise SearchSpaceError(f"unfinished after {n_steps} steps: {best.state.summary()}")
@@ -260,8 +298,8 @@ def exhaustive_decode(bag: WordBag, models: Models, config: DecodeConfig) -> Dec
             if best is None or key < (-best.score, best.state.history):
                 best = item
             return
-        for action, s in step_scores(item, models, config).items():
-            walk(_advance(item, action, item.score + s, models))
+        for child in _advance_all(step_scores([item], models, config), models):
+            walk(child)
 
     walk(_root_item(bag, models, config, variant))
     return _result(best, config.mode)

@@ -262,7 +262,7 @@ def make_training_examples(
             )
             state = apply(state, act)
             if lm is not None and act.kind == SHIFT:
-                lm_state, _ = lstm_lm.lm_step(lm, lm_state, lm.word_id(act.arg))
+                lm_state = lstm_lm.lm_step(lm, [lm_state], [lm.word_id(act.arg)])[0]
     return examples
 
 
@@ -316,6 +316,27 @@ def _pack(model: Linearizer, examples: list[TrainExample]) -> _Packed:
     return _Packed(word_ids, pos_ids, label_ids, lm_feats, rows, valid, gold_col)
 
 
+def _hidden(model: Linearizer, word_ids, pos_ids=None, label_ids=None, lm_feats=None):
+    """tanh hidden layer of a batch of examples, one row per example.
+
+    One (b x slots*d) @ (slots*d x h) product per feature block, added in a
+    fixed order; decoding (`forward`) and training (`_batch_pass`) both call
+    it.  Also returns the concatenated embeddings (xw, xt, xl) for backprop.
+    """
+    p = model.params
+    b = len(word_ids)
+    xw = p.emb_word[word_ids].reshape(b, -1)
+    pre = xw @ p.w1_word.T
+    xt = xl = None
+    if model.variant == FULL:
+        xt = p.emb_pos[pos_ids].reshape(b, -1)
+        xl = p.emb_label[label_ids].reshape(b, -1)
+        pre = pre + xt @ p.w1_pos.T + xl @ p.w1_label.T
+    if p.w1_lm is not None:
+        pre = pre + lm_feats @ p.w1_lm.T
+    return np.tanh(pre + p.b1), (xw, xt, xl)
+
+
 def _batch_pass(
     model: Linearizer,
     packed: _Packed,
@@ -329,17 +350,15 @@ def _batch_pass(
     p = model.params
     b = len(idx)
     d = model.config.embed_dim
-    xw = p.emb_word[packed.word_ids[idx]].reshape(b, -1)
-    pre = xw @ p.w1_word.T
-    if model.variant == FULL:
-        xt = p.emb_pos[packed.pos_ids[idx]].reshape(b, -1)
-        xl = p.emb_label[packed.label_ids[idx]].reshape(b, -1)
-        pre = pre + xt @ p.w1_pos.T + xl @ p.w1_label.T
-    if p.w1_lm is not None:
-        lm = packed.lm_feats[idx]
-        pre = pre + lm @ p.w1_lm.T
-    pre = pre + p.b1
-    a = np.tanh(pre)
+    full = model.variant == FULL
+    lm = packed.lm_feats[idx] if packed.lm_feats is not None else None
+    a, (xw, xt, xl) = _hidden(
+        model,
+        packed.word_ids[idx],
+        packed.pos_ids[idx] if full else None,
+        packed.label_ids[idx] if full else None,
+        lm,
+    )
     if dropout > 0.0:
         mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
         h = a * mask
@@ -396,35 +415,48 @@ def _batch_pass(
 
 def forward(
     model: Linearizer,
-    fv: FeatureVector,
-    feasible: tuple[Action, ...],
-    lm_feat: np.ndarray | None = None,
-) -> dict[Action, float]:
-    """Log-probabilities over the feasible actions (a map action -> logp)."""
-    if not feasible:
+    features: list[FeatureVector],
+    feasibles: list[tuple[Action, ...]],
+    lm_feats: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Log-probabilities of a batch of items, one array per item.
+
+    Item i has feature vector `features[i]`, feasible actions `feasibles[i]`
+    and, for a model with an LM feature block, the row `lm_feats[i]`.  The
+    hidden layer of all items is one `_hidden` call, shared with training;
+    the softmax of item i runs over the rows of its feasible actions only,
+    and its array holds their log-probabilities in `feasibles[i]` order.
+    """
+    if len(features) != len(feasibles):
+        raise DataError(f"{len(features)} feature vectors for {len(feasibles)} feasible sets")
+    if not all(feasibles):
         raise DataError("feasible set is empty")
     p = model.params
-    x = p.emb_word[np.asarray(fv.word_ids)].ravel()
-    pre = p.w1_word @ x
-    if model.variant == FULL:
-        pre = pre + p.w1_pos @ p.emb_pos[np.asarray(fv.pos_ids)].ravel()
-        pre = pre + p.w1_label @ p.emb_label[np.asarray(fv.label_ids)].ravel()
     if p.w1_lm is not None:
-        if lm_feat is None:
+        if lm_feats is None:
             raise ConfigError("model expects an LM feature block")
-        if lm_feat.shape != (p.w1_lm.shape[1],):
+        lm_feats = np.asarray(lm_feats)
+        if lm_feats.shape != (len(features), p.w1_lm.shape[1]):
             raise ConfigError(
-                f"LM feature width {lm_feat.shape} != {p.w1_lm.shape[1]}"
+                f"LM feature rows {lm_feats.shape} != ({len(features)}, {p.w1_lm.shape[1]})"
             )
-        pre = pre + p.w1_lm @ lm_feat
-    elif lm_feat is not None:
+    elif lm_feats is not None:
         raise ConfigError("model has no LM feature block but one was supplied")
-    h = np.tanh(pre + p.b1)
-    rows = [model.inventory.row(a) for a in feasible]
-    logits = p.w2[rows] @ h
-    m = logits.max()
-    logp = logits - (m + np.log(np.sum(np.exp(logits - m))))
-    return dict(zip(feasible, logp))
+    full = model.variant == FULL
+    hidden, _ = _hidden(
+        model,
+        np.array([fv.word_ids for fv in features], dtype=np.int64),
+        np.array([fv.pos_ids for fv in features], dtype=np.int64) if full else None,
+        np.array([fv.label_ids for fv in features], dtype=np.int64) if full else None,
+        lm_feats,
+    )
+    out = []
+    row = model.inventory.row
+    for h, feasible in zip(hidden, feasibles):
+        logits = p.w2[[row(a) for a in feasible]] @ h
+        m = logits.max()
+        out.append(logits - (m + np.log(np.sum(np.exp(logits - m)))))
+    return out
 
 
 def loss(model: Linearizer, batch: list[TrainExample], l2_lambda: float | None = None) -> float:

@@ -145,16 +145,19 @@ def lstm_cell(
 
 
 def _cell(weights, h_below, h_prev, c_prev, bias):
-    """The cell math: (h, c, cache), the cache holding what backprop needs."""
-    n = h_prev.shape[0]
-    u = np.concatenate([h_below, h_prev])
-    z = weights @ u
+    """The cell math: (h, c, cache), the cache holding what backprop needs.
+
+    Inputs are vectors of width n or (b, n) batches with one row per
+    sequence; a batch costs one (b x 2n) @ (2n x 4n) product.
+    """
+    n = h_prev.shape[-1]
+    u = np.concatenate([h_below, h_prev], axis=-1)
+    z = u @ weights.T
     if bias is not None:
         z = z + bias
-    i = _sigmoid(z[:n])
-    f = _sigmoid(z[n : 2 * n])
-    o = _sigmoid(z[2 * n : 3 * n])
-    g = np.tanh(z[3 * n :])
+    gates = _sigmoid(z[..., : 3 * n])
+    i, f, o = gates[..., :n], gates[..., n : 2 * n], gates[..., 2 * n :]
+    g = np.tanh(z[..., 3 * n :])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -179,23 +182,30 @@ def initial_lm_state(model: LanguageModel) -> LmState:
     )
 
 
-def lm_step(model: LanguageModel, state: LmState, word_id: int) -> tuple[LmState, np.ndarray]:
-    """Feed one word; returns the new state and the top layer's output."""
+def lm_step(model: LanguageModel, states: list[LmState], word_ids) -> list[LmState]:
+    """Feed word_ids[k] to states[k]; returns the new states, in order.
+
+    All states advance together: one batched `_cell` per layer.
+    """
     p = model.params
-    below = p.emb[word_id]
-    new_layers = []
-    for layer, (h_prev, c_prev) in enumerate(state.layers):
+    below = p.emb[np.asarray(word_ids, dtype=np.int64)]
+    layers = []
+    for layer, weights in enumerate(p.cells):
+        h_prev = np.stack([s.layers[layer][0] for s in states])
+        c_prev = np.stack([s.layers[layer][1] for s in states])
         bias = p.cell_biases[layer] if p.cell_biases is not None else None
-        h, c = lstm_cell(p.cells[layer], below, h_prev, c_prev, bias)
-        new_layers.append((h, c))
+        h, c, _ = _cell(weights, below, h_prev, c_prev, bias)
+        layers.append((h, c))
         below = h
-    return LmState(layers=tuple(new_layers), consumed=state.consumed + 1), below
+    return [
+        LmState(layers=tuple((h[k], c[k]) for h, c in layers), consumed=s.consumed + 1)
+        for k, s in enumerate(states)
+    ]
 
 
 def start_state(model: LanguageModel) -> LmState:
     """State after consuming the start symbol; the decode-time origin."""
-    state, _ = lm_step(model, initial_lm_state(model), model.start_id)
-    return state
+    return lm_step(model, [initial_lm_state(model)], [model.start_id])[0]
 
 
 def next_word_logprobs(model: LanguageModel, state: LmState, ids) -> np.ndarray:

@@ -14,6 +14,7 @@ its input, so beam search can branch and share prefixes freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from synlin.errors import IllegalActionError, StateError
@@ -124,6 +125,16 @@ class State:
                 seen.append(tok.form)
         return seen
 
+    @cached_property
+    def legal(self) -> tuple[Action, ...]:
+        """`legal_actions`, computed once per state (a cache, not a field)."""
+        return _legal_actions(self)
+
+    @cached_property
+    def legal_set(self) -> frozenset[Action]:
+        """The legal actions as a set, for `apply`'s membership check."""
+        return frozenset(self.legal)
+
     def summary(self) -> str:
         stack = " ".join(item.root.form for item in self.stack)
         rho = " ".join(tok.form for tok in self.remaining)
@@ -169,8 +180,12 @@ def legal_actions(state: State) -> tuple[Action, ...]:
 
     Terminal states have none.  Directly after a Shift in the full variant
     only Pos actions are legal.  End requires an empty word set and a single
-    stack item.
+    stack item.  Computed once per state, so scoring and `apply` share it.
     """
+    return state.legal
+
+
+def _legal_actions(state: State) -> tuple[Action, ...]:
     if state.terminal:
         return ()
     if state.variant == FULL and state.pending_pos:
@@ -196,7 +211,7 @@ def apply(state: State, action: Action) -> State:
     prepends j's span; RArc symmetrically roots the combined item at j, so
     the second item always ends up left of the top one in surface order.
     """
-    if action not in legal_actions(state):
+    if action not in state.legal_set:
         raise IllegalActionError(f"illegal {action.name()} at {state.summary()}")
     history = state.history + (action,)
     if action.kind == SHIFT:

@@ -163,7 +163,8 @@ def test_distribution_laws(synth220):
         feasible = legal_actions(state)
         if not feasible:
             continue
-        logp = ffnn.forward(lin, lin.extract_features(state), feasible)
+        fv = lin.extract_features(state)
+        logp = dict(zip(feasible, ffnn.forward(lin, [fv], [feasible])[0]))
         worst_softmax = max(worst_softmax, abs(sum(np.exp(v) for v in logp.values()) - 1.0))
         if state.remaining:
             allowed = [idx.word_id(f) for f in state.remaining_forms()]
@@ -171,9 +172,9 @@ def test_distribution_laws(synth220):
             worst_lm = max(worst_lm, abs(sum(dist.values()) - 1.0))
         item = decoder.BeamItem(state, 0.0, start_state(lm))
         joint = decoder.step_scores(
-            item, Models(linearizer=lin, lm=lm), DecodeConfig(mode="syn+lstm", alpha=0.4)
+            [item], Models(linearizer=lin, lm=lm), DecodeConfig(mode="syn+lstm", alpha=0.4)
         )
-        for action, value in joint.items():
+        for value, _, action in joint:
             if action.kind != "Shift" and value != logp[action]:
                 joint_zero_ok = False
         checked += 1

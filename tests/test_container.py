@@ -6,7 +6,7 @@ import pytest
 from conftest import small_linearizer, small_lm
 from synlin import container as cont
 from synlin.cli import main
-from synlin.corpus import build_indexers
+from synlin.corpus import UNK_WORD, build_indexers
 from synlin.errors import ModelFormatError
 from synlin.synth import toy_corpus
 
@@ -33,9 +33,27 @@ def _set(section, key, value):
     return edit
 
 
+def _set_indexer(section, key, value):
+    def edit(header):
+        header["indexers"][section][key] = value
+        return header
+
+    return edit
+
+
 def _rename_tensor(old, new):
     def edit(header):
         header["tensors"] = [[new if n == old else n, shape] for n, shape in header["tensors"]]
+        return header
+
+    return edit
+
+
+def _reshape_tensor(name, edit_shape):
+    def edit(header):
+        header["tensors"] = [
+            [n, edit_shape(shape) if n == name else shape] for n, shape in header["tensors"]
+        ]
         return header
 
     return edit
@@ -55,6 +73,10 @@ MALFORMED_HEADERS = {
     "missing-linearizer-tensor": ("linearizer", _rename_tensor("lin.w2", "lin.w9")),
     "unknown-lm-config-key": ("lm", _set("lm", "warp_speed", 9)),
     "missing-lm-tensor": ("lm", _rename_tensor("lm.cell1", "lm.cell9")),
+    # same payload size, dimensions swapped: only a shape check catches these
+    "transposed-w1-word": ("linearizer", _reshape_tensor("lin.w1_word", lambda s: s[::-1])),
+    "transposed-lm-cell": ("lm", _reshape_tensor("lm.cell0", lambda s: s[::-1])),
+    "word-table-without-padding": ("linearizer", _set_indexer("linearizer", "words", [UNK_WORD])),
 }
 
 

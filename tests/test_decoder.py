@@ -65,6 +65,15 @@ def lin_trained(corpus, idx):
     return model
 
 
+def scores(item, models, cfg):
+    """step_scores on a one-item beam, as a map action -> accumulated score."""
+    return {action: score for score, _, action in step_scores([item], models, cfg)}
+
+
+def advance(item, action, score, models):
+    return decoder._advance_all([(score, item, action)], models)[0]
+
+
 class TestValidation:
     def test_lstm_needs_lm(self, lin_full):
         with pytest.raises(ConfigError):
@@ -126,12 +135,11 @@ class TestStepScores:
         item = self.root_item(bag, models, joint_cfg)
         # shift twice so arc actions become available
         for _ in range(2):
-            scores = step_scores(item, models, joint_cfg)
-            shift = next(a for a in scores if a.kind == "Shift")
-            item = decoder._advance(item, shift, 0.0, models)
-        joint = step_scores(item, models, joint_cfg)
+            shift = next(a for a in scores(item, models, joint_cfg) if a.kind == "Shift")
+            item = advance(item, shift, 0.0, models)
+        joint = scores(item, models, joint_cfg)
         syn_item = decoder.BeamItem(item.state, 0.0, None)
-        syn = step_scores(syn_item, models, syn_cfg)
+        syn = scores(syn_item, models, syn_cfg)
         nonshift = [a for a in joint if a.kind != "Shift"]
         assert nonshift
         for action in nonshift:
@@ -141,8 +149,8 @@ class TestStepScores:
         bag = to_bag(corpus[2])
         models = Models(linearizer=lin_full, lm=lm)
         item = self.root_item(bag, models, DecodeConfig(mode="syn+lstm", alpha=0.0))
-        joint = step_scores(item, models, DecodeConfig(mode="syn+lstm", alpha=0.0))
-        syn = step_scores(
+        joint = scores(item, models, DecodeConfig(mode="syn+lstm", alpha=0.0))
+        syn = scores(
             decoder.BeamItem(item.state, 0.0, None), models, DecodeConfig(mode="syn")
         )
         assert joint == syn
@@ -152,9 +160,12 @@ class TestStepScores:
         models = Models(linearizer=lin_full, lm=lm)
         cfg = DecodeConfig(mode="syn+lstm", alpha=0.4)
         item = self.root_item(bag, models, cfg)
-        combined = step_scores(item, models, cfg)
+        combined = scores(item, models, cfg)
         state = item.state
-        syn_lp = forward(lin_full, lin_full.extract_features(state), legal_actions(state))
+        feasible = legal_actions(state)
+        syn_lp = dict(
+            zip(feasible, forward(lin_full, [lin_full.extract_features(state)], [feasible])[0])
+        )
         forms = state.remaining_forms()
         lm_lp = dict(
             zip(forms, next_word_logprobs(lm, item.lm_state, [lm.word_id(f) for f in forms]))
@@ -169,15 +180,15 @@ class TestStepScores:
         models = Models(linearizer=lin_full, lm=lm)
         cfg = DecodeConfig(mode="syn+lstm", alpha=0.4, renormalize_joint=True)
         item = self.root_item(bag, models, cfg)
-        scores = step_scores(item, models, cfg)
-        assert abs(sum(np.exp(v) for v in scores.values()) - 1.0) < 1e-9
+        values = scores(item, models, cfg).values()
+        assert abs(sum(np.exp(v) for v in values) - 1.0) < 1e-9
 
     def test_feature_mode_uses_lm_state(self, corpus, lin_feat, lm):
         bag = to_bag(corpus[4])
         models = Models(linearizer=lin_feat, lm=lm)
         cfg = DecodeConfig(mode="synxlstm")
         item = self.root_item(bag, models, cfg)
-        base = step_scores(item, models, cfg)
+        base = scores(item, models, cfg)
         # a different LM state must change the scores
         other = decoder.BeamItem(
             item.state, 0.0, start_state(lm).__class__(
@@ -185,8 +196,43 @@ class TestStepScores:
                 consumed=item.lm_state.consumed,
             )
         )
-        changed = step_scores(other, models, cfg)
+        changed = scores(other, models, cfg)
         assert any(abs(base[a] - changed[a]) > 1e-9 for a in base)
+
+
+def beam_after(bag, models, cfg, steps):
+    """The beam items after `steps` steps of beam_decode's search."""
+    items = [decoder._root_item(bag, models, cfg, decoder._validate(models, cfg))]
+    for _ in range(steps):
+        candidates = step_scores(items, models, cfg)
+        candidates.sort(key=lambda c: (-c[0], c[1].state.history, c[2]))
+        items = decoder._advance_all(candidates[: cfg.beam_size], models)
+    return items
+
+
+class TestBatchedStep:
+    """One step_scores call on a beam equals one call per item."""
+
+    @pytest.mark.parametrize("width", [2, 10])
+    @pytest.mark.parametrize(
+        "mode,renormalize",
+        [("syn", False), ("syn+lstm", False), ("syn+lstm", True), ("synxlstm", False), ("lstm", False)],
+    )
+    def test_batch_equals_single_items(self, width, mode, renormalize, corpus, lin_full, lin_feat, lm):
+        models = Models(
+            linearizer={"syn": lin_full, "syn+lstm": lin_full, "synxlstm": lin_feat}.get(mode),
+            lm=None if mode == "syn" else lm,
+        )
+        cfg = DecodeConfig(mode=mode, alpha=0.4, beam_size=width, renormalize_joint=renormalize)
+        bag = to_bag(next(s for s in corpus if len(s) >= 6))
+        items = beam_after(bag, models, cfg, steps=5)
+        assert len(items) == width
+        batched = step_scores(items, models, cfg)
+        single = [c for item in items for c in step_scores([item], models, cfg)]
+        assert len(batched) == len(single)
+        for (score, item, action), (score1, item1, action1) in zip(batched, single):
+            assert item is item1 and action == action1
+            assert abs(score - score1) <= 1e-12
 
 
 class TestBeam:
@@ -197,9 +243,9 @@ class TestBeam:
         result = beam_decode(bag, models, cfg)
         item = decoder._root_item(bag, models, cfg, "full")
         while not item.state.terminal:
-            scores = step_scores(item, models, cfg)
-            best = min(scores, key=lambda a: (-scores[a], a.sort_key()))
-            item = decoder._advance(item, best, item.score + scores[best], models)
+            totals = scores(item, models, cfg)
+            best = min(totals, key=lambda a: (-totals[a], a.sort_key()))
+            item = advance(item, best, totals[best], models)
         assert result.actions == item.state.history
         assert abs(result.score - item.score) < 1e-12
 
@@ -259,9 +305,9 @@ class TestBeam:
         item = decoder._root_item(bag, models, cfg, "full")
         shifts = 0
         while not item.state.terminal:
-            scores = step_scores(item, models, cfg)
-            action = max(scores, key=lambda a: (scores[a], a.sort_key()))
-            item = decoder._advance(item, action, 0.0, models)
+            totals = scores(item, models, cfg)
+            action = max(totals, key=lambda a: (totals[a], a.sort_key()))
+            item = advance(item, action, 0.0, models)
             shifts += action.kind == "Shift"
             # start symbol plus one step per shifted word
             assert item.lm_state.consumed == 1 + shifts
@@ -323,8 +369,8 @@ class TestExhaustive:
             if decoder._is_terminal(item.state, mode):
                 leaves.append((item.score, item.state.history))
                 return
-            for a, s in step_scores(item, models, cfg).items():
-                walk(decoder._advance(item, a, item.score + s, models))
+            for child in decoder._advance_all(step_scores([item], models, cfg), models):
+                walk(child)
 
         walk(decoder._root_item(bag, models, cfg, decoder._validate(models, cfg)))
         assert len(leaves) == count_derivations(bag, mode)

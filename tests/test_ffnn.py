@@ -57,6 +57,11 @@ class TestInventory:
             inv.row(Action("Pos", "ZZZ"))
 
 
+def logprobs(model, fv, feasible):
+    """forward on a one-item batch, as a map action -> log-probability."""
+    return dict(zip(feasible, forward(model, [fv], [feasible])[0]))
+
+
 class TestForward:
     def feasible_state(self, model, corpus, k=0, steps=0):
         state = initial_state(
@@ -73,14 +78,14 @@ class TestForward:
             t[...] = 0.0
         state = self.feasible_state(model, corpus)
         feasible = legal_actions(state)
-        out = forward(model, model.extract_features(state), feasible)
+        out = logprobs(model, model.extract_features(state), feasible)
         expected = -np.log(len(feasible))
         assert all(abs(v - expected) < 1e-12 for v in out.values())
 
     def test_normalization(self, idx, corpus):
         model = small_linearizer(idx, "full", seed=3)
         state = self.feasible_state(model, corpus)
-        out = forward(model, model.extract_features(state), legal_actions(state))
+        out = logprobs(model, model.extract_features(state), legal_actions(state))
         assert abs(sum(np.exp(v) for v in out.values()) - 1.0) < 1e-9
 
     def test_subset_renormalization_identity(self, idx, corpus):
@@ -88,9 +93,9 @@ class TestForward:
         state = self.feasible_state(model, corpus)
         fv = model.extract_features(state)
         full_set = model.inventory.actions
-        full_lp = forward(model, fv, full_set)
+        full_lp = logprobs(model, fv, full_set)
         subset = tuple(legal_actions(state))
-        sub_lp = forward(model, fv, subset)
+        sub_lp = logprobs(model, fv, subset)
         log_mass = np.log(sum(np.exp(full_lp[a]) for a in subset))
         for a in subset:
             assert abs(sub_lp[a] - (full_lp[a] - log_mass)) < 1e-9
@@ -100,10 +105,10 @@ class TestForward:
         state = self.feasible_state(model, corpus)
         fv = model.extract_features(state)
         feasible = legal_actions(state)
-        before = forward(model, fv, feasible)
+        before = logprobs(model, fv, feasible)
         # adding one vector to every output row shifts all logits by v @ h
         model.params.w2 += np.random.default_rng(0).uniform(-1, 1, model.params.w2.shape[1])
-        after = forward(model, fv, feasible)
+        after = logprobs(model, fv, feasible)
         best_before = max(before, key=lambda a: (before[a], a.sort_key()))
         best_after = max(after, key=lambda a: (after[a], a.sort_key()))
         assert best_before == best_after
@@ -116,15 +121,15 @@ class TestForward:
         state = self.feasible_state(model, corpus)
         fv = model.extract_features(state)
         feasible = legal_actions(state)
-        r1 = forward(model, fv, feasible)
-        r2 = forward(model, fv, feasible)
+        r1 = logprobs(model, fv, feasible)
+        r2 = logprobs(model, fv, feasible)
         assert r1 == r2
 
     def test_empty_feasible(self, idx, corpus):
         model = small_linearizer(idx, "full")
         state = self.feasible_state(model, corpus)
         with pytest.raises(DataError):
-            forward(model, model.extract_features(state), ())
+            forward(model, [model.extract_features(state)], [()])
 
     def test_lm_feat_mismatch(self, idx, corpus):
         model = small_linearizer(idx, "full")
@@ -132,10 +137,41 @@ class TestForward:
         with pytest.raises(ConfigError):
             forward(
                 model,
-                model.extract_features(state),
-                legal_actions(state),
-                lm_feat=np.zeros(4),
+                [model.extract_features(state)],
+                [legal_actions(state)],
+                np.zeros((1, 4)),
             )
+
+
+class TestSharedHiddenLayer:
+    @pytest.mark.parametrize("variant,lm_feat_dim", [("full", None), ("light", None), ("light", 8)])
+    def test_decoding_and_training_agree(self, idx, corpus, variant, lm_feat_dim):
+        # forward (decoding) and _batch_pass (training) build the hidden layer
+        # with the same _hidden call: a one-example training objective is
+        # minus the decoder's log-probability of the gold action, and a batch
+        # scores each item as it scores alone
+        model = small_linearizer(
+            idx, variant, seed=21, lm_feat_dim=lm_feat_dim, embed_dim=16, hidden_dim=64
+        )
+        lm = small_lm(idx, seed=22, hidden_size=8) if lm_feat_dim else None
+        examples = make_training_examples(corpus[:4], model, lm=lm)
+        feats = np.stack([e.lm_feat for e in examples]) if lm else None
+        fvs = [e.features for e in examples]
+        feasibles = [e.feasible for e in examples]
+        batched = forward(model, fvs, feasibles, feats)
+        packed = ffnn._pack(model, examples)
+        for i, ex in enumerate(examples):
+            ce, _ = ffnn._batch_pass(model, packed, np.array([i]), 0.0, want_grads=False)
+            assert abs(ce + batched[i][ex.feasible.index(ex.gold)]) <= 1e-12
+            row = None if feats is None else feats[i : i + 1]
+            [alone] = forward(model, fvs[i : i + 1], feasibles[i : i + 1], row)
+            assert np.max(np.abs(batched[i] - alone)) <= 1e-12
+
+    def test_items_and_feasible_sets_must_pair_up(self, idx, corpus):
+        model = small_linearizer(idx, "full")
+        state = initial_state(to_bag(corpus[0]), "full", idx.content_pos_tags, idx.content_labels)
+        with pytest.raises(DataError):
+            forward(model, [model.extract_features(state)] * 2, [legal_actions(state)])
 
 
 class TestLoss:

@@ -69,17 +69,17 @@ class TestStep:
         model = small_lm(idx, scale=None)
         for t in model.params.named_tensors().values():
             t[...] = 0.0
-        state, top = lm_step(model, initial_lm_state(model), model.start_id)
-        assert np.all(top == 0.0)
+        [state] = lm_step(model, [initial_lm_state(model)], [model.start_id])
+        assert np.all(state.top_h == 0.0)
         assert state.consumed == 1
 
     def test_determinism_and_purity(self, idx):
         model = small_lm(idx, seed=4)
         st0 = initial_lm_state(model)
         snapshot = [(h.copy(), c.copy()) for h, c in st0.layers]
-        s1, h1 = lm_step(model, st0, 3)
-        s2, h2 = lm_step(model, st0, 3)
-        assert np.array_equal(h1, h2)
+        [s1] = lm_step(model, [st0], [3])
+        [s2] = lm_step(model, [st0], [3])
+        assert np.array_equal(s1.top_h, s2.top_h)
         for (h, c), (hs, cs) in zip(st0.layers, snapshot):
             assert np.array_equal(h, hs) and np.array_equal(c, cs)
 
@@ -87,8 +87,23 @@ class TestStep:
         model = small_lm(idx, seed=4)
         st = start_state(model)
         assert st.consumed == 1
-        st, _ = lm_step(model, st, 2)
+        [st] = lm_step(model, [st], [2])
         assert st.consumed == 2
+
+
+    @pytest.mark.parametrize("gate_bias", [False, True])
+    def test_batched_step_equals_single_steps(self, idx, gate_bias):
+        model = small_lm(idx, seed=6, hidden_size=32, gate_bias=gate_bias)
+        rng = np.random.default_rng(7)
+        states = [start_state(model)]  # ten different prefixes
+        for _ in range(9):
+            states += lm_step(model, states[-1:], [int(rng.integers(model.vocab_size))])
+        ids = [int(i) for i in rng.integers(0, model.vocab_size, len(states))]
+        for state, wid, got in zip(states, ids, lm_step(model, states, ids)):
+            [want] = lm_step(model, [state], [wid])
+            assert got.consumed == want.consumed
+            for (h, c), (h1, c1) in zip(got.layers, want.layers):
+                assert np.max(np.abs(h - h1)) <= 1e-12 and np.max(np.abs(c - c1)) <= 1e-12
 
 
 class TestDistribution:

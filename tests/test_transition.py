@@ -132,6 +132,34 @@ class TestApply:
         with pytest.raises(IllegalActionError):
             apply(st, Action.parse("Shift-stop"))
 
+    @pytest.mark.parametrize("variant", ["full", "light"])
+    def test_every_illegal_kind_rejected_after_legal_set_is_used(self, variant):
+        # apply checks membership in the legal set cached on the state; once
+        # that set exists, an action of each kind outside it is still refused
+        full = variant == "full"
+        st = run(start(["I", "love", "NLP"], variant), "Shift-I", *(["Pos-PRP"] if full else []))
+        arc = "nsubj" if full else None
+        legal = legal_actions(st)
+        for action in legal:
+            apply(st, action)
+        illegal = [
+            Action("Shift", "I"),  # already shifted
+            Action("Shift", "dog"),  # never in the bag
+            Action("Pos", "PRP"),  # no Pos pending
+            Action("LArc", arc),  # one stack item
+            Action("RArc", arc),
+            Action("End"),  # words remain
+            Action("Jump"),  # no such kind
+        ]
+        for action in illegal:
+            assert action not in legal
+            with pytest.raises(IllegalActionError):
+                apply(st, action)
+        two = run(st, "Shift-love", *(["Pos-VBP"] if full else []))
+        assert legal_actions(two)
+        with pytest.raises(IllegalActionError):
+            apply(two, Action("LArc", "amod" if full else "nsubj"))  # label outside the set
+
     def test_determinism_and_immutability(self):
         st = start(["a", "b"])
         before = (st.stack, st.remaining, st.arcs, st.history)
