@@ -2,14 +2,17 @@
 
 Every command accepts --config FILE holding flat key=value lines whose keys
 are the long option names (dashes or underscores); explicit command-line
-flags override file values.  Errors exit nonzero with a single
-"error: <code>: <message>" line on stderr.
+flags override file values.  A hyper-parameter flag stores into a field of
+its command's config dataclass (`TrainConfig`, `LmConfig`, `DecodeConfig`)
+and has no default of its own: the dataclass supplies it.  Errors exit
+nonzero with a single "error: <code>: <message>" line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from synlin import container as cont
 from synlin import corpus as cp
@@ -27,7 +30,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -50,26 +56,37 @@ def _apply_config_file(parser: argparse.ArgumentParser, subparser, argv) -> argp
     if not path:
         return args
     values = _load_config_file(path)
-    actions = {a.dest: a for a in subparser._actions}
+    actions = {
+        option[2:].replace("-", "_"): a
+        for a in subparser._actions
+        for option in a.option_strings
+        if option.startswith("--") and option not in ("--config", "--help")
+    }
     converted = {}
     for key, value in values.items():
-        if key in ("config", "help") or key not in actions:
+        if key not in actions:
             raise ConfigError(f"unknown config key {key!r} in {path}")
         action = actions[key]
         if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
             lowered = value.lower()
             if lowered not in ("true", "false", "1", "0"):
                 raise ConfigError(f"config key {key!r}: expected a boolean, got {value!r}")
-            converted[key] = lowered in ("true", "1")
+            converted[action.dest] = lowered in ("true", "1")
         elif action.type is not None:
             try:
-                converted[key] = action.type(value)
+                converted[action.dest] = action.type(value)
             except ValueError:
                 raise ConfigError(f"config key {key!r}: bad value {value!r}") from None
         else:
-            converted[key] = value
+            converted[action.dest] = value
     subparser.set_defaults(**converted)
     return parser.parse_args(argv)
+
+
+def _config(cls, args):
+    """A `cls` config from the flags that were set; the dataclass supplies the rest."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls)}
+    return cls(**{name: value for name, value in given.items() if value is not None})
 
 
 def _read_corpus(path: str) -> list[cp.DepSentence]:
@@ -84,18 +101,9 @@ def _read_corpus(path: str) -> list[cp.DepSentence]:
 
 
 def cmd_train_lm(args) -> int:
+    config = _config(lstm_lm.LmConfig, args)
     sentences = _read_corpus(args.corpus)
     indexers = cp.build_indexers(sentences, args.min_count)
-    config = lstm_lm.LmConfig(
-        num_layers=args.layers,
-        hidden_size=args.hidden_size,
-        dropout=args.dropout,
-        learning_rate=args.lr,
-        l2_lambda=args.l2,
-        epochs=args.epochs,
-        seed=args.seed,
-        gate_bias=args.gate_bias,
-    )
     model = lstm_lm.init_lm(indexers, config)
     log = lstm_lm.train_lm(model, sentences, config)
     for epoch, ppl in enumerate(log, start=1):
@@ -106,6 +114,7 @@ def cmd_train_lm(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = _config(ffnn.TrainConfig, args)
     sentences = _read_corpus(args.corpus)
     indexers = cp.build_indexers(sentences, args.min_count)
     if args.variant == FULL:
@@ -116,16 +125,6 @@ def cmd_train(args) -> int:
     lm = None
     if args.lm:
         lm = cont.lm_from_container(cont.load(args.lm))
-    config = ffnn.TrainConfig(
-        learning_rate=args.lr,
-        l2_lambda=args.l2,
-        dropout=args.dropout,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
-    )
     model = ffnn.init_linearizer(
         indexers,
         args.variant,
@@ -142,27 +141,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_decode_models(args) -> dec.Models:
+def _load_decode_models(args, mode: str) -> dec.Models:
+    """The models `mode` reads, from the files given; `beam_decode` checks them."""
     models = dec.Models()
-    if args.mode == dec.MODE_LSTM:
-        if not args.lm:
-            raise ConfigError("--lm is required for lstm mode")
-        models.lm = cont.lm_from_container(cont.load(args.lm))
-        return models
-    if not args.model:
-        raise ConfigError(f"--model is required for {args.mode} mode")
-    loaded = cont.load(args.model)
-    models.linearizer = cont.linearizer_from_container(loaded)
-    if args.mode == dec.MODE_FEATURE:
-        if loaded.component != cont.COMPONENT_COMBINED:
-            raise ConfigError(
-                "synxlstm mode needs a combined model (train with --lm); "
-                f"{args.model} holds {loaded.component!r}"
-            )
-        models.lm = cont.lm_from_container(loaded)
-    elif args.mode == dec.MODE_JOINT:
-        if not args.lm:
-            raise ConfigError("--lm is required for syn+lstm mode")
+    if mode != dec.MODE_LSTM and args.model:
+        loaded = cont.load(args.model)
+        models.linearizer = cont.linearizer_from_container(loaded)
+        if mode == dec.MODE_FEATURE and loaded.component == cont.COMPONENT_COMBINED:
+            models.lm = cont.lm_from_container(loaded)
+    if mode in (dec.MODE_LSTM, dec.MODE_JOINT) and args.lm:
         models.lm = cont.lm_from_container(cont.load(args.lm))
     return models
 
@@ -196,13 +183,8 @@ def _format_record(result: dec.DecodeResult) -> str:
 
 
 def cmd_decode(args) -> int:
-    models = _load_decode_models(args)
-    config = dec.DecodeConfig(
-        mode=args.mode,
-        beam_size=args.beam,
-        alpha=args.alpha,
-        renormalize_joint=args.renormalize,
-    )
+    config = _config(dec.DecodeConfig, args)
+    models = _load_decode_models(args, config.mode)
     lines = [_format_record(dec.beam_decode(bag, models, config)) for bag in _read_bags(args)]
     out = "\n".join(lines) + "\n"
     if args.output == "-":
@@ -280,38 +262,38 @@ def build_parser() -> tuple[_Parser, dict]:
     p = add("train-lm", cmd_train_lm, "train the LSTM language model")
     p.add_argument("--corpus", required=True, help="CoNLL training corpus")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--hidden-size", type=int, default=128)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", dest="epochs", type=int)
+    p.add_argument("--layers", dest="num_layers", type=int)
+    p.add_argument("--hidden-size", dest="hidden_size", type=int)
+    p.add_argument("--dropout", dest="dropout", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--l2", dest="l2_lambda", type=float)
+    p.add_argument("--seed", dest="seed", type=int)
     p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--gate-bias", action="store_true")
+    p.add_argument("--gate-bias", dest="gate_bias", action="store_true")
 
     p = add("train", cmd_train, "train the transition scorer")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=(FULL, LIGHT), default=FULL)
     p.add_argument("--lm", help="LM model file; trains with LM feature integration")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--embed-dim", type=int, default=50)
-    p.add_argument("--hidden-dim", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--l2", type=float, default=1e-8)
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", dest="epochs", type=int)
+    p.add_argument("--embed-dim", dest="embed_dim", type=int)
+    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--l2", dest="l2_lambda", type=float)
+    p.add_argument("--dropout", dest="dropout", type=float)
+    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--seed", dest="seed", type=int)
     p.add_argument("--min-count", type=int, default=1)
 
     p = add("decode", cmd_decode, "order bags of words")
     p.add_argument("--model", help="linearizer (or combined) model file")
     p.add_argument("--lm", help="language model file (lstm and syn+lstm modes)")
-    p.add_argument("--mode", choices=dec.MODES, default=dec.MODE_SYN)
-    p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--renormalize", action="store_true")
+    p.add_argument("--mode", dest="mode", choices=dec.MODES)
+    p.add_argument("--beam", dest="beam_size", type=int)
+    p.add_argument("--alpha", dest="alpha", type=float)
+    p.add_argument("--renormalize", dest="renormalize_joint", action="store_true")
     p.add_argument("--input", required=True)
     p.add_argument("--input-format", choices=("conll", "bags"), default="conll")
     p.add_argument("--output", default="-")
@@ -324,7 +306,7 @@ def build_parser() -> tuple[_Parser, dict]:
     p = add("inspect", cmd_inspect, "nearest actions by output-embedding cosine")
     p.add_argument("--model", required=True)
     p.add_argument("--action", required=True, help='e.g. "Shift-love"')
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=5, help="neighbours to list (at least 1)")
 
     p = add("oracle-check", cmd_oracle_check, "verify oracle round-trips on a corpus")
     p.add_argument("--corpus", required=True)

@@ -10,26 +10,17 @@ so a saved model is self-describing; save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from synlin import ffnn, lstm_lm
 from synlin.corpus import Indexers
 from synlin.errors import ModelFormatError
-from synlin.features import (
-    LABEL_SLOTS,
-    N_LABEL_SLOTS,
-    N_POS_SLOTS,
-    N_WORD_SLOTS,
-    POS_SLOTS,
-    WORD_SLOTS,
-)
-from synlin.ffnn import (
-    ActionInventory,
-    Linearizer,
-    LinearizerParams,
-    TrainConfig,
-)
+from synlin.features import LABEL_SLOTS, POS_SLOTS, WORD_SLOTS
+from synlin.ffnn import ActionInventory, Linearizer, LinearizerParams, TrainConfig
 from synlin.lstm_lm import LanguageModel, LmConfig, LmParams
 from synlin.transition import FULL, VARIANTS
 
@@ -107,13 +98,19 @@ def load(path: str) -> ModelContainer:
         if missing:
             raise ModelFormatError(f"{path}: container header lacks {', '.join(missing)}")
         tensors = {}
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         try:
             for name, shape in header["tensors"]:
-                count = int(np.prod(shape)) if shape else 1
-                buf = fh.read(count * 8)
-                if len(buf) != count * 8:
-                    raise ModelFormatError(f"{path}: truncated payload for tensor {name}")
-                tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                if not all(type(k) is int and k >= 0 for k in shape):
+                    raise ModelFormatError(f"{path}: tensor {name} has shape {shape!r}")
+                size = math.prod(shape) * 8
+                if size > left:
+                    raise ModelFormatError(
+                        f"{path}: truncated payload for tensor {name} "
+                        f"({size} bytes declared, {left} left)"
+                    )
+                left -= size
+                tensors[name] = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(f"{path}: bad tensor table ({exc})") from None
         if fh.read(1):
@@ -210,26 +207,14 @@ def linearizer_from_container(container: ModelContainer) -> Linearizer:
     if container.feature_slots is not None and container.feature_slots != _feature_slots(variant):
         raise ModelFormatError("feature slot layout differs from this version's")
     indexers, config, tensors = _section(container, "linearizer", "lin.", TrainConfig)
+    if variant == FULL and (indexers.n_pos < 1 or indexers.n_labels < 1):
+        raise ModelFormatError("POS or label table lacks its padding entry")
     inventory = ActionInventory.from_indexers(indexers, variant)
-    d, h = config.embed_dim, config.hidden_dim
-    expected = {
-        "emb_word": (indexers.n_words, d),
-        "w1_word": (h, N_WORD_SLOTS * d),
-        "b1": (h,),
-        "w2": (len(inventory), h),
-    }
-    if variant == FULL:
-        if indexers.n_pos < 1 or indexers.n_labels < 1:
-            raise ModelFormatError("POS or label table lacks its padding entry")
-        expected["emb_pos"] = (indexers.n_pos, d)
-        expected["emb_label"] = (indexers.n_labels, d)
-        expected["w1_pos"] = (h, N_POS_SLOTS * d)
-        expected["w1_label"] = (h, N_LABEL_SLOTS * d)
     lm_feat_dim = None
     if container.component == COMPONENT_COMBINED:
         lm_feat_dim = _section(container, "lm", "lm.", LmConfig)[1].hidden_size
-        expected["w1_lm"] = (h, lm_feat_dim)
-    _check_shapes("linearizer", tensors, expected)
+    shapes = ffnn.param_shapes(indexers, inventory, variant, config, lm_feat_dim)
+    _check_shapes("linearizer", tensors, dict(shapes))
     return Linearizer(
         params=LinearizerParams(**tensors),
         indexers=indexers,
@@ -246,18 +231,5 @@ def lm_from_container(container: ModelContainer) -> LanguageModel:
             f"container holds {container.component!r}, not a language model"
         )
     indexers, config, tensors = _section(container, "lm", "lm.", LmConfig)
-    n, vocab = config.hidden_size, indexers.n_words + 2
-    expected = {"emb": (vocab, n), "out_emb": (vocab, n)}
-    for i in range(config.num_layers):
-        expected[f"cell{i}"] = (4 * n, 2 * n)
-        if config.gate_bias:
-            expected[f"cell{i}_bias"] = (4 * n,)
-    _check_shapes("language model", tensors, expected)
-    layers = range(config.num_layers)
-    params = LmParams(
-        emb=tensors["emb"],
-        cells=tuple(tensors[f"cell{i}"] for i in layers),
-        out_emb=tensors["out_emb"],
-        cell_biases=tuple(tensors[f"cell{i}_bias"] for i in layers) if config.gate_bias else None,
-    )
-    return LanguageModel(params=params, indexers=indexers, config=config)
+    _check_shapes("language model", tensors, dict(lstm_lm.param_shapes(indexers, config)))
+    return LanguageModel(params=LmParams.from_named(tensors), indexers=indexers, config=config)

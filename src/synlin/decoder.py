@@ -30,6 +30,7 @@ from synlin.corpus import WordBag
 from synlin.errors import ConfigError, DataError, SearchSpaceError
 from synlin.ffnn import Linearizer, forward
 from synlin.lstm_lm import LanguageModel, LmState, lm_step, next_word_logprobs, start_state
+from synlin.optim import log_softmax
 from synlin.transition import (
     LIGHT,
     SHIFT,
@@ -56,7 +57,6 @@ EXHAUSTIVE_MAX_LSTM = 8
 @dataclass
 class DecodeConfig:
     mode: str = MODE_SYN
-    variant: str | None = None
     beam_size: int = 1
     alpha: float = 0.4
     renormalize_joint: bool = False
@@ -99,10 +99,6 @@ def _validate(models: Models, config: DecodeConfig) -> str:
         return LIGHT
     if lin is None:
         raise ConfigError(f"{config.mode} mode needs a linearizer model")
-    if config.variant is not None and config.variant != lin.variant:
-        raise ConfigError(
-            f"configured variant {config.variant!r} != model variant {lin.variant!r}"
-        )
     if config.mode == MODE_FEATURE:
         if lin.lm_feat_dim is None:
             raise ConfigError("synxlstm mode needs a linearizer trained with LM features")
@@ -199,10 +195,7 @@ def _joint(
         ids = [lm.word_id(feasible[k].arg) for k in shifts]
         combined = base.copy()
         combined[shifts] += config.alpha * next_word_logprobs(lm, lm_state, ids)
-    if config.renormalize_joint:
-        m = combined.max()
-        combined = combined - (m + np.log(np.sum(np.exp(combined - m))))
-    return combined
+    return log_softmax(combined) if config.renormalize_joint else combined
 
 
 def _advance(item: BeamItem, action: Action, score: float, lm_state: LmState | None) -> BeamItem:

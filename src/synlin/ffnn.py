@@ -32,7 +32,7 @@ from synlin.features import (
     extract,
     extract_light,
 )
-from synlin.optim import Adagrad, max_grad_error
+from synlin.optim import Adagrad, log_softmax, max_grad_error
 from synlin.transition import (
     END,
     FULL,
@@ -47,7 +47,6 @@ from synlin.transition import (
     legal_actions,
 )
 
-ADAGRAD_EPSILON = 1e-8
 INIT_SCALE = 0.01
 
 
@@ -67,6 +66,10 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ConfigError("embedding and hidden dimensions must be positive")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
 class ActionInventory:
@@ -183,6 +186,33 @@ class TrainExample:
     lm_feat: np.ndarray | None = None
 
 
+def param_shapes(
+    indexers: Indexers,
+    inventory: ActionInventory,
+    variant: str,
+    config: TrainConfig,
+    lm_feat_dim: int | None = None,
+) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every tensor, in the order `init_linearizer` draws them."""
+    d, h = config.embed_dim, config.hidden_dim
+    shapes = [
+        ("emb_word", (indexers.n_words, d)),
+        ("w1_word", (h, N_WORD_SLOTS * d)),
+        ("b1", (h,)),
+        ("w2", (len(inventory), h)),
+    ]
+    if variant == FULL:
+        shapes += [
+            ("emb_pos", (indexers.n_pos, d)),
+            ("emb_label", (indexers.n_labels, d)),
+            ("w1_pos", (h, N_POS_SLOTS * d)),
+            ("w1_label", (h, N_LABEL_SLOTS * d)),
+        ]
+    if lm_feat_dim is not None:
+        shapes.append(("w1_lm", (h, lm_feat_dim)))
+    return shapes
+
+
 def init_linearizer(
     indexers: Indexers,
     variant: str,
@@ -194,26 +224,13 @@ def init_linearizer(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     inventory = ActionInventory.from_indexers(indexers, variant)
-    d, h = config.embed_dim, config.hidden_dim
-
-    def u(*shape):
-        return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-
-    params = LinearizerParams(
-        emb_word=u(indexers.n_words, d),
-        w1_word=u(h, N_WORD_SLOTS * d),
-        b1=np.zeros(h),
-        w2=u(len(inventory), h),
-    )
-    if variant == FULL:
-        params.emb_pos = u(indexers.n_pos, d)
-        params.emb_label = u(indexers.n_labels, d)
-        params.w1_pos = u(h, N_POS_SLOTS * d)
-        params.w1_label = u(h, N_LABEL_SLOTS * d)
-    if lm_feat_dim is not None:
-        params.w1_lm = u(h, lm_feat_dim)
+    shapes = param_shapes(indexers, inventory, variant, config, lm_feat_dim)
+    tensors = {
+        name: np.zeros(shape) if name == "b1" else rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
+        for name, shape in shapes
+    }
     return Linearizer(
-        params=params,
+        params=LinearizerParams(**tensors),
         indexers=indexers,
         inventory=inventory,
         variant=variant,
@@ -450,13 +467,11 @@ def forward(
         np.array([fv.label_ids for fv in features], dtype=np.int64) if full else None,
         lm_feats,
     )
-    out = []
     row = model.inventory.row
-    for h, feasible in zip(hidden, feasibles):
-        logits = p.w2[[row(a) for a in feasible]] @ h
-        m = logits.max()
-        out.append(logits - (m + np.log(np.sum(np.exp(logits - m)))))
-    return out
+    return [
+        log_softmax(p.w2[[row(a) for a in feasible]] @ h)
+        for h, feasible in zip(hidden, feasibles)
+    ]
 
 
 def loss(model: Linearizer, batch: list[TrainExample], l2_lambda: float | None = None) -> float:
@@ -487,7 +502,7 @@ def train(
         raise DataError("no training examples")
     rng = np.random.default_rng(config.seed)
     packed = _pack(model, examples)
-    opt = Adagrad(model.params.named_tensors(), config.learning_rate, ADAGRAD_EPSILON)
+    opt = Adagrad(model.params.named_tensors(), config.learning_rate)
     log = []
     n = len(examples)
     for epoch in range(config.epochs):

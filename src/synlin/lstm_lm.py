@@ -26,12 +26,11 @@ import numpy as np
 
 from synlin.corpus import DepSentence, Indexers
 from synlin.errors import ConfigError, DataError, TrainingError
-from synlin.optim import Adagrad, max_grad_error
+from synlin.optim import Adagrad, log_softmax, max_grad_error
 
 START_SYMBOL = "<s>"
 EOS_SYMBOL = "</s>"
 LM_INIT_SCALE = 0.1
-ADAGRAD_EPSILON = 1e-8
 
 
 @dataclass
@@ -50,6 +49,8 @@ class LmConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.num_layers < 1 or self.hidden_size < 1:
             raise ConfigError("num_layers and hidden_size must be positive")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
 @dataclass
@@ -70,6 +71,19 @@ class LmParams:
                 out[f"cell{i}_bias"] = b
         out["out_emb"] = self.out_emb
         return out
+
+    @classmethod
+    def from_named(cls, tensors: dict[str, np.ndarray]) -> "LmParams":
+        """The inverse of `named_tensors`."""
+        layers = range(sum(1 for k in tensors if k.startswith("cell") and not k.endswith("_bias")))
+        return cls(
+            emb=tensors["emb"],
+            cells=tuple(tensors[f"cell{i}"] for i in layers),
+            out_emb=tensors["out_emb"],
+            cell_biases=tuple(tensors[f"cell{i}_bias"] for i in layers)
+            if "cell0_bias" in tensors
+            else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -107,41 +121,28 @@ class LanguageModel:
         return self.indexers.word_id(form)
 
 
+def param_shapes(indexers: Indexers, config: LmConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every tensor, in `named_tensors` order; `init_lm` draws
+    them in this order (the zero gate biases draw nothing).
+    """
+    n, vocab = config.hidden_size, indexers.n_words + 2
+    shapes = [("emb", (vocab, n))]
+    shapes += [(f"cell{i}", (4 * n, 2 * n)) for i in range(config.num_layers)]
+    if config.gate_bias:
+        shapes += [(f"cell{i}_bias", (4 * n,)) for i in range(config.num_layers)]
+    return shapes + [("out_emb", (vocab, n))]
+
+
 def init_lm(indexers: Indexers, config: LmConfig, rng: np.random.Generator | None = None) -> LanguageModel:
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    n = config.hidden_size
-    vocab = indexers.n_words + 2
-
-    def u(*shape):
-        return rng.uniform(-LM_INIT_SCALE, LM_INIT_SCALE, size=shape)
-
-    params = LmParams(
-        emb=u(vocab, n),
-        cells=tuple(u(4 * n, 2 * n) for _ in range(config.num_layers)),
-        out_emb=u(vocab, n),
-        cell_biases=tuple(np.zeros(4 * n) for _ in range(config.num_layers))
-        if config.gate_bias
-        else None,
-    )
-    return LanguageModel(params=params, indexers=indexers, config=config)
-
-
-def lstm_cell(
-    weights: np.ndarray,
-    h_below: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    bias: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One cell update; returns (h, c)."""
-    n = h_prev.shape[0]
-    if weights.shape != (4 * n, 2 * n) or h_below.shape != (n,):
-        raise ConfigError(
-            f"cell shapes inconsistent: W{weights.shape}, below {h_below.shape}, width {n}"
-        )
-    h, c, _ = _cell(weights, h_below, h_prev, c_prev, bias)
-    return h, c
+    tensors = {
+        name: np.zeros(shape)
+        if name.endswith("_bias")
+        else rng.uniform(-LM_INIT_SCALE, LM_INIT_SCALE, shape)
+        for name, shape in param_shapes(indexers, config)
+    }
+    return LanguageModel(params=LmParams.from_named(tensors), indexers=indexers, config=config)
 
 
 def _cell(weights, h_below, h_prev, c_prev, bias):
@@ -217,23 +218,7 @@ def next_word_logprobs(model: LanguageModel, state: LmState, ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise DataError("empty allowed set")
-    logits = model.params.out_emb[ids] @ state.top_h
-    m = logits.max()
-    return logits - (m + np.log(np.sum(np.exp(logits - m))))
-
-
-def next_word_distribution(
-    model: LanguageModel, state: LmState, allowed=None
-) -> dict[int, float]:
-    """Probability map over allowed word ids (all of them when None)."""
-    if allowed is None:
-        ids = np.arange(model.vocab_size)
-    else:
-        ids = np.asarray(sorted(set(int(i) for i in allowed)), dtype=np.int64)
-        if ids.size == 0:
-            raise DataError("empty allowed set")
-    logp = next_word_logprobs(model, state, ids)
-    return {int(i): float(np.exp(lp)) for i, lp in zip(ids, logp)}
+    return log_softmax(model.params.out_emb[ids] @ state.top_h)
 
 
 def sentence_ids(model: LanguageModel, forms) -> tuple[list[int], list[int]]:
@@ -266,12 +251,10 @@ def _forward_sentence(model, inputs, targets, dropout=0.0, rng=None):
             step["layers"].append(cache)
             h_prev[layer] = h
             c_prev[layer] = c
-        logits = p.out_emb @ below
-        m = logits.max()
-        logz = m + np.log(np.sum(np.exp(logits - m)))
-        step["probs"] = np.exp(logits - logz)
+        logp = log_softmax(p.out_emb @ below)
+        step["probs"] = np.exp(logp)
         step["top_dropped"] = below
-        ce += float(logz - logits[target])
+        ce -= float(logp[target])
         caches.append(step)
     return ce, caches
 
@@ -335,7 +318,7 @@ def train_lm(
         raise DataError("no training sentences")
     rng = np.random.default_rng(config.seed)
     data = [sentence_ids(model, s.forms()) for s in sentences]
-    opt = Adagrad(model.params.named_tensors(), config.learning_rate, ADAGRAD_EPSILON)
+    opt = Adagrad(model.params.named_tensors(), config.learning_rate)
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(data))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from synlin.errors import DataError
+from synlin.errors import ConfigError, DataError
 
 MAX_ORDER = 4
 
@@ -155,6 +155,8 @@ def action_neighbors(linearizer, action, k: int = 5) -> list[tuple]:
     embedding table.  Returns (action, cosine) pairs, best first; ties break
     on row order.
     """
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     inv = linearizer.inventory
     if action not in inv:
         raise DataError(f"action {action.name()} not in the inventory")

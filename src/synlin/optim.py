@@ -1,7 +1,7 @@
-"""Adagrad, and the finite-difference gradient check both networks share.
+"""Math both networks share: Adagrad, log-softmax, the finite-difference check.
 
-Update: acc += g*g; theta -= lr * g / (sqrt(acc) + eps).  Parameters are
-updated in place, so the dict passed in must hold the live arrays.
+Adagrad update: acc += g*g; theta -= lr * g / (sqrt(acc) + 1e-8).  Parameters
+are updated in place, so the dict passed in must hold the live arrays.
 """
 
 from __future__ import annotations
@@ -10,17 +10,22 @@ import numpy as np
 
 
 class Adagrad:
-    def __init__(self, tensors: dict[str, np.ndarray], learning_rate: float, epsilon: float = 1e-8):
+    def __init__(self, tensors: dict[str, np.ndarray], learning_rate: float):
         self.tensors = tensors
         self.learning_rate = learning_rate
-        self.epsilon = epsilon
         self.accum = {name: np.zeros_like(t) for name, t in tensors.items()}
 
     def step(self, grads: dict[str, np.ndarray]):
         for name, g in grads.items():
             acc = self.accum[name]
             acc += g * g
-            self.tensors[name] -= self.learning_rate * g / (np.sqrt(acc) + self.epsilon)
+            self.tensors[name] -= self.learning_rate * g / (np.sqrt(acc) + 1e-8)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-probabilities of a 1-D logit vector, shifted by its max for stability."""
+    m = logits.max()
+    return logits - (m + np.log(np.sum(np.exp(logits - m))))
 
 
 def max_grad_error(

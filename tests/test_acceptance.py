@@ -28,7 +28,7 @@ from synlin.corpus import (
     to_conll,
 )
 from synlin.decoder import DecodeConfig, Models, beam_decode, count_derivations, exhaustive_decode
-from synlin.lstm_lm import next_word_distribution, start_state
+from synlin.lstm_lm import next_word_logprobs, start_state
 from synlin.synth import toy_corpus
 from synlin.transition import apply, initial_state, legal_actions, realized_sentence
 
@@ -168,8 +168,8 @@ def test_distribution_laws(synth220):
         worst_softmax = max(worst_softmax, abs(sum(np.exp(v) for v in logp.values()) - 1.0))
         if state.remaining:
             allowed = [idx.word_id(f) for f in state.remaining_forms()]
-            dist = next_word_distribution(lm, start_state(lm), allowed=allowed)
-            worst_lm = max(worst_lm, abs(sum(dist.values()) - 1.0))
+            dist = np.exp(next_word_logprobs(lm, start_state(lm), allowed))
+            worst_lm = max(worst_lm, abs(sum(dist) - 1.0))
         item = decoder.BeamItem(state, 0.0, start_state(lm))
         joint = decoder.step_scores(
             [item], Models(linearizer=lin, lm=lm), DecodeConfig(mode="syn+lstm", alpha=0.4)

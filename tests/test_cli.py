@@ -1,9 +1,15 @@
+import argparse
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
-from synlin.cli import main
+from synlin.cli import build_parser, main
 from synlin.container import container_from_linearizer, linearizer_from_container, load, save
 from synlin.corpus import to_conll
+from synlin.decoder import DecodeConfig
+from synlin.ffnn import TrainConfig
+from synlin.lstm_lm import LmConfig
 from synlin.synth import toy_corpus
 
 FAST_TRAIN = [
@@ -42,6 +48,81 @@ def models_dir(tmp_path_factory, data_dir):
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def assert_one_error(capsys, code):
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {code}: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured
+
+
+# Flags that name files or data choices; every other flag of these commands
+# sets a field of the command's config dataclass.
+CONFIG_COMMANDS = {
+    "train": (TrainConfig, {"help", "config", "corpus", "out", "variant", "lm", "min_count"}),
+    "train-lm": (LmConfig, {"help", "config", "corpus", "out", "min_count"}),
+    "decode": (
+        DecodeConfig,
+        {"help", "config", "model", "lm", "input", "input_format", "output"},
+    ),
+}
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+    def test_every_field_has_exactly_one_flag(self, command):
+        cls, other = CONFIG_COMMANDS[command]
+        _, subparsers = build_parser()
+        flags = [a for a in subparsers[command]._actions if a.dest not in other]
+        assert sorted(a.dest for a in flags) == sorted(f.name for f in fields(cls))
+        for action in flags:
+            # the dataclass owns the default
+            assert action.default is None or isinstance(action, argparse._StoreTrueAction)
+
+    def test_no_flags_write_the_dataclass_defaults(self, tmp_path):
+        corpus = tmp_path / "c.conll"
+        corpus.write_text(to_conll(toy_corpus(2, seed=53)))
+        for command, section, cls in (
+            ("train", "linearizer", TrainConfig),
+            ("train-lm", "lm", LmConfig),
+        ):
+            out = tmp_path / f"{command}.slm"
+            assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 0
+            assert load(out).config[section] == asdict(cls())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--batch-size", "0"],
+            ["train", "--epochs", "-1"],
+            ["train-lm", "--epochs", "-1"],
+        ],
+        ids=["train-batch-size-0", "train-epochs-negative", "train-lm-epochs-negative"],
+    )
+    def test_out_of_range_values_are_config_errors(self, argv, data_dir, tmp_path, capsys):
+        out = tmp_path / "x.slm"
+        code = main([*argv, "--corpus", str(data_dir / "train.conll"), "--out", str(out)])
+        assert code == 1
+        assert_one_error(capsys, "config")
+        assert not out.exists()
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("flag", ["--corpus", "--input", "--config", "--refs", "--hyps"])
+    def test_one_data_error_naming_the_file(self, flag, data_dir, models_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00")
+        files = {
+            "--corpus": ["train", "--out", str(tmp_path / "x.slm")],
+            "--input": ["decode", "--model", str(models_dir / "syn.slm")],
+            "--config": ["train", "--corpus", str(data_dir / "train.conll"),
+                         "--out", str(tmp_path / "x.slm")],
+            "--refs": ["evaluate", "--hyps", str(data_dir / "dev.conll")],
+            "--hyps": ["evaluate", "--refs", str(data_dir / "dev.conll")],
+        }
+        assert main([*files[flag], flag, str(bad)]) == 1
+        assert str(bad) in assert_one_error(capsys, "data").err
 
 
 class TestTraining:
@@ -232,6 +313,12 @@ class TestEvaluateInspectOracle:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "neighbors of Shift-the:"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_inspect_k_below_one(self, models_dir, k, capsys):
+        assert main(["inspect", "--model", str(models_dir / "syn.slm"),
+                     "--action", "Shift-the", "--k", k]) == 1
+        assert assert_one_error(capsys, "config").out == ""
 
     def test_inspect_unknown_action(self, models_dir, capsys):
         assert main(["inspect", "--model", str(models_dir / "syn.slm"),

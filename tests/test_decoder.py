@@ -107,14 +107,6 @@ class TestValidation:
                 DecodeConfig(mode="syn+lstm"),
             )
 
-    def test_variant_mismatch(self, lin_full):
-        with pytest.raises(ConfigError):
-            beam_decode(
-                bag_from_forms(["go"]),
-                Models(linearizer=lin_full),
-                DecodeConfig(mode="syn", variant="light"),
-            )
-
     def test_bad_mode_and_beam(self):
         with pytest.raises(ConfigError):
             DecodeConfig(mode="magic")

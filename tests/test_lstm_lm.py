@@ -4,15 +4,14 @@ import pytest
 from conftest import small_lm
 from synlin import lstm_lm
 from synlin.corpus import build_indexers, parse_conll
-from synlin.errors import ConfigError, DataError
+from synlin.errors import DataError
 from synlin.lstm_lm import (
     LmConfig,
+    _cell,
     init_lm,
     initial_lm_state,
     lm_grad_check,
     lm_step,
-    lstm_cell,
-    next_word_distribution,
     next_word_logprobs,
     sentence_ids,
     start_state,
@@ -35,10 +34,15 @@ def lm_bytes(model):
     return b"".join(t.tobytes() for t in model.params.named_tensors().values())
 
 
+def probs(model, state, ids):
+    """Next-word probabilities over `ids`, in order (duplicates count separately)."""
+    return np.exp(next_word_logprobs(model, state, ids))
+
+
 class TestCell:
     def test_zero_everything(self):
         n = 5
-        h, c = lstm_cell(np.zeros((4 * n, 2 * n)), np.zeros(n), np.zeros(n), np.zeros(n))
+        h, c, _ = _cell(np.zeros((4 * n, 2 * n)), np.zeros(n), np.zeros(n), np.zeros(n), None)
         assert np.all(h == 0.0) and np.all(c == 0.0)
 
     def test_zero_weights_carry_half(self):
@@ -46,7 +50,7 @@ class TestCell:
         # c = 0.5*c_prev and h = 0.5*tanh(0.5*c_prev)
         n = 4
         v = np.array([1.0, -2.0, 0.5, 3.0])
-        h, c = lstm_cell(np.zeros((4 * n, 2 * n)), np.zeros(n), np.zeros(n), v)
+        h, c, _ = _cell(np.zeros((4 * n, 2 * n)), np.zeros(n), np.zeros(n), v, None)
         assert np.allclose(c, 0.5 * v, atol=1e-15)
         assert np.allclose(h, 0.5 * np.tanh(0.5 * v), atol=1e-15)
 
@@ -56,12 +60,8 @@ class TestCell:
         n = 3
         bias = np.concatenate([np.full(n, -50.0), np.full(n, 50.0), np.zeros(2 * n)])
         v = np.array([0.3, -1.2, 7.5])
-        _, c = lstm_cell(np.zeros((4 * n, 2 * n)), np.zeros(n), np.zeros(n), v, bias=bias)
+        _, c, _ = _cell(np.zeros((4 * n, 2 * n)), np.zeros(n), np.zeros(n), v, bias)
         assert np.array_equal(c, v)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ConfigError):
-            lstm_cell(np.zeros((8, 4)), np.zeros(3), np.zeros(2), np.zeros(2))
 
 
 class TestStep:
@@ -109,33 +109,32 @@ class TestStep:
 class TestDistribution:
     def test_singleton_probability_one(self, idx):
         model = small_lm(idx, seed=5)
-        dist = next_word_distribution(model, start_state(model), allowed=[3])
-        assert dist == {3: 1.0}
+        assert probs(model, start_state(model), [3]).tolist() == [1.0]
 
     def test_zero_weights_uniform(self, idx):
         model = small_lm(idx, scale=None)
         for t in model.params.named_tensors().values():
             t[...] = 0.0
-        dist = next_word_distribution(model, start_state(model), allowed=[2, 3, 4])
-        assert all(abs(p - 1 / 3) < 1e-12 for p in dist.values())
+        dist = probs(model, start_state(model), [2, 3, 4])
+        assert all(abs(p - 1 / 3) < 1e-12 for p in dist)
 
     def test_sums_to_one(self, idx):
         model = small_lm(idx, seed=6)
         st = start_state(model)
-        full = next_word_distribution(model, st)
-        assert abs(sum(full.values()) - 1.0) < 1e-9
-        some = next_word_distribution(model, st, allowed=[2, 5, 7, 7])
-        assert abs(sum(some.values()) - 1.0) < 1e-9
+        full = probs(model, st, range(model.vocab_size))
+        assert abs(sum(full) - 1.0) < 1e-9
+        some = probs(model, st, [2, 5, 7, 7])
+        assert abs(sum(some) - 1.0) < 1e-9
 
     def test_restriction_identity(self, idx):
         model = small_lm(idx, seed=7)
         st = start_state(model)
-        full = next_word_distribution(model, st)
+        full = probs(model, st, range(model.vocab_size))
         allowed = [2, 4, 9]
-        restricted = next_word_distribution(model, st, allowed=allowed)
+        restricted = probs(model, st, allowed)
         mass = sum(full[i] for i in allowed)
-        for i in allowed:
-            assert abs(restricted[i] - full[i] / mass) < 1e-9
+        for p, i in zip(restricted, allowed):
+            assert abs(p - full[i] / mass) < 1e-9
 
     def test_empty_allowed(self, idx):
         model = small_lm(idx, seed=7)
