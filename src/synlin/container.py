@@ -19,9 +19,9 @@ import numpy as np
 from synlin import ffnn, lstm_lm
 from synlin.corpus import Indexers
 from synlin.errors import ModelFormatError
-from synlin.features import LABEL_SLOTS, POS_SLOTS, WORD_SLOTS
-from synlin.ffnn import ActionInventory, Linearizer, LinearizerParams, TrainConfig
-from synlin.lstm_lm import LanguageModel, LmConfig, LmParams
+from synlin.features import FEATURE_BLOCKS
+from synlin.ffnn import ActionInventory, Linearizer, TrainConfig
+from synlin.lstm_lm import LanguageModel, LmConfig
 from synlin.transition import FULL, VARIANTS
 
 FORMAT_VERSION = 1
@@ -101,6 +101,10 @@ def load(path: str) -> ModelContainer:
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         try:
             for name, shape in header["tensors"]:
+                if type(name) is not str:
+                    raise ModelFormatError(f"{path}: tensor name {name!r} is not a string")
+                if name in tensors:
+                    raise ModelFormatError(f"{path}: tensor {name} is listed twice")
                 if not all(type(k) is int and k >= 0 for k in shape):
                     raise ModelFormatError(f"{path}: tensor {name} has shape {shape!r}")
                 size = math.prod(shape) * 8
@@ -126,16 +130,12 @@ def load(path: str) -> ModelContainer:
 
 
 def _feature_slots(variant: str) -> dict:
-    slots = {"word": list(WORD_SLOTS)}
-    if variant == FULL:
-        slots["pos"] = list(POS_SLOTS)
-        slots["label"] = list(LABEL_SLOTS)
-    return slots
+    return {block: list(slots) for block, slots in FEATURE_BLOCKS[variant].items()}
 
 
 def container_from_linearizer(model: Linearizer, lm: LanguageModel | None = None) -> ModelContainer:
     """Pack a linearizer (and, for feature-integrated models, its LM)."""
-    tensors = {f"lin.{k}": v for k, v in model.params.named_tensors().items()}
+    tensors = {f"lin.{k}": v for k, v in model.params.items()}
     config = {"linearizer": asdict(model.config)}
     indexers = {"linearizer": _indexers_payload(model.indexers)}
     component = COMPONENT_LINEARIZER
@@ -143,7 +143,7 @@ def container_from_linearizer(model: Linearizer, lm: LanguageModel | None = None
         if lm is None:
             raise ModelFormatError("feature-integrated model requires its language model")
         component = COMPONENT_COMBINED
-        tensors.update({f"lm.{k}": v for k, v in lm.params.named_tensors().items()})
+        tensors.update({f"lm.{k}": v for k, v in lm.params.items()})
         config["lm"] = asdict(lm.config)
         indexers["lm"] = _indexers_payload(lm.indexers)
     return ModelContainer(
@@ -161,7 +161,7 @@ def container_from_lm(lm: LanguageModel) -> ModelContainer:
         component=COMPONENT_LM,
         config={"lm": asdict(lm.config)},
         indexers={"lm": _indexers_payload(lm.indexers)},
-        tensors={f"lm.{k}": v for k, v in lm.params.named_tensors().items()},
+        tensors={f"lm.{k}": v for k, v in lm.params.items()},
     )
 
 
@@ -180,8 +180,11 @@ def _section(container: ModelContainer, section: str, prefix: str, config_cls):
     return indexers, config, tensors
 
 
-def _check_shapes(section: str, tensors: dict[str, np.ndarray], expected: dict[str, tuple]):
-    """Exactly the expected tensors, each with its expected shape."""
+def _check_shapes(section: str, tensors: dict[str, np.ndarray], shapes: list) -> dict:
+    """Exactly the tensors of the (name, shape) list `shapes`, each with its
+    shape; returns them in `shapes` order, the order of the model's params.
+    """
+    expected = dict(shapes)
     missing = sorted(set(expected) - set(tensors))
     if missing:
         raise ModelFormatError(f"{section} tensor(s) {', '.join(missing)} missing")
@@ -194,6 +197,7 @@ def _check_shapes(section: str, tensors: dict[str, np.ndarray], expected: dict[s
                 f"{section} tensor {name} has shape {list(tensors[name].shape)}, "
                 f"expected {list(shape)} from the indexers, config and feature slots"
             )
+    return {name: tensors[name] for name in expected}
 
 
 def linearizer_from_container(container: ModelContainer) -> Linearizer:
@@ -214,9 +218,8 @@ def linearizer_from_container(container: ModelContainer) -> Linearizer:
     if container.component == COMPONENT_COMBINED:
         lm_feat_dim = _section(container, "lm", "lm.", LmConfig)[1].hidden_size
     shapes = ffnn.param_shapes(indexers, inventory, variant, config, lm_feat_dim)
-    _check_shapes("linearizer", tensors, dict(shapes))
     return Linearizer(
-        params=LinearizerParams(**tensors),
+        params=_check_shapes("linearizer", tensors, shapes),
         indexers=indexers,
         inventory=inventory,
         variant=variant,
@@ -231,5 +234,7 @@ def lm_from_container(container: ModelContainer) -> LanguageModel:
             f"container holds {container.component!r}, not a language model"
         )
     indexers, config, tensors = _section(container, "lm", "lm.", LmConfig)
-    _check_shapes("language model", tensors, dict(lstm_lm.param_shapes(indexers, config)))
-    return LanguageModel(params=LmParams.from_named(tensors), indexers=indexers, config=config)
+    shapes = lstm_lm.param_shapes(indexers, config)
+    return LanguageModel(
+        params=_check_shapes("language model", tensors, shapes), indexers=indexers, config=config
+    )

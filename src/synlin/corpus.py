@@ -1,13 +1,15 @@
 """Dependency corpora: CoNLL reading, symbol tables, word bags, and oracles.
 
 The interchange format is 8+ column CoNLL-X (id, form, lemma, cpos, pos,
-feats, head, deprel), blank-line separated.  Sentences must be single-rooted
-projective trees; anything else is rejected at ingestion because the
-left-to-right adjacent-reduction system cannot derive it.
+feats, head, deprel), blank-line separated; CoNLL-U reads the same, its
+multiword-token ranges and empty nodes skipped.  Sentences must be
+single-rooted projective trees; anything else is rejected at ingestion
+because the left-to-right adjacent-reduction system cannot derive it.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -44,6 +46,9 @@ NULL_LABEL = "<null_l>"
 # CoNLL convention for an absent column value; such POS tags / labels are
 # excluded from the inventories.
 MISSING = "_"
+
+# The id column of a CoNLL-U multiword-token range or empty node.
+_CONLLU_EXTRA_ID = re.compile(r"\s*\d+[-.]\d+(\s|$)")
 
 
 @dataclass(frozen=True)
@@ -262,6 +267,12 @@ def bag_from_forms(forms: Iterable[str]) -> WordBag:
 
 
 def _blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, str]]]:
+    """(line number, line) of each sentence's token lines.
+
+    Comments are dropped, and so are CoNLL-U multiword-token ranges (`1-2`)
+    and empty nodes (`1.1`): the syntactic words the ranges span, which the
+    trees are built over, follow as ordinary token lines.
+    """
     block: list[tuple[int, str]] = []
     for no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -269,7 +280,7 @@ def _blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, str]]]:
             if block:
                 yield block
                 block = []
-        elif line.lstrip().startswith("#"):
+        elif line.lstrip().startswith("#") or _CONLLU_EXTRA_ID.match(line):
             continue
         else:
             block.append((no, line))

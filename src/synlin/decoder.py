@@ -66,6 +66,8 @@ class DecodeConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.beam_size < 1:
             raise ConfigError(f"beam_size must be >= 1, got {self.beam_size}")
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from synlin.corpus import Indexers
-from synlin.transition import StackItem, State
+from synlin.transition import FULL, LIGHT, StackItem, State
 
 # Referent names in slot order; recorded in model containers so a saved
 # model documents its own input layout.
@@ -40,6 +40,14 @@ LABEL_SLOTS = WORD_SLOTS[3:]
 N_WORD_SLOTS = len(WORD_SLOTS)
 N_POS_SLOTS = len(POS_SLOTS)
 N_LABEL_SLOTS = len(LABEL_SLOTS)
+
+# The feature blocks of each variant, in the order the scorer adds them,
+# each with its slot names.  Block `b` reads `FeatureVector.<b>_ids` and has
+# the scorer tensors `emb_<b>` and `w1_<b>`.
+FEATURE_BLOCKS = {
+    FULL: {"word": WORD_SLOTS, "pos": POS_SLOTS, "label": LABEL_SLOTS},
+    LIGHT: {"word": WORD_SLOTS},
+}
 
 
 @dataclass(frozen=True)

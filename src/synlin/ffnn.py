@@ -13,6 +13,7 @@ against central finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,20 +25,12 @@ from synlin.corpus import (
     to_bag,
 )
 from synlin.errors import ConfigError, DataError, TrainingError
-from synlin.features import (
-    FeatureVector,
-    N_LABEL_SLOTS,
-    N_POS_SLOTS,
-    N_WORD_SLOTS,
-    extract,
-    extract_light,
-)
+from synlin.features import FEATURE_BLOCKS, FeatureVector, extract, extract_light
 from synlin.optim import Adagrad, log_softmax, max_grad_error
 from synlin.transition import (
     END,
     FULL,
     LEFT_ARC,
-    LIGHT,
     POS,
     RIGHT_ARC,
     SHIFT,
@@ -120,50 +113,15 @@ class ActionInventory:
 
 
 @dataclass
-class LinearizerParams:
-    """Embedding matrices and network weights, all float64.
+class Linearizer:
+    """A trained (or initialized) scorer plus everything needed to use it.
 
-    Embeddings are stored one row per symbol; pos/label tensors are None in
-    the light variant, and w1_lm is present only when the scorer takes the
-    language model's top hidden vector as an extra input block.
+    `params` maps each tensor name of `param_shapes` to its float64 array, in
+    `param_shapes` order, which is the order of the L2 sum and of every
+    gradient dict.
     """
 
-    emb_word: np.ndarray
-    w1_word: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    emb_pos: np.ndarray | None = None
-    emb_label: np.ndarray | None = None
-    w1_pos: np.ndarray | None = None
-    w1_label: np.ndarray | None = None
-    w1_lm: np.ndarray | None = None
-
-    _ORDER = (
-        "emb_word",
-        "emb_pos",
-        "emb_label",
-        "w1_word",
-        "w1_pos",
-        "w1_label",
-        "w1_lm",
-        "b1",
-        "w2",
-    )
-
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in self._ORDER:
-            t = getattr(self, name)
-            if t is not None:
-                out[name] = t
-        return out
-
-
-@dataclass
-class Linearizer:
-    """A trained (or initialized) scorer plus everything needed to use it."""
-
-    params: LinearizerParams
+    params: dict[str, np.ndarray]
     indexers: Indexers
     inventory: ActionInventory
     variant: str
@@ -193,24 +151,23 @@ def param_shapes(
     config: TrainConfig,
     lm_feat_dim: int | None = None,
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every tensor, in the order `init_linearizer` draws them."""
+    """(name, shape) of every tensor, in `Linearizer.params` order.
+
+    Each feature block has an embedding table `emb_<block>` and a hidden
+    weight block `w1_<block>`; an LM feature block has only `w1_lm`.
+    """
     d, h = config.embed_dim, config.hidden_dim
-    shapes = [
-        ("emb_word", (indexers.n_words, d)),
-        ("w1_word", (h, N_WORD_SLOTS * d)),
-        ("b1", (h,)),
-        ("w2", (len(inventory), h)),
-    ]
-    if variant == FULL:
-        shapes += [
-            ("emb_pos", (indexers.n_pos, d)),
-            ("emb_label", (indexers.n_labels, d)),
-            ("w1_pos", (h, N_POS_SLOTS * d)),
-            ("w1_label", (h, N_LABEL_SLOTS * d)),
-        ]
+    vocab = {"word": indexers.n_words, "pos": indexers.n_pos, "label": indexers.n_labels}
+    blocks = FEATURE_BLOCKS[variant]
+    shapes = [(f"emb_{block}", (vocab[block], d)) for block in blocks]
+    shapes += [(f"w1_{block}", (h, len(slots) * d)) for block, slots in blocks.items()]
     if lm_feat_dim is not None:
         shapes.append(("w1_lm", (h, lm_feat_dim)))
-    return shapes
+    return shapes + [("b1", (h,)), ("w2", (len(inventory), h))]
+
+
+# `init_linearizer` draws these first, then the rest in `param_shapes` order.
+_DRAWN_FIRST = ("emb_word", "w1_word", "b1", "w2")
 
 
 def init_linearizer(
@@ -224,13 +181,15 @@ def init_linearizer(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     inventory = ActionInventory.from_indexers(indexers, variant)
-    shapes = param_shapes(indexers, inventory, variant, config, lm_feat_dim)
-    tensors = {
-        name: np.zeros(shape) if name == "b1" else rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
-        for name, shape in shapes
+    shapes = dict(param_shapes(indexers, inventory, variant, config, lm_feat_dim))
+    drawn = {
+        name: np.zeros(shapes[name])
+        if name == "b1"
+        else rng.uniform(-INIT_SCALE, INIT_SCALE, shapes[name])
+        for name in [*_DRAWN_FIRST, *(n for n in shapes if n not in _DRAWN_FIRST)]
     }
     return Linearizer(
-        params=LinearizerParams(**tensors),
+        params={name: drawn[name] for name in shapes},
         indexers=indexers,
         inventory=inventory,
         variant=variant,
@@ -287,25 +246,24 @@ def make_training_examples(
 class _Packed:
     """Training examples as dense arrays (feasible sets padded + masked)."""
 
-    word_ids: np.ndarray
-    pos_ids: np.ndarray | None
-    label_ids: np.ndarray | None
+    ids: dict[str, np.ndarray]  # feature block -> (examples x slots) ids
     lm_feats: np.ndarray | None
     rows: np.ndarray
     valid: np.ndarray
     gold_col: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.word_ids)
+
+def _block_ids(model: Linearizer, features: list[FeatureVector]) -> dict[str, np.ndarray]:
+    """One (items x slots) id array per feature block of the model's variant."""
+    return {
+        block: np.array(list(map(attrgetter(f"{block}_ids"), features)), dtype=np.int64)
+        for block in FEATURE_BLOCKS[model.variant]
+    }
 
 
 def _pack(model: Linearizer, examples: list[TrainExample]) -> _Packed:
     n = len(examples)
-    full = model.variant == FULL
     width = max(len(e.feasible) for e in examples)
-    word_ids = np.zeros((n, N_WORD_SLOTS), dtype=np.int64)
-    pos_ids = np.zeros((n, N_POS_SLOTS), dtype=np.int64) if full else None
-    label_ids = np.zeros((n, N_LABEL_SLOTS), dtype=np.int64) if full else None
     rows = np.zeros((n, width), dtype=np.int64)
     valid = np.zeros((n, width), dtype=bool)
     gold_col = np.zeros(n, dtype=np.int64)
@@ -313,10 +271,6 @@ def _pack(model: Linearizer, examples: list[TrainExample]) -> _Packed:
     if model.lm_feat_dim is not None:
         lm_feats = np.zeros((n, model.lm_feat_dim))
     for i, ex in enumerate(examples):
-        word_ids[i] = ex.features.word_ids
-        if full:
-            pos_ids[i] = ex.features.pos_ids
-            label_ids[i] = ex.features.label_ids
         m = len(ex.feasible)
         rows[i, :m] = [model.inventory.row(a) for a in ex.feasible]
         valid[i, :m] = True
@@ -330,28 +284,27 @@ def _pack(model: Linearizer, examples: list[TrainExample]) -> _Packed:
             if ex.lm_feat is None:
                 raise ConfigError(f"example {i}: model expects an LM feature block")
             lm_feats[i] = ex.lm_feat
-    return _Packed(word_ids, pos_ids, label_ids, lm_feats, rows, valid, gold_col)
+    ids = _block_ids(model, [ex.features for ex in examples])
+    return _Packed(ids, lm_feats, rows, valid, gold_col)
 
 
-def _hidden(model: Linearizer, word_ids, pos_ids=None, label_ids=None, lm_feats=None):
+def _hidden(model: Linearizer, ids: dict[str, np.ndarray], lm_feats=None):
     """tanh hidden layer of a batch of examples, one row per example.
 
-    One (b x slots*d) @ (slots*d x h) product per feature block, added in a
-    fixed order; decoding (`forward`) and training (`_batch_pass`) both call
-    it.  Also returns the concatenated embeddings (xw, xt, xl) for backprop.
+    One (b x slots*d) @ (slots*d x h) product per feature block, added in
+    `FEATURE_BLOCKS` order with the LM block last; decoding (`forward`) and
+    training (`_batch_pass`) both call it.  Also returns each block's input
+    rows (the concatenated embeddings, or the LM features) for backprop.
     """
     p = model.params
-    b = len(word_ids)
-    xw = p.emb_word[word_ids].reshape(b, -1)
-    pre = xw @ p.w1_word.T
-    xt = xl = None
-    if model.variant == FULL:
-        xt = p.emb_pos[pos_ids].reshape(b, -1)
-        xl = p.emb_label[label_ids].reshape(b, -1)
-        pre = pre + xt @ p.w1_pos.T + xl @ p.w1_label.T
-    if p.w1_lm is not None:
-        pre = pre + lm_feats @ p.w1_lm.T
-    return np.tanh(pre + p.b1), (xw, xt, xl)
+    inputs = {
+        block: p[f"emb_{block}"][block_ids].reshape(len(block_ids), -1)
+        for block, block_ids in ids.items()
+    }
+    if "w1_lm" in p:
+        inputs["lm"] = lm_feats
+    first, *rest = (x @ p[f"w1_{block}"].T for block, x in inputs.items())
+    return np.tanh(sum(rest, first) + p["b1"]), inputs
 
 
 def _batch_pass(
@@ -366,16 +319,9 @@ def _batch_pass(
     """Objective and (optionally) gradients for the examples at `idx`."""
     p = model.params
     b = len(idx)
-    d = model.config.embed_dim
-    full = model.variant == FULL
+    ids = {block: block_ids[idx] for block, block_ids in packed.ids.items()}
     lm = packed.lm_feats[idx] if packed.lm_feats is not None else None
-    a, (xw, xt, xl) = _hidden(
-        model,
-        packed.word_ids[idx],
-        packed.pos_ids[idx] if full else None,
-        packed.label_ids[idx] if full else None,
-        lm,
-    )
+    a, inputs = _hidden(model, ids, lm)
     if dropout > 0.0:
         mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
         h = a * mask
@@ -384,7 +330,7 @@ def _batch_pass(
         h = a
     rows = packed.rows[idx]
     valid = packed.valid[idx]
-    logits = np.einsum("bfh,bh->bf", p.w2[rows], h)
+    logits = np.einsum("bfh,bh->bf", p["w2"][rows], h)
     logits[~valid] = -np.inf
     m = logits.max(axis=1, keepdims=True)
     exp = np.exp(logits - m)
@@ -394,13 +340,11 @@ def _batch_pass(
     ce = float(np.sum(logz - gold_logits))
     objective = ce
     if l2_lambda > 0.0:
-        objective += 0.5 * l2_lambda * sum(
-            float(np.sum(t * t)) for t in p.named_tensors().values()
-        )
+        objective += 0.5 * l2_lambda * sum(float(np.sum(t * t)) for t in p.values())
     if not want_grads:
         return objective, None
 
-    grads = {name: np.zeros_like(t) for name, t in p.named_tensors().items()}
+    grads = {name: np.zeros_like(t) for name, t in p.items()}
     dlogits = exp / z
     dlogits[np.arange(b), packed.gold_col[idx]] -= 1.0
     np.add.at(
@@ -408,24 +352,17 @@ def _batch_pass(
         rows.reshape(-1),
         (dlogits[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]),
     )
-    dh = np.einsum("bfh,bf->bh", p.w2[rows], dlogits)
+    dh = np.einsum("bfh,bf->bh", p["w2"][rows], dlogits)
     da = dh * mask if mask is not None else dh
     dpre = da * (1.0 - a * a)
     grads["b1"] += dpre.sum(axis=0)
-    grads["w1_word"] += dpre.T @ xw
-    dxw = (dpre @ p.w1_word).reshape(b, N_WORD_SLOTS, d)
-    np.add.at(grads["emb_word"], packed.word_ids[idx], dxw)
-    if model.variant == FULL:
-        grads["w1_pos"] += dpre.T @ xt
-        grads["w1_label"] += dpre.T @ xl
-        dxt = (dpre @ p.w1_pos).reshape(b, N_POS_SLOTS, d)
-        dxl = (dpre @ p.w1_label).reshape(b, N_LABEL_SLOTS, d)
-        np.add.at(grads["emb_pos"], packed.pos_ids[idx], dxt)
-        np.add.at(grads["emb_label"], packed.label_ids[idx], dxl)
-    if p.w1_lm is not None:
-        grads["w1_lm"] += dpre.T @ lm
+    for block, x in inputs.items():
+        grads[f"w1_{block}"] += dpre.T @ x
+        if block in ids:
+            dx = (dpre @ p[f"w1_{block}"]).reshape(b, -1, model.config.embed_dim)
+            np.add.at(grads[f"emb_{block}"], ids[block], dx)
     if l2_lambda > 0.0:
-        for name, t in p.named_tensors().items():
+        for name, t in p.items():
             grads[name] += l2_lambda * t
     return objective, grads
 
@@ -449,27 +386,19 @@ def forward(
     if not all(feasibles):
         raise DataError("feasible set is empty")
     p = model.params
-    if p.w1_lm is not None:
+    if "w1_lm" in p:
         if lm_feats is None:
             raise ConfigError("model expects an LM feature block")
         lm_feats = np.asarray(lm_feats)
-        if lm_feats.shape != (len(features), p.w1_lm.shape[1]):
-            raise ConfigError(
-                f"LM feature rows {lm_feats.shape} != ({len(features)}, {p.w1_lm.shape[1]})"
-            )
+        width = p["w1_lm"].shape[1]
+        if lm_feats.shape != (len(features), width):
+            raise ConfigError(f"LM feature rows {lm_feats.shape} != ({len(features)}, {width})")
     elif lm_feats is not None:
         raise ConfigError("model has no LM feature block but one was supplied")
-    full = model.variant == FULL
-    hidden, _ = _hidden(
-        model,
-        np.array([fv.word_ids for fv in features], dtype=np.int64),
-        np.array([fv.pos_ids for fv in features], dtype=np.int64) if full else None,
-        np.array([fv.label_ids for fv in features], dtype=np.int64) if full else None,
-        lm_feats,
-    )
+    hidden, _ = _hidden(model, _block_ids(model, features), lm_feats)
     row = model.inventory.row
     return [
-        log_softmax(p.w2[[row(a) for a in feasible]] @ h)
+        log_softmax(p["w2"][[row(a) for a in feasible]] @ h)
         for h, feasible in zip(hidden, feasibles)
     ]
 
@@ -502,7 +431,7 @@ def train(
         raise DataError("no training examples")
     rng = np.random.default_rng(config.seed)
     packed = _pack(model, examples)
-    opt = Adagrad(model.params.named_tensors(), config.learning_rate)
+    opt = Adagrad(model.params, config.learning_rate)
     log = []
     n = len(examples)
     for epoch in range(config.epochs):
@@ -552,6 +481,4 @@ def grad_check(
         val, _ = _batch_pass(model, packed, idx, l2, want_grads=False)
         return val
 
-    return max_grad_error(
-        model.params.named_tensors(), grads, objective, epsilon, samples_per_tensor, rng
-    )
+    return max_grad_error(model.params, grads, objective, epsilon, samples_per_tensor, rng)

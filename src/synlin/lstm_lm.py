@@ -53,39 +53,6 @@ class LmConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
 
 
-@dataclass
-class LmParams:
-    """Input embeddings, one (4n, 2n) block per layer, output embeddings."""
-
-    emb: np.ndarray
-    cells: tuple[np.ndarray, ...]
-    out_emb: np.ndarray
-    cell_biases: tuple[np.ndarray, ...] | None = None
-
-    def named_tensors(self) -> dict[str, np.ndarray]:
-        out = {"emb": self.emb}
-        for i, w in enumerate(self.cells):
-            out[f"cell{i}"] = w
-        if self.cell_biases is not None:
-            for i, b in enumerate(self.cell_biases):
-                out[f"cell{i}_bias"] = b
-        out["out_emb"] = self.out_emb
-        return out
-
-    @classmethod
-    def from_named(cls, tensors: dict[str, np.ndarray]) -> "LmParams":
-        """The inverse of `named_tensors`."""
-        layers = range(sum(1 for k in tensors if k.startswith("cell") and not k.endswith("_bias")))
-        return cls(
-            emb=tensors["emb"],
-            cells=tuple(tensors[f"cell{i}"] for i in layers),
-            out_emb=tensors["out_emb"],
-            cell_biases=tuple(tensors[f"cell{i}_bias"] for i in layers)
-            if "cell0_bias" in tensors
-            else None,
-        )
-
-
 @dataclass(frozen=True)
 class LmState:
     """Per-layer (h, c) pairs for a consumed prefix.  Never mutated in place."""
@@ -100,7 +67,13 @@ class LmState:
 
 @dataclass
 class LanguageModel:
-    params: LmParams
+    """`params` maps each tensor name of `param_shapes` to its float64 array,
+    in `param_shapes` order: the input embeddings `emb`, one (4n, 2n) block
+    `cell<i>` per layer, the optional gate biases `cell<i>_bias` and the
+    output embeddings `out_emb`.
+    """
+
+    params: dict[str, np.ndarray]
     indexers: Indexers
     config: LmConfig
 
@@ -122,8 +95,8 @@ class LanguageModel:
 
 
 def param_shapes(indexers: Indexers, config: LmConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every tensor, in `named_tensors` order; `init_lm` draws
-    them in this order (the zero gate biases draw nothing).
+    """(name, shape) of every tensor, in `LanguageModel.params` order; `init_lm`
+    draws them in this order (the zero gate biases draw nothing).
     """
     n, vocab = config.hidden_size, indexers.n_words + 2
     shapes = [("emb", (vocab, n))]
@@ -136,13 +109,13 @@ def param_shapes(indexers: Indexers, config: LmConfig) -> list[tuple[str, tuple[
 def init_lm(indexers: Indexers, config: LmConfig, rng: np.random.Generator | None = None) -> LanguageModel:
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    tensors = {
+    params = {
         name: np.zeros(shape)
         if name.endswith("_bias")
         else rng.uniform(-LM_INIT_SCALE, LM_INIT_SCALE, shape)
         for name, shape in param_shapes(indexers, config)
     }
-    return LanguageModel(params=LmParams.from_named(tensors), indexers=indexers, config=config)
+    return LanguageModel(params=params, indexers=indexers, config=config)
 
 
 def _cell(weights, h_below, h_prev, c_prev, bias):
@@ -189,13 +162,12 @@ def lm_step(model: LanguageModel, states: list[LmState], word_ids) -> list[LmSta
     All states advance together: one batched `_cell` per layer.
     """
     p = model.params
-    below = p.emb[np.asarray(word_ids, dtype=np.int64)]
+    below = p["emb"][np.asarray(word_ids, dtype=np.int64)]
     layers = []
-    for layer, weights in enumerate(p.cells):
+    for layer in range(model.config.num_layers):
         h_prev = np.stack([s.layers[layer][0] for s in states])
         c_prev = np.stack([s.layers[layer][1] for s in states])
-        bias = p.cell_biases[layer] if p.cell_biases is not None else None
-        h, c, _ = _cell(weights, below, h_prev, c_prev, bias)
+        h, c, _ = _cell(p[f"cell{layer}"], below, h_prev, c_prev, p.get(f"cell{layer}_bias"))
         layers.append((h, c))
         below = h
     return [
@@ -218,7 +190,7 @@ def next_word_logprobs(model: LanguageModel, state: LmState, ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise DataError("empty allowed set")
-    return log_softmax(model.params.out_emb[ids] @ state.top_h)
+    return log_softmax(model.params["out_emb"][ids] @ state.top_h)
 
 
 def sentence_ids(model: LanguageModel, forms) -> tuple[list[int], list[int]]:
@@ -237,11 +209,12 @@ def _forward_sentence(model, inputs, targets, dropout=0.0, rng=None):
     caches = []
     ce = 0.0
     for wid, target in zip(inputs, targets):
-        below = p.emb[wid]
+        below = p["emb"][wid]
         step = {"wid": wid, "target": target, "layers": []}
         for layer in range(n_layers):
-            bias = p.cell_biases[layer] if p.cell_biases is not None else None
-            h, c, cache = _cell(p.cells[layer], below, h_prev[layer], c_prev[layer], bias)
+            h, c, cache = _cell(
+                p[f"cell{layer}"], below, h_prev[layer], c_prev[layer], p.get(f"cell{layer}_bias")
+            )
             if dropout > 0.0:
                 cache["mask"] = (rng.random(n) >= dropout) / (1.0 - dropout)
                 below = h * cache["mask"]
@@ -251,7 +224,7 @@ def _forward_sentence(model, inputs, targets, dropout=0.0, rng=None):
             step["layers"].append(cache)
             h_prev[layer] = h
             c_prev[layer] = c
-        logp = log_softmax(p.out_emb @ below)
+        logp = log_softmax(p["out_emb"] @ below)
         step["probs"] = np.exp(logp)
         step["top_dropped"] = below
         ce -= float(logp[target])
@@ -264,14 +237,14 @@ def _backward_sentence(model, caches):
     p = model.params
     n = model.config.hidden_size
     n_layers = model.config.num_layers
-    grads = {name: np.zeros_like(t) for name, t in p.named_tensors().items()}
+    grads = {name: np.zeros_like(t) for name, t in p.items()}
     dh_next = [np.zeros(n) for _ in range(n_layers)]
     dc_next = [np.zeros(n) for _ in range(n_layers)]
     for step in reversed(caches):
         dlogits = step["probs"].copy()
         dlogits[step["target"]] -= 1.0
         grads["out_emb"] += np.outer(dlogits, step["top_dropped"])
-        d_from_above = p.out_emb.T @ dlogits
+        d_from_above = p["out_emb"].T @ dlogits
         for layer in range(n_layers - 1, -1, -1):
             cache = step["layers"][layer]
             if cache["mask"] is not None:
@@ -291,9 +264,9 @@ def _backward_sentence(model, caches):
                 ]
             )
             grads[f"cell{layer}"] += np.outer(dz, cache["u"])
-            if p.cell_biases is not None:
+            if f"cell{layer}_bias" in grads:
                 grads[f"cell{layer}_bias"] += dz
-            du = p.cells[layer].T @ dz
+            du = p[f"cell{layer}"].T @ dz
             d_from_above = du[:n]
             dh_next[layer] = du[n:]
             dc_next[layer] = dc * cache["f"]
@@ -318,7 +291,7 @@ def train_lm(
         raise DataError("no training sentences")
     rng = np.random.default_rng(config.seed)
     data = [sentence_ids(model, s.forms()) for s in sentences]
-    opt = Adagrad(model.params.named_tensors(), config.learning_rate)
+    opt = Adagrad(model.params, config.learning_rate)
     log = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(data))
@@ -333,7 +306,7 @@ def train_lm(
                 raise TrainingError(f"non-finite LM loss at epoch {epoch + 1}")
             grads = _backward_sentence(model, caches)
             if config.l2_lambda > 0.0:
-                for name, t in model.params.named_tensors().items():
+                for name, t in model.params.items():
                     grads[name] += config.l2_lambda * t
             opt.step(grads)
             total_ce += ce
@@ -359,11 +332,9 @@ def lm_grad_check(
             _forward_sentence(model, inp, tgt)[0] for inp, tgt in data
         )
 
-    analytic = {name: np.zeros_like(t) for name, t in model.params.named_tensors().items()}
+    analytic = {name: np.zeros_like(t) for name, t in model.params.items()}
     for inputs, targets in data:
         _, caches = _forward_sentence(model, inputs, targets)
         for name, g in _backward_sentence(model, caches).items():
             analytic[name] += g
-    return max_grad_error(
-        model.params.named_tensors(), analytic, total_loss, epsilon, samples_per_tensor, rng
-    )
+    return max_grad_error(model.params, analytic, total_loss, epsilon, samples_per_tensor, rng)

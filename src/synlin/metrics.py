@@ -160,7 +160,7 @@ def action_neighbors(linearizer, action, k: int = 5) -> list[tuple]:
     inv = linearizer.inventory
     if action not in inv:
         raise DataError(f"action {action.name()} not in the inventory")
-    w2 = linearizer.params.w2
+    w2 = linearizer.params["w2"]
     row = inv.row(action)
     target = w2[row]
     t_norm = float(np.linalg.norm(target))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from synlin.errors import IllegalActionError, StateError
+from synlin.errors import DataError, IllegalActionError, StateError
 
 SHIFT = "Shift"
 POS = "Pos"
@@ -56,7 +56,7 @@ class Action:
     def parse(text: str) -> "Action":
         kind, sep, arg = text.partition("-")
         if kind not in _KIND_ORDER:
-            raise ValueError(f"unknown action {text!r}")
+            raise DataError(f"unknown action {text!r}")
         return Action(kind, arg if sep else None)
 
     def sort_key(self) -> tuple[int, str]:

@@ -39,9 +39,9 @@ def synth220_indexers(synth220):
     return build_indexers(synth220)
 
 
-def randomize_params(named_tensors, rng, scale=0.5):
+def randomize_params(params, rng, scale=0.5):
     """Overwrite tensors in place with moderate-scale uniform noise."""
-    for t in named_tensors.values():
+    for t in params.values():
         t[...] = rng.uniform(-scale, scale, size=t.shape)
 
 
@@ -52,7 +52,7 @@ def small_linearizer(indexers, variant, seed=0, lm_feat_dim=None, scale=0.5, **c
         indexers, variant, ffnn.TrainConfig(**defaults), lm_feat_dim=lm_feat_dim
     )
     if scale is not None:
-        randomize_params(model.params.named_tensors(), np.random.default_rng(seed), scale)
+        randomize_params(model.params, np.random.default_rng(seed), scale)
     return model
 
 
@@ -61,7 +61,7 @@ def small_lm(indexers, seed=0, hidden_size=8, scale=0.5, **cfg_kw):
     defaults.update(cfg_kw)
     model = lstm_lm.init_lm(indexers, lstm_lm.LmConfig(**defaults))
     if scale is not None:
-        randomize_params(model.params.named_tensors(), np.random.default_rng(seed + 1), scale)
+        randomize_params(model.params, np.random.default_rng(seed + 1), scale)
     return model
 
 

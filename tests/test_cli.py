@@ -97,13 +97,26 @@ class TestConfigFlags:
             ["train", "--batch-size", "0"],
             ["train", "--epochs", "-1"],
             ["train-lm", "--epochs", "-1"],
+            ["decode", "--alpha", "nan"],
+            ["decode", "--alpha", "inf"],
+            ["decode", "--alpha=-inf"],
         ],
-        ids=["train-batch-size-0", "train-epochs-negative", "train-lm-epochs-negative"],
+        ids=[
+            "train-batch-size-0", "train-epochs-negative", "train-lm-epochs-negative",
+            "decode-alpha-nan", "decode-alpha-inf", "decode-alpha-minus-inf",
+        ],
     )
-    def test_out_of_range_values_are_config_errors(self, argv, data_dir, tmp_path, capsys):
+    def test_out_of_range_values_are_config_errors(
+        self, argv, data_dir, models_dir, tmp_path, capsys
+    ):
         out = tmp_path / "x.slm"
-        code = main([*argv, "--corpus", str(data_dir / "train.conll"), "--out", str(out)])
-        assert code == 1
+        if argv[0] == "decode":
+            files = ["--model", str(models_dir / "syn.slm"), "--mode", "syn+lstm",
+                     "--lm", str(models_dir / "lm.slm"), "--input", str(data_dir / "dev.conll"),
+                     "--output", str(out)]
+        else:
+            files = ["--corpus", str(data_dir / "train.conll"), "--out", str(out)]
+        assert main([*argv, *files]) == 1
         assert_one_error(capsys, "config")
         assert not out.exists()
 
@@ -230,7 +243,7 @@ class TestDecode:
 
     def test_nan_weights_are_a_search_error(self, data_dir, models_dir, tmp_path, capsys):
         model = linearizer_from_container(load(str(models_dir / "syn.slm")))
-        for tensor in model.params.named_tensors().values():
+        for tensor in model.params.values():
             tensor[...] = np.nan
         path = tmp_path / "nan.slm"
         save(container_from_linearizer(model), str(path))
@@ -324,6 +337,11 @@ class TestEvaluateInspectOracle:
         assert main(["inspect", "--model", str(models_dir / "syn.slm"),
                      "--action", "Pos-ZZZ"]) == 1
         assert "error: data:" in capsys.readouterr().err
+
+    def test_inspect_unparsable_action(self, models_dir, capsys):
+        assert main(["inspect", "--model", str(models_dir / "syn.slm"),
+                     "--action", "Jump-now"]) == 1
+        assert "Jump-now" in assert_one_error(capsys, "data").err
 
     def test_oracle_check(self, data_dir, capsys):
         assert main(["oracle-check", "--corpus", str(data_dir / "train.conll"),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import small_linearizer, small_lm
 from synlin import container as cont
+from synlin import ffnn, lstm_lm
 from synlin.cli import main
 from synlin.corpus import UNK_WORD, build_indexers
 from synlin.errors import ModelFormatError
@@ -19,6 +21,16 @@ def idx():
 def _bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+@pytest.fixture(scope="module")
+def combined_file(idx, tmp_path_factory):
+    """The bytes of a saved full-variant model with its LM feature block."""
+    lm = small_lm(idx, seed=15, hidden_size=6)
+    model = small_linearizer(idx, "full", seed=16, lm_feat_dim=6)
+    path = tmp_path_factory.mktemp("combined") / "m.slm"
+    cont.save(cont.container_from_linearizer(model, lm=lm), path)
+    return _bytes(path)
 
 
 def _without(key):
@@ -82,6 +94,92 @@ MALFORMED_HEADERS = {
 }
 
 
+def _split(data):
+    header, payload = data.split(b"\n", 1)
+    return json.loads(header), payload
+
+
+def _join(header, payload):
+    return json.dumps(header).encode() + b"\n" + payload
+
+
+def _header_len(data):
+    return data.index(b"\n")
+
+
+def _truncate(offset):
+    return lambda data: data[: offset(data)]
+
+
+def _flip(offset):
+    """XOR 0x80 turns an ASCII header byte into one that is not UTF-8."""
+
+    def corrupt(data):
+        k = offset(data)
+        return data[:k] + bytes([data[k] ^ 0x80]) + data[k + 1 :]
+
+    return corrupt
+
+
+def _edit_header(edit):
+    def corrupt(data):
+        header, payload = _split(data)
+        return _join(edit(header), payload)
+
+    return corrupt
+
+
+def _duplicate_last_tensor(data):
+    """List the last tensor twice, its payload too, so every size adds up."""
+    header, payload = _split(data)
+    name, shape = header["tensors"][-1]
+    size = 8 * int(np.prod(shape))
+    header["tensors"].append([name, shape])
+    return _join(header, payload + payload[-size:])
+
+
+# Byte-level corruptions of a saved combined model; each must be one model
+# error, whatever part of the loader it reaches.
+CORRUPTIONS = {
+    "truncated-to-empty": _truncate(lambda data: 0),
+    "truncated-after-1-byte": _truncate(lambda data: 1),
+    "truncated-mid-header": _truncate(lambda data: _header_len(data) // 2),
+    "truncated-before-newline": _truncate(_header_len),
+    "truncated-after-newline": _truncate(lambda data: _header_len(data) + 1),
+    "truncated-mid-first-tensor": _truncate(lambda data: _header_len(data) + 13),
+    "truncated-by-one-byte": _truncate(lambda data: len(data) - 1),
+    "flipped-first-byte": _flip(lambda data: 0),
+    "flipped-byte-at-quarter": _flip(lambda data: _header_len(data) // 4),
+    "flipped-byte-at-half": _flip(lambda data: _header_len(data) // 2),
+    "flipped-last-header-byte": _flip(lambda data: _header_len(data) - 1),
+    "flipped-newline": _flip(_header_len),
+    "tensor-name-not-a-string": _edit_header(
+        lambda header: {**header, "tensors": [[7, shape] for _, shape in header["tensors"]]}
+    ),
+    "tensor-listed-twice": _duplicate_last_tensor,
+}
+# Every header key given each JSON type it does not have, and every key but
+# the optional `feature_slots` dropped.
+HEADER_TYPES = {
+    "format_version": int,
+    "component": str,
+    "variant": str,
+    "config": dict,
+    "indexers": dict,
+    "feature_slots": dict,
+    "tensors": list,
+}
+WRONG_VALUES = {int: 7, str: "x", list: [7], dict: {"k": 7}}
+for _key, _type in HEADER_TYPES.items():
+    if _key != "feature_slots":
+        CORRUPTIONS[f"no-{_key}"] = _edit_header(_without(_key))
+    for _other, _value in WRONG_VALUES.items():
+        if _other is not _type:
+            CORRUPTIONS[f"{_key}-as-{_other.__name__}"] = _edit_header(
+                lambda header, key=_key, value=_value: {**header, key: value}
+            )
+
+
 class TestRoundTrip:
     def test_linearizer_bytes_stable(self, idx, tmp_path):
         model = small_linearizer(idx, "full", seed=1)
@@ -110,8 +208,8 @@ class TestRoundTrip:
         path = tmp_path / "m.slm"
         cont.save(cont.container_from_linearizer(model), path)
         again = cont.linearizer_from_container(cont.load(path))
-        for name, t in model.params.named_tensors().items():
-            assert np.array_equal(again.params.named_tensors()[name], t)
+        for name, t in model.params.items():
+            assert np.array_equal(again.params[name], t)
         assert again.indexers == model.indexers
         assert again.inventory.actions == model.inventory.actions
         assert again.variant == model.variant
@@ -191,6 +289,23 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError):
             cont.container_from_linearizer(model)
 
+    def test_header_lists_every_key(self, combined_file):
+        assert sorted(_split(combined_file)[0]) == sorted(HEADER_TYPES)
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupted_file(self, case, combined_file, tmp_path, capsys):
+        path = tmp_path / "m.slm"
+        path.write_bytes(CORRUPTIONS[case](combined_file))
+        bags = tmp_path / "bags.txt"
+        bags.write_text("the dog ran\n")
+        capsys.readouterr()
+        argv = ["decode", "--mode", "synxlstm", "--model", str(path), "--input", str(bags),
+                "--input-format", "bags"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: model: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
     def test_malformed_header(self, case, idx, tmp_path, capsys):
         kind, edit = MALFORMED_HEADERS[case]
@@ -214,3 +329,64 @@ class TestFormatErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: model: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+# sha256 of freshly initialized model files as `container.save` writes them.
+# Initialization draws from numpy's PCG64 and multiplies no matrices, so the
+# bytes are the same on every machine; a change to the draw order, the
+# tensor order or the file layout changes them.
+FRESH_MODEL_SHA256 = {
+    "full": "0a3fa832642a7151bd33cc96619fd50d37926aa6af1e0bd46c0db64bbcea3808",
+    "light": "5e6c99b9bc7671d88d67217db9361609cf71cb6fa32b4d286c0b18de3c1c352b",
+    "combined": "2496d063b3188b93f91c8f5e27dd3862d1792fbd3f6f36066915dc35113f84da",
+    "lm": "75a8b82e18e9a2eaa5c4c434bcfc0d2ac540ccb5f6d6c9ff41071c5ed015ced5",
+    "lm-gate-bias": "7ecbb1c340b0f287a64fe2fb6802a62fdbf5eedc1ab6f5c7dbb798cd9f9d8505",
+}
+
+
+# Order of each model's params dict: the order of the L2 sum, of Adagrad's
+# updates and of the coordinates the gradient checks draw.
+PARAMS_ORDER = {
+    "full": ["emb_word", "emb_pos", "emb_label", "w1_word", "w1_pos", "w1_label", "b1", "w2"],
+    "light": ["emb_word", "w1_word", "b1", "w2"],
+    "combined": ["emb_word", "w1_word", "w1_lm", "b1", "w2"],
+    "lm": ["emb", "cell0", "cell1", "out_emb"],
+    "lm-gate-bias": ["emb", "cell0", "cell1", "cell0_bias", "cell1_bias", "out_emb"],
+}
+
+
+def _fresh(kind, indexers):
+    """A freshly initialized model of `kind` and its container."""
+    if kind.startswith("lm"):
+        config = lstm_lm.LmConfig(hidden_size=6, seed=31, gate_bias=kind == "lm-gate-bias")
+        lm = lstm_lm.init_lm(indexers, config)
+        return lm, cont.container_from_lm(lm)
+    lm = None
+    if kind == "combined":
+        lm = lstm_lm.init_lm(indexers, lstm_lm.LmConfig(hidden_size=6, seed=32))
+    model = ffnn.init_linearizer(
+        indexers,
+        "light" if kind == "combined" else kind,
+        ffnn.TrainConfig(embed_dim=8, hidden_dim=12, seed=33),
+        lm_feat_dim=6 if lm is not None else None,
+    )
+    return model, cont.container_from_linearizer(model, lm=lm)
+
+
+class TestFreshModelBytes:
+    @pytest.mark.parametrize("kind", sorted(FRESH_MODEL_SHA256))
+    def test_pinned_digest(self, kind, idx, tmp_path):
+        path = tmp_path / "m.slm"
+        cont.save(_fresh(kind, idx)[1], path)
+        assert hashlib.sha256(_bytes(path)).hexdigest() == FRESH_MODEL_SHA256[kind]
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS_ORDER))
+    def test_params_order_survives_reload(self, kind, idx, tmp_path):
+        model, box = _fresh(kind, idx)
+        path = tmp_path / "m.slm"
+        cont.save(box, path)
+        if kind.startswith("lm"):
+            again = cont.lm_from_container(cont.load(path))
+        else:
+            again = cont.linearizer_from_container(cont.load(path))
+        assert list(model.params) == list(again.params) == PARAMS_ORDER[kind]

@@ -32,6 +32,18 @@ def names(actions):
     return [a.name() for a in actions]
 
 
+# "del" is the multiword token spanning the syntactic words 1-2; 3.1 is an
+# empty node.  Readers keep the syntactic words only.
+CONLLU_BLOCK = (
+    "# text = del perro\n"
+    "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    "1\tde\tde\tADP\tIN\t_\t3\tcase\t_\t_\n"
+    "2\tel\tel\tDET\tDT\t_\t3\tdet\t_\t_\n"
+    "3\tperro\tperro\tNOUN\tNN\t_\t0\troot\t_\t_\n"
+    "3.1\tes\t_\t_\t_\t_\t_\t_\t3:cop\t_\n"
+)
+
+
 class TestParseConll:
     def test_basic_block(self, table2):
         assert [t.form for t in table2.tokens] == ["I", "love", "NLP"]
@@ -87,6 +99,21 @@ class TestParseConll:
     def test_forms_only_reader_ignores_tree_quality(self):
         bad = "1\ta\t_\t_\tX\t_\t0\troot\n2\tb\t_\t_\tX\t_\t0\troot\n"
         assert parse_conll_forms(bad) == [["a", "b"]]
+
+    def test_conllu_ranges_and_empty_nodes_skipped_by_strict_reader(self):
+        (sent,) = parse_conll(CONLLU_BLOCK)
+        assert sent.forms() == ["de", "el", "perro"]
+        assert [t.head for t in sent.tokens] == [3, 3, 0]
+
+    def test_conllu_ranges_and_empty_nodes_skipped_by_lenient_reader(self):
+        sentences, skipped = parse_conll_lenient(CONLLU_BLOCK + "\n" + CONLLU_BLOCK)
+        assert [s.forms() for s in sentences] == [["de", "el", "perro"]] * 2
+        assert skipped == []
+
+    def test_conllu_ranges_and_empty_nodes_skipped_by_forms_reader(self):
+        assert parse_conll_forms(CONLLU_BLOCK) == [["de", "el", "perro"]]
+        # a block of nothing but such lines is no sentence
+        assert parse_conll_forms("1-2\tdel\n1.1\tx\n") == []
 
     def test_roundtrip_through_text(self, synth220):
         again = parse_conll(to_conll(synth220))

@@ -30,7 +30,7 @@ def idx(corpus):
 
 
 def params_bytes(model):
-    return b"".join(t.tobytes() for t in model.params.named_tensors().values())
+    return b"".join(t.tobytes() for t in model.params.values())
 
 
 class TestInventory:
@@ -74,7 +74,7 @@ class TestForward:
 
     def test_zero_params_uniform(self, idx, corpus):
         model = small_linearizer(idx, "full", scale=None)
-        for t in model.params.named_tensors().values():
+        for t in model.params.values():
             t[...] = 0.0
         state = self.feasible_state(model, corpus)
         feasible = legal_actions(state)
@@ -107,7 +107,7 @@ class TestForward:
         feasible = legal_actions(state)
         before = logprobs(model, fv, feasible)
         # adding one vector to every output row shifts all logits by v @ h
-        model.params.w2 += np.random.default_rng(0).uniform(-1, 1, model.params.w2.shape[1])
+        model.params["w2"] += np.random.default_rng(0).uniform(-1, 1, model.params["w2"].shape[1])
         after = logprobs(model, fv, feasible)
         best_before = max(before, key=lambda a: (before[a], a.sort_key()))
         best_after = max(after, key=lambda a: (after[a], a.sort_key()))
@@ -177,7 +177,7 @@ class TestSharedHiddenLayer:
 class TestLoss:
     def test_zero_params_log_k(self, idx, corpus):
         model = small_linearizer(idx, "full", scale=None)
-        for t in model.params.named_tensors().values():
+        for t in model.params.values():
             t[...] = 0.0
         ex = make_training_examples(corpus[:1], model)[0]
         assert abs(loss(model, [ex], l2_lambda=0.0) - np.log(len(ex.feasible))) < 1e-12
@@ -191,14 +191,14 @@ class TestLoss:
 
     def test_perfect_prediction_limit(self, idx, corpus):
         model = small_linearizer(idx, "full", scale=None)
-        for t in model.params.named_tensors().values():
+        for t in model.params.values():
             t[...] = 0.0
         ex = make_training_examples(corpus[:1], model)[0]
         gold_row = model.inventory.row(ex.gold)
         # push the gold action's logit far above every other feasible one
-        model.params.b1[...] = 100.0  # h = tanh(100) ~ 1
-        model.params.w2[gold_row] = 1.0
-        model.params.w2[[model.inventory.row(a) for a in ex.feasible if a != ex.gold]] = -1.0
+        model.params["b1"][...] = 100.0  # h = tanh(100) ~ 1
+        model.params["w2"][gold_row] = 1.0
+        model.params["w2"][[model.inventory.row(a) for a in ex.feasible if a != ex.gold]] = -1.0
         assert loss(model, [ex], l2_lambda=0.0) < 1e-9
 
     def test_gold_not_feasible(self, idx, corpus):
@@ -239,7 +239,7 @@ class TestGradients:
         exs = make_training_examples(corpus[:1], model)[:3]
         packed = ffnn._pack(model, exs)
         _, grads = ffnn._batch_pass(model, packed, np.arange(len(exs)), l2_lambda=0.0)
-        used = set(packed.word_ids.ravel().tolist())
+        used = set(packed.ids["word"].ravel().tolist())
         unused = [i for i in range(model.indexers.n_words) if i not in used]
         assert unused, "test needs at least one unused word"
         assert np.all(grads["emb_word"][unused] == 0.0)
@@ -277,7 +277,7 @@ class TestTraining:
         for _ in range(5):
             train(model, exs)
             norms.append(
-                sum(float(np.sum(t * t)) for t in model.params.named_tensors().values())
+                sum(float(np.sum(t * t)) for t in model.params.values())
             )
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -292,11 +292,11 @@ class TestTraining:
 
     def test_frozen_lm_untouched(self, idx, corpus):
         lm = small_lm(idx, seed=19, hidden_size=6)
-        lm_before = b"".join(t.tobytes() for t in lm.params.named_tensors().values())
+        lm_before = b"".join(t.tobytes() for t in lm.params.values())
         model = small_linearizer(idx, "full", seed=20, scale=None, lm_feat_dim=6, epochs=3)
         exs = make_training_examples(corpus[:5], model, lm=lm)
         train(model, exs)
-        lm_after = b"".join(t.tobytes() for t in lm.params.named_tensors().values())
+        lm_after = b"".join(t.tobytes() for t in lm.params.values())
         assert lm_before == lm_after
 
     def test_empty_examples_rejected(self, idx):

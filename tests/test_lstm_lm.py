@@ -31,7 +31,7 @@ def idx(corpus):
 
 
 def lm_bytes(model):
-    return b"".join(t.tobytes() for t in model.params.named_tensors().values())
+    return b"".join(t.tobytes() for t in model.params.values())
 
 
 def probs(model, state, ids):
@@ -67,7 +67,7 @@ class TestCell:
 class TestStep:
     def test_zero_weights_zero_output(self, idx):
         model = small_lm(idx, scale=None)
-        for t in model.params.named_tensors().values():
+        for t in model.params.values():
             t[...] = 0.0
         [state] = lm_step(model, [initial_lm_state(model)], [model.start_id])
         assert np.all(state.top_h == 0.0)
@@ -113,7 +113,7 @@ class TestDistribution:
 
     def test_zero_weights_uniform(self, idx):
         model = small_lm(idx, scale=None)
-        for t in model.params.named_tensors().values():
+        for t in model.params.values():
             t[...] = 0.0
         dist = probs(model, start_state(model), [2, 3, 4])
         assert all(abs(p - 1 / 3) < 1e-12 for p in dist)
@@ -202,7 +202,7 @@ class TestGradients:
         cfg = LmConfig(hidden_size=6, num_layers=2, dropout=0.0, seed=22, gate_bias=True)
         model = init_lm(idx, cfg)
         rng = np.random.default_rng(23)
-        for t in model.params.named_tensors().values():
+        for t in model.params.values():
             t[...] = rng.uniform(-0.5, 0.5, size=t.shape)
         err = lm_grad_check(
             model, corpus[:1], samples_per_tensor=40, rng=np.random.default_rng(3)

@@ -148,7 +148,7 @@ def model():
 
 class TestActionNeighbors:
     def test_identical_rows_cosine_one(self, model):
-        w2 = model.params.w2
+        w2 = model.params["w2"]
         w2[...] = 0.0
         a = model.inventory.actions[0]
         b = model.inventory.actions[1]
@@ -158,7 +158,7 @@ class TestActionNeighbors:
         assert top[0][0] == b and top[0][1] == pytest.approx(1.0)
 
     def test_hand_computed_ranking(self, model):
-        w2 = model.params.w2
+        w2 = model.params["w2"]
         w2[...] = 0.0
         a, b, c = model.inventory.actions[:3]
         w2[model.inventory.row(a)] = [2.0, 1.0]
@@ -171,10 +171,10 @@ class TestActionNeighbors:
 
     def test_ranking_scale_invariance(self, model):
         rng = np.random.default_rng(11)
-        model.params.w2[...] = rng.normal(size=model.params.w2.shape)
+        model.params["w2"][...] = rng.normal(size=model.params["w2"].shape)
         a = model.inventory.actions[0]
         before = [x[0] for x in action_neighbors(model, a, k=8)]
-        model.params.w2 *= 3.7
+        model.params["w2"] *= 3.7
         after = [x[0] for x in action_neighbors(model, a, k=8)]
         assert before == after
 

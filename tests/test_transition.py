@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synlin.corpus import bag_from_forms, to_bag
-from synlin.errors import IllegalActionError, StateError
+from synlin.errors import DataError, IllegalActionError, StateError
 from synlin.transition import (
     Action,
     apply,
@@ -217,5 +217,5 @@ class TestActionParsing:
             assert Action.parse(name).name() == name
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="unknown action 'Jump-now'"):
             Action.parse("Jump-now")
