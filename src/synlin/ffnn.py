@@ -26,7 +26,7 @@ from synlin.corpus import (
 )
 from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.features import FEATURE_BLOCKS, FeatureVector, extract, extract_light
-from synlin.optim import Adagrad, log_softmax, max_grad_error
+from synlin.optim import Adagrad, check_rates, log_softmax, max_grad_error, row_sums
 from synlin.transition import (
     END,
     FULL,
@@ -63,6 +63,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        check_rates(self.learning_rate, self.l2_lambda)
 
 
 class ActionInventory:
@@ -330,41 +331,36 @@ def _batch_pass(
         h = a
     rows = packed.rows[idx]
     valid = packed.valid[idx]
-    logits = np.einsum("bfh,bh->bf", p["w2"][rows], h)
+    gold = np.arange(b), packed.gold_col[idx]
+    logits = np.take_along_axis(h @ p["w2"].T, rows, axis=1)
     logits[~valid] = -np.inf
-    m = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - m)
-    z = exp.sum(axis=1, keepdims=True)
-    logz = (m + np.log(z)).ravel()
-    gold_logits = logits[np.arange(b), packed.gold_col[idx]]
-    ce = float(np.sum(logz - gold_logits))
-    objective = ce
+    logp = log_softmax(logits)
+    objective = -float(np.sum(logp[gold]))
     if l2_lambda > 0.0:
-        objective += 0.5 * l2_lambda * sum(float(np.sum(t * t)) for t in p.values())
+        objective += 0.5 * l2_lambda * sum(float(np.vdot(t, t)) for t in p.values())
     if not want_grads:
         return objective, None
 
-    grads = {name: np.zeros_like(t) for name, t in p.items()}
-    dlogits = exp / z
-    dlogits[np.arange(b), packed.gold_col[idx]] -= 1.0
-    np.add.at(
-        grads["w2"],
-        rows.reshape(-1),
-        (dlogits[:, :, None] * h[:, None, :]).reshape(-1, h.shape[1]),
-    )
-    dh = np.einsum("bfh,bf->bh", p["w2"][rows], dlogits)
+    dlogits = np.exp(logp)
+    dlogits[gold] -= 1.0
+    # dlogits as dense (b x |A|) rows, summed: OOV Shifts share the UNK row
+    n_actions = len(p["w2"])
+    flat = rows + n_actions * np.arange(b)[:, None]
+    ddense = row_sums(flat, dlogits[..., None], b * n_actions).reshape(b, n_actions)
+    grads = {"w2": ddense.T @ h}
+    dh = ddense @ p["w2"]
     da = dh * mask if mask is not None else dh
     dpre = da * (1.0 - a * a)
-    grads["b1"] += dpre.sum(axis=0)
+    grads["b1"] = dpre.sum(axis=0)
     for block, x in inputs.items():
-        grads[f"w1_{block}"] += dpre.T @ x
+        grads[f"w1_{block}"] = dpre.T @ x
         if block in ids:
             dx = (dpre @ p[f"w1_{block}"]).reshape(b, -1, model.config.embed_dim)
-            np.add.at(grads[f"emb_{block}"], ids[block], dx)
+            grads[f"emb_{block}"] = row_sums(ids[block], dx, len(p[f"emb_{block}"]))
     if l2_lambda > 0.0:
         for name, t in p.items():
             grads[name] += l2_lambda * t
-    return objective, grads
+    return objective, {name: grads[name] for name in p}
 
 
 def forward(

@@ -26,7 +26,7 @@ import numpy as np
 
 from synlin.corpus import DepSentence, Indexers
 from synlin.errors import ConfigError, DataError, TrainingError
-from synlin.optim import Adagrad, log_softmax, max_grad_error
+from synlin.optim import Adagrad, check_rates, log_softmax, max_grad_error, row_sums
 
 START_SYMBOL = "<s>"
 EOS_SYMBOL = "</s>"
@@ -51,6 +51,7 @@ class LmConfig:
             raise ConfigError("num_layers and hidden_size must be positive")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        check_rates(self.learning_rate, self.l2_lambda)
 
 
 @dataclass(frozen=True)
@@ -200,17 +201,20 @@ def sentence_ids(model: LanguageModel, forms) -> tuple[list[int], list[int]]:
 
 
 def _forward_sentence(model, inputs, targets, dropout=0.0, rng=None):
-    """Run one sentence, returning (cross_entropy, caches for backprop)."""
+    """Run one sentence, returning (cross_entropy, caches for backprop).
+
+    The output layer never feeds back, so after the step-by-step recurrence
+    the softmax of all T steps is one (T x n) @ (n x V) product.
+    """
     p = model.params
     n = model.config.hidden_size
     n_layers = model.config.num_layers
     h_prev = [np.zeros(n) for _ in range(n_layers)]
     c_prev = [np.zeros(n) for _ in range(n_layers)]
-    caches = []
-    ce = 0.0
-    for wid, target in zip(inputs, targets):
+    steps, top = [], []
+    for wid in inputs:
         below = p["emb"][wid]
-        step = {"wid": wid, "target": target, "layers": []}
+        layers = []
         for layer in range(n_layers):
             h, c, cache = _cell(
                 p[f"cell{layer}"], below, h_prev[layer], c_prev[layer], p.get(f"cell{layer}_bias")
@@ -221,41 +225,46 @@ def _forward_sentence(model, inputs, targets, dropout=0.0, rng=None):
             else:
                 cache["mask"] = None
                 below = h
-            step["layers"].append(cache)
+            layers.append(cache)
             h_prev[layer] = h
             c_prev[layer] = c
-        logp = log_softmax(p["out_emb"] @ below)
-        step["probs"] = np.exp(logp)
-        step["top_dropped"] = below
-        ce -= float(logp[target])
-        caches.append(step)
-    return ce, caches
+        steps.append(layers)
+        top.append(below)
+    top = np.array(top)
+    logp = log_softmax(top @ p["out_emb"].T)
+    ce = -float(np.sum(logp[np.arange(len(targets)), targets]))
+    return ce, {"inputs": inputs, "targets": targets, "steps": steps, "top": top, "logp": logp}
 
 
 def _backward_sentence(model, caches):
-    """Gradients of the sentence cross-entropy from forward caches."""
+    """Gradients of the sentence cross-entropy from forward caches.
+
+    Layer by layer, top down, the backward recurrence runs step by step and
+    writes each step's gate gradient dz as a row of dZ (T x 4n).  What does
+    not feed back is then one product over all T steps (Appleyard et al.
+    2016): the weight gradient dZ^T @ U and the input gradient dZ @ W_in.
+    """
     p = model.params
     n = model.config.hidden_size
-    n_layers = model.config.num_layers
-    grads = {name: np.zeros_like(t) for name, t in p.items()}
-    dh_next = [np.zeros(n) for _ in range(n_layers)]
-    dc_next = [np.zeros(n) for _ in range(n_layers)]
-    for step in reversed(caches):
-        dlogits = step["probs"].copy()
-        dlogits[step["target"]] -= 1.0
-        grads["out_emb"] += np.outer(dlogits, step["top_dropped"])
-        d_from_above = p["out_emb"].T @ dlogits
-        for layer in range(n_layers - 1, -1, -1):
-            cache = step["layers"][layer]
-            if cache["mask"] is not None:
-                d_from_above = d_from_above * cache["mask"]
-            dh = d_from_above + dh_next[layer]
-            dc = dh * cache["o"] * (1.0 - cache["tc"] ** 2) + dc_next[layer]
+    steps = caches["steps"]
+    dlogits = np.exp(caches["logp"])
+    dlogits[np.arange(len(steps)), caches["targets"]] -= 1.0
+    grads = {"out_emb": dlogits.T @ caches["top"]}
+    d_above = dlogits @ p["out_emb"]
+    for layer in range(model.config.num_layers - 1, -1, -1):
+        weights = p[f"cell{layer}"]
+        dz = np.empty((len(steps), 4 * n))
+        dh_next = dc_next = np.zeros(n)
+        for t in range(len(steps) - 1, -1, -1):
+            cache = steps[t][layer]
+            d_from_above = d_above[t] if cache["mask"] is None else d_above[t] * cache["mask"]
+            dh = d_from_above + dh_next
+            dc = dh * cache["o"] * (1.0 - cache["tc"] ** 2) + dc_next
             do = dh * cache["tc"]
             df = dc * cache["c_prev"]
             di = dc * cache["g"]
             dg = dc * cache["i"]
-            dz = np.concatenate(
+            dz[t] = np.concatenate(
                 [
                     di * cache["i"] * (1.0 - cache["i"]),
                     df * cache["f"] * (1.0 - cache["f"]),
@@ -263,15 +272,13 @@ def _backward_sentence(model, caches):
                     dg * (1.0 - cache["g"] ** 2),
                 ]
             )
-            grads[f"cell{layer}"] += np.outer(dz, cache["u"])
-            if f"cell{layer}_bias" in grads:
-                grads[f"cell{layer}_bias"] += dz
-            du = p[f"cell{layer}"].T @ dz
-            d_from_above = du[:n]
-            dh_next[layer] = du[n:]
-            dc_next[layer] = dc * cache["f"]
-        grads["emb"][step["wid"]] += d_from_above
-    return grads
+            dh_next = weights[:, n:].T @ dz[t]
+            dc_next = dc * cache["f"]
+        grads[f"cell{layer}"] = dz.T @ np.array([step[layer]["u"] for step in steps])
+        grads[f"cell{layer}_bias"] = dz.sum(axis=0)
+        d_above = dz @ weights[:, :n]
+    grads["emb"] = row_sums(caches["inputs"], d_above, len(p["emb"]))
+    return {name: grads[name] for name in p}
 
 
 def train_lm(

@@ -1,4 +1,4 @@
-"""Math both networks share: Adagrad, log-softmax, the finite-difference check.
+"""Math both networks share: Adagrad, log-softmax, row sums, the finite-difference check.
 
 Adagrad update: acc += g*g; theta -= lr * g / (sqrt(acc) + 1e-8).  Parameters
 are updated in place, so the dict passed in must hold the live arrays.
@@ -6,7 +6,18 @@ are updated in place, so the dict passed in must hold the live arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from synlin.errors import ConfigError
+
+
+def check_rates(learning_rate: float, l2_lambda: float):
+    """Raise ConfigError unless both are finite and >= 0 (a zero rate trains nothing)."""
+    for name, value in (("learning_rate", learning_rate), ("l2_lambda", l2_lambda)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 class Adagrad:
@@ -23,9 +34,16 @@ class Adagrad:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities of a 1-D logit vector, shifted by its max for stability."""
-    m = logits.max()
-    return logits - (m + np.log(np.sum(np.exp(logits - m))))
+    """Log-probabilities along the last axis, shifted by the max for stability."""
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - (m + np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)))
+
+
+def row_sums(ids, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum the rows of `values` (shape ids.shape + (width,)) by id into (n_rows, width)."""
+    width = values.shape[-1]
+    flat = (np.reshape(ids, (-1, 1)) * width + np.arange(width)).ravel()
+    return np.bincount(flat, values.ravel(), n_rows * width).reshape(n_rows, width)
 
 
 def max_grad_error(

@@ -100,10 +100,20 @@ class TestConfigFlags:
             ["decode", "--alpha", "nan"],
             ["decode", "--alpha", "inf"],
             ["decode", "--alpha=-inf"],
+            ["train", "--lr", "nan"],
+            ["train", "--lr", "-0.1"],
+            ["train", "--l2", "inf"],
+            ["train", "--l2", "-1"],
+            ["train-lm", "--lr", "-0.1"],
+            ["train-lm", "--lr", "inf"],
+            ["train-lm", "--l2", "-1"],
+            ["train-lm", "--l2", "nan"],
         ],
         ids=[
             "train-batch-size-0", "train-epochs-negative", "train-lm-epochs-negative",
             "decode-alpha-nan", "decode-alpha-inf", "decode-alpha-minus-inf",
+            "train-lr-nan", "train-lr-negative", "train-l2-inf", "train-l2-negative",
+            "train-lm-lr-negative", "train-lm-lr-inf", "train-lm-l2-negative", "train-lm-l2-nan",
         ],
     )
     def test_out_of_range_values_are_config_errors(

@@ -25,7 +25,7 @@ from synlin.errors import (
     NonProjectiveError,
     TreeError,
 )
-from synlin.transition import Action, realized_sentence
+from synlin.transition import Action, derivation_length, realized_sentence
 
 
 def names(actions):
@@ -246,7 +246,9 @@ class TestOracle:
         rng = np.random.default_rng(2024)
         for _ in range(400):
             sent = random_projective_sentence(rng, int(rng.integers(1, 13)))
-            state = replay_oracle(sent, variant)
+            actions = derive_oracle(sent, variant)
+            assert len(actions) == derivation_length(variant, len(sent))
+            state = replay_oracle(sent, variant, actions)
             assert [t.form for t in realized_sentence(state)] == sent.forms()
             assert state.arcs == gold_arcs(sent, variant)
 
