@@ -28,9 +28,9 @@ import numpy as np
 
 from synlin.corpus import WordBag
 from synlin.errors import ConfigError, DataError, SearchSpaceError
-from synlin.ffnn import Linearizer, forward
+from synlin.ffnn import Linearizer, SlotTables, forward, slot_tables
 from synlin.lstm_lm import LanguageModel, LmState, lm_step, next_word_logprobs, start_state
-from synlin.optim import log_softmax
+from synlin.optim import log_softmax, pad_rows
 from synlin.transition import (
     LIGHT,
     SHIFT,
@@ -145,13 +145,14 @@ def _check_enumerable(n: int, mode: str):
 
 
 def step_scores(
-    items: list[BeamItem], models: Models, config: DecodeConfig
+    items: list[BeamItem], models: Models, config: DecodeConfig, tables: SlotTables | None = None
 ) -> list[tuple[float, BeamItem, Action]]:
     """The candidates of one search step, scored as one batch.
 
     Returns (accumulated score, item, action) for every successor action of
     every item, items in the given order and each item's actions in
-    canonical order.  One scorer call covers all items.
+    canonical order.  One scorer call and one LM call cover all items;
+    `tables` are the scorer's slot tables for the items' bag (`_bag_tables`).
     """
     mode = config.mode
     feasibles = [_successors(item.state, mode) for item in items]
@@ -160,44 +161,44 @@ def step_scores(
             raise DataError(f"no legal actions at {item.state.summary()}")
     lm = models.lm
     if mode == MODE_LSTM:
-        increments = [
-            next_word_logprobs(lm, item.lm_state, [lm.word_id(a.arg) for a in feasible])
-            for item, feasible in zip(items, feasibles)
-        ]
+        ids = [[lm.word_id(a.arg) for a in feasible] for feasible in feasibles]
+        increments = next_word_logprobs(lm, [item.lm_state for item in items], ids)
     else:
         lin = models.linearizer
         lm_feats = None
         if mode == MODE_FEATURE:
             lm_feats = np.stack([item.lm_state.top_h for item in items])
         features = [lin.extract_features(item.state) for item in items]
-        increments = forward(lin, features, feasibles, lm_feats)
+        increments = forward(lin, features, feasibles, lm_feats, tables)
         if mode == MODE_JOINT:
-            increments = [
-                _joint(lm, item.lm_state, feasible, base, config)
-                for item, feasible, base in zip(items, feasibles, increments)
-            ]
+            increments = _joint(lm, items, feasibles, increments, config)
     return [
         (item.score + s, item, action)
-        for item, feasible, inc in zip(items, feasibles, increments)
-        for action, s in zip(feasible, inc.tolist())
+        for item, feasible, inc in zip(items, feasibles, increments.tolist())
+        for action, s in zip(feasible, inc)
     ]
 
 
 def _joint(
     lm: LanguageModel,
-    lm_state: LmState,
-    feasible: tuple[Action, ...],
+    items: list[BeamItem],
+    feasibles: list[tuple[Action, ...]],
     base: np.ndarray,
     config: DecodeConfig,
 ) -> np.ndarray:
-    """Scorer log-probs plus alpha times the LM log-prob of each shifted word."""
-    shifts = [k for k, a in enumerate(feasible) if a.kind == SHIFT]
-    combined = base
-    if shifts:
-        ids = [lm.word_id(feasible[k].arg) for k in shifts]
-        combined = base.copy()
-        combined[shifts] += config.alpha * next_word_logprobs(lm, lm_state, ids)
-    return log_softmax(combined) if config.renormalize_joint else combined
+    """Scorer log-probs `base` plus alpha times the LM log-prob of each shifted word.
+
+    Adds in place.  Shifts come first in a feasible set, so an item's LM row
+    lines up with the first columns of its scorer row.
+    """
+    shifted = [[lm.word_id(a.arg) for a in feasible if a.kind == SHIFT] for feasible in feasibles]
+    shifting = [k for k, ids in enumerate(shifted) if ids]
+    if shifting:
+        ids = [shifted[k] for k in shifting]
+        lm_logp = next_word_logprobs(lm, [items[k].lm_state for k in shifting], ids)
+        lm_logp[~pad_rows(ids)[1]] = 0.0  # the other actions get no LM term
+        base[shifting, : lm_logp.shape[1]] += config.alpha * lm_logp
+    return log_softmax(base) if config.renormalize_joint else base
 
 
 def _advance(item: BeamItem, action: Action, score: float, lm_state: LmState | None) -> BeamItem:
@@ -253,6 +254,14 @@ def _root_item(bag: WordBag, models: Models, config: DecodeConfig, variant: str)
     return BeamItem(state, 0.0, lm_state)
 
 
+def _bag_tables(bag: WordBag, models: Models, config: DecodeConfig) -> SlotTables | None:
+    """The scorer's slot tables for one bag's states; lstm mode has no scorer."""
+    if config.mode == MODE_LSTM:
+        return None
+    lin = models.linearizer
+    return slot_tables(lin, [lin.indexers.word_id(form) for form in bag.forms()])
+
+
 def beam_decode(bag: WordBag, models: Models, config: DecodeConfig) -> DecodeResult:
     """Best derivation under a breadth-synchronous beam of `beam_size`."""
     variant = _validate(models, config)
@@ -260,9 +269,10 @@ def beam_decode(bag: WordBag, models: Models, config: DecodeConfig) -> DecodeRes
     if n == 0:
         raise DataError("cannot decode an empty bag")
     items = [_root_item(bag, models, config, variant)]
+    tables = _bag_tables(bag, models, config)
     n_steps = n if config.mode == MODE_LSTM else derivation_length(variant, n)
     for step in range(n_steps):
-        candidates = step_scores(items, models, config)
+        candidates = step_scores(items, models, config, tables)
         if not all(math.isfinite(c[0]) for c in candidates):
             raise SearchSpaceError(f"non-finite score at step {step + 1}: are the weights finite?")
         candidates.sort(key=lambda c: (-c[0], c[1].state.history, c[2]))
@@ -285,6 +295,7 @@ def exhaustive_decode(bag: WordBag, models: Models, config: DecodeConfig) -> Dec
     if n == 0:
         raise DataError("cannot decode an empty bag")
     best: BeamItem | None = None
+    tables = _bag_tables(bag, models, config)
 
     def walk(item: BeamItem):
         nonlocal best
@@ -293,7 +304,7 @@ def exhaustive_decode(bag: WordBag, models: Models, config: DecodeConfig) -> Dec
             if best is None or key < (-best.score, best.state.history):
                 best = item
             return
-        for child in _advance_all(step_scores([item], models, config), models):
+        for child in _advance_all(step_scores([item], models, config, tables), models):
             walk(child)
 
     walk(_root_item(bag, models, config, variant))

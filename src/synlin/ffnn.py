@@ -26,7 +26,8 @@ from synlin.corpus import (
 )
 from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.features import FEATURE_BLOCKS, FeatureVector, extract, extract_light
-from synlin.optim import Adagrad, check_rates, log_softmax, max_grad_error, row_sums
+from synlin.optim import Adagrad, check_rates, max_grad_error, row_sums
+from synlin.optim import masked_log_softmax, pad_rows
 from synlin.transition import (
     END,
     FULL,
@@ -264,17 +265,12 @@ def _block_ids(model: Linearizer, features: list[FeatureVector]) -> dict[str, np
 
 def _pack(model: Linearizer, examples: list[TrainExample]) -> _Packed:
     n = len(examples)
-    width = max(len(e.feasible) for e in examples)
-    rows = np.zeros((n, width), dtype=np.int64)
-    valid = np.zeros((n, width), dtype=bool)
+    rows, valid = pad_rows([list(map(model.inventory.row, ex.feasible)) for ex in examples])
     gold_col = np.zeros(n, dtype=np.int64)
     lm_feats = None
     if model.lm_feat_dim is not None:
         lm_feats = np.zeros((n, model.lm_feat_dim))
     for i, ex in enumerate(examples):
-        m = len(ex.feasible)
-        rows[i, :m] = [model.inventory.row(a) for a in ex.feasible]
-        valid[i, :m] = True
         try:
             gold_col[i] = ex.feasible.index(ex.gold)
         except ValueError:
@@ -287,25 +283,6 @@ def _pack(model: Linearizer, examples: list[TrainExample]) -> _Packed:
             lm_feats[i] = ex.lm_feat
     ids = _block_ids(model, [ex.features for ex in examples])
     return _Packed(ids, lm_feats, rows, valid, gold_col)
-
-
-def _hidden(model: Linearizer, ids: dict[str, np.ndarray], lm_feats=None):
-    """tanh hidden layer of a batch of examples, one row per example.
-
-    One (b x slots*d) @ (slots*d x h) product per feature block, added in
-    `FEATURE_BLOCKS` order with the LM block last; decoding (`forward`) and
-    training (`_batch_pass`) both call it.  Also returns each block's input
-    rows (the concatenated embeddings, or the LM features) for backprop.
-    """
-    p = model.params
-    inputs = {
-        block: p[f"emb_{block}"][block_ids].reshape(len(block_ids), -1)
-        for block, block_ids in ids.items()
-    }
-    if "w1_lm" in p:
-        inputs["lm"] = lm_feats
-    first, *rest = (x @ p[f"w1_{block}"].T for block, x in inputs.items())
-    return np.tanh(sum(rest, first) + p["b1"]), inputs
 
 
 def _batch_pass(
@@ -321,8 +298,12 @@ def _batch_pass(
     p = model.params
     b = len(idx)
     ids = {block: block_ids[idx] for block, block_ids in packed.ids.items()}
-    lm = packed.lm_feats[idx] if packed.lm_feats is not None else None
-    a, inputs = _hidden(model, ids, lm)
+    # one (b x slots*d) @ (slots*d x h) product per block, the LM block last
+    inputs = {block: p[f"emb_{block}"][x].reshape(b, -1) for block, x in ids.items()}
+    if packed.lm_feats is not None:
+        inputs["lm"] = packed.lm_feats[idx]
+    first, *rest = (x @ p[f"w1_{block}"].T for block, x in inputs.items())
+    a = np.tanh(sum(rest, first) + p["b1"])
     if dropout > 0.0:
         mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
         h = a * mask
@@ -330,11 +311,8 @@ def _batch_pass(
         mask = None
         h = a
     rows = packed.rows[idx]
-    valid = packed.valid[idx]
     gold = np.arange(b), packed.gold_col[idx]
-    logits = np.take_along_axis(h @ p["w2"].T, rows, axis=1)
-    logits[~valid] = -np.inf
-    logp = log_softmax(logits)
+    logp = masked_log_softmax(np.take_along_axis(h @ p["w2"].T, rows, axis=1), packed.valid[idx])
     objective = -float(np.sum(logp[gold]))
     if l2_lambda > 0.0:
         objective += 0.5 * l2_lambda * sum(float(np.vdot(t, t)) for t in p.values())
@@ -363,19 +341,41 @@ def _batch_pass(
     return objective, {name: grads[name] for name in p}
 
 
+# Per feature block, the sorted ids a bag's states can read and their slot
+# table: entry [s, j] is the slot-s part of `w1_<block>` times the embedding
+# of the j-th id, the pre-computation trick of Chen & Manning 2014.
+SlotTables = dict[str, tuple[np.ndarray, np.ndarray]]
+
+
+def slot_tables(model: Linearizer, word_ids) -> SlotTables:
+    """Tables for states whose word features read only `word_ids` and padding."""
+    p, d = model.params, model.config.embed_dim
+    tables = {}
+    for block in FEATURE_BLOCKS[model.variant]:
+        emb, w1 = p[f"emb_{block}"], p[f"w1_{block}"]
+        ids = np.arange(len(emb))
+        if block == "word":
+            ids = np.array(sorted({model.indexers.null_word_id, *word_ids}))
+        # one (k x d) @ (d x h) product per slot, in one call
+        tables[block] = ids, np.matmul(emb[ids], w1.reshape(len(w1), -1, d).transpose(1, 2, 0))
+    return tables
+
+
 def forward(
     model: Linearizer,
     features: list[FeatureVector],
     feasibles: list[tuple[Action, ...]],
     lm_feats: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Log-probabilities of a batch of items, one array per item.
+    tables: SlotTables | None = None,
+) -> np.ndarray:
+    """Log-probabilities of a batch of items, one row per item.
 
     Item i has feature vector `features[i]`, feasible actions `feasibles[i]`
-    and, for a model with an LM feature block, the row `lm_feats[i]`.  The
-    hidden layer of all items is one `_hidden` call, shared with training;
-    the softmax of item i runs over the rows of its feasible actions only,
-    and its array holds their log-probabilities in `feasibles[i]` order.
+    and, for a model with an LM feature block, the row `lm_feats[i]`.  Row i
+    holds the log-probabilities of `feasibles[i]` in that order, padded with
+    -inf.  The hidden layer sums rows of `tables`, which must cover every id
+    the features read (when not given, they are built for those ids); the
+    output layer is training's.
     """
     if len(features) != len(feasibles):
         raise DataError(f"{len(features)} feature vectors for {len(feasibles)} feasible sets")
@@ -391,12 +391,18 @@ def forward(
             raise ConfigError(f"LM feature rows {lm_feats.shape} != ({len(features)}, {width})")
     elif lm_feats is not None:
         raise ConfigError("model has no LM feature block but one was supplied")
-    hidden, _ = _hidden(model, _block_ids(model, features), lm_feats)
-    row = model.inventory.row
-    return [
-        log_softmax(p["w2"][[row(a) for a in feasible]] @ h)
-        for h, feasible in zip(hidden, feasibles)
-    ]
+    ids = _block_ids(model, features)
+    if tables is None:
+        tables = slot_tables(model, ids["word"].ravel().tolist())
+    pre = 0.0
+    for block, block_ids in ids.items():
+        table_ids, table = tables[block]
+        pre = pre + table[np.arange(len(table)), np.searchsorted(table_ids, block_ids)].sum(axis=1)
+    if lm_feats is not None:
+        pre += lm_feats @ p["w1_lm"].T
+    rows, valid = pad_rows([list(map(model.inventory.row, feasible)) for feasible in feasibles])
+    h = np.tanh(pre + p["b1"])
+    return masked_log_softmax(np.take_along_axis(h @ p["w2"].T, rows, axis=1), valid)
 
 
 def loss(model: Linearizer, batch: list[TrainExample], l2_lambda: float | None = None) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 from synlin.corpus import DepSentence, Indexers
 from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.optim import Adagrad, check_rates, log_softmax, max_grad_error, row_sums
+from synlin.optim import masked_log_softmax, pad_rows
 
 START_SYMBOL = "<s>"
 EOS_SYMBOL = "</s>"
@@ -140,12 +141,9 @@ def _cell(weights, h_below, h_prev, c_prev, bias):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def initial_lm_state(model: LanguageModel) -> LmState:
@@ -182,16 +180,22 @@ def start_state(model: LanguageModel) -> LmState:
     return lm_step(model, [initial_lm_state(model)], [model.start_id])[0]
 
 
-def next_word_logprobs(model: LanguageModel, state: LmState, ids) -> np.ndarray:
-    """Log-probabilities normalized over the given id sequence (order kept).
+def next_word_logprobs(model: LanguageModel, states: list[LmState], ids) -> np.ndarray:
+    """Next-word log-probabilities of a batch of states, one row per state.
 
-    Duplicate ids each count as an outcome, which is what decoding over
-    distinct surface forms wants when several map to the unknown word.
+    Row k is normalized over the id sequence `ids[k]` (order kept) and padded
+    with -inf.  Duplicate ids each count as an outcome, which is what decoding
+    over distinct surface forms wants when several map to the unknown word.
+    All rows come from one batched product of the gathered output embeddings.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size == 0:
+    if len(states) != len(ids):
+        raise DataError(f"{len(states)} LM states for {len(ids)} allowed sets")
+    if not ids or not all(len(allowed) for allowed in ids):
         raise DataError("empty allowed set")
-    return log_softmax(model.params["out_emb"][ids] @ state.top_h)
+    cols, valid = pad_rows(ids)
+    top = np.stack([state.top_h for state in states])
+    logits = np.matmul(model.params["out_emb"][cols], top[:, :, None])[..., 0]
+    return masked_log_softmax(logits, valid)
 
 
 def sentence_ids(model: LanguageModel, forms) -> tuple[list[int], list[int]]:

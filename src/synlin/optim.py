@@ -1,4 +1,4 @@
-"""Math both networks share: Adagrad, log-softmax, row sums, the finite-difference check.
+"""Math both networks share: Adagrad, log-softmaxes, padding, row sums, the finite-difference check.
 
 Adagrad update: acc += g*g; theta -= lr * g / (sqrt(acc) + 1e-8).  Parameters
 are updated in place, so the dict passed in must hold the live arrays.
@@ -37,6 +37,21 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities along the last axis, shifted by the max for stability."""
     m = logits.max(axis=-1, keepdims=True)
     return logits - (m + np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)))
+
+
+def masked_log_softmax(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """`log_softmax` over the entries `valid` marks; the others are set to -inf in place."""
+    logits[~valid] = -np.inf
+    return log_softmax(logits)
+
+
+def pad_rows(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """Integer sequences as one zero-padded (n x longest) array, and the mask of real entries."""
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.zeros(valid.shape, dtype=np.int64)
+    padded[valid] = [x for seq in seqs for x in seq]
+    return padded, valid
 
 
 def row_sums(ids, values: np.ndarray, n_rows: int) -> np.ndarray:

@@ -9,9 +9,25 @@ checks the fast paths in `synlin` against them.
 
 import numpy as np
 
-from synlin.ffnn import _hidden
 from synlin.lstm_lm import _cell
 from synlin.optim import log_softmax
+
+
+def hidden(model, ids, lm_feats=None):
+    """tanh hidden layer of a batch, and each block's input rows for backprop.
+
+    One (b x slots*d) @ (slots*d x h) product per feature block, added in
+    `FEATURE_BLOCKS` order with the LM block last, as training computes it.
+    """
+    p = model.params
+    inputs = {
+        block: p[f"emb_{block}"][block_ids].reshape(len(block_ids), -1)
+        for block, block_ids in ids.items()
+    }
+    if "w1_lm" in p:
+        inputs["lm"] = lm_feats
+    first, *rest = (x @ p[f"w1_{block}"].T for block, x in inputs.items())
+    return np.tanh(sum(rest, first) + p["b1"]), inputs
 
 
 def lm_sentence_grads(model, inputs, targets, dropout=0.0, rng=None):
@@ -88,7 +104,7 @@ def batch_pass(model, packed, idx, l2_lambda, dropout=0.0, rng=None):
     b = len(idx)
     ids = {block: block_ids[idx] for block, block_ids in packed.ids.items()}
     lm = packed.lm_feats[idx] if packed.lm_feats is not None else None
-    a, inputs = _hidden(model, ids, lm)
+    a, inputs = hidden(model, ids, lm)
     if dropout > 0.0:
         mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
         h = a * mask

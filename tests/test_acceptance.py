@@ -168,7 +168,7 @@ def test_distribution_laws(synth220):
         worst_softmax = max(worst_softmax, abs(sum(np.exp(v) for v in logp.values()) - 1.0))
         if state.remaining:
             allowed = [idx.word_id(f) for f in state.remaining_forms()]
-            dist = np.exp(next_word_logprobs(lm, start_state(lm), allowed))
+            dist = np.exp(next_word_logprobs(lm, [start_state(lm)], [allowed])[0])
             worst_lm = max(worst_lm, abs(sum(dist) - 1.0))
         item = decoder.BeamItem(state, 0.0, start_state(lm))
         joint = decoder.step_scores(

@@ -159,9 +159,8 @@ class TestStepScores:
             zip(feasible, forward(lin_full, [lin_full.extract_features(state)], [feasible])[0])
         )
         forms = state.remaining_forms()
-        lm_lp = dict(
-            zip(forms, next_word_logprobs(lm, item.lm_state, [lm.word_id(f) for f in forms]))
-        )
+        [lm_row] = next_word_logprobs(lm, [item.lm_state], [[lm.word_id(f) for f in forms]])
+        lm_lp = dict(zip(forms, lm_row))
         for action, value in combined.items():
             if action.kind == "Shift":
                 expected = syn_lp[action] + 0.4 * lm_lp[action.arg]

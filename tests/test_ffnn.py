@@ -146,10 +146,10 @@ class TestForward:
 class TestSharedHiddenLayer:
     @pytest.mark.parametrize("variant,lm_feat_dim", [("full", None), ("light", None), ("light", 8)])
     def test_decoding_and_training_agree(self, idx, corpus, variant, lm_feat_dim):
-        # forward (decoding) and _batch_pass (training) build the hidden layer
-        # with the same _hidden call: a one-example training objective is
-        # minus the decoder's log-probability of the gold action, and a batch
-        # scores each item as it scores alone
+        # forward (decoding, from slot tables) and _batch_pass (training, one
+        # product per block) share the output layer: a one-example training
+        # objective is minus the decoder's log-probability of the gold action,
+        # and a batch scores each item as it scores alone, padded with -inf
         model = small_linearizer(
             idx, variant, seed=21, lm_feat_dim=lm_feat_dim, embed_dim=16, hidden_dim=64
         )
@@ -165,7 +165,9 @@ class TestSharedHiddenLayer:
             assert abs(ce + batched[i][ex.feasible.index(ex.gold)]) <= 1e-12
             row = None if feats is None else feats[i : i + 1]
             [alone] = forward(model, fvs[i : i + 1], feasibles[i : i + 1], row)
-            assert np.max(np.abs(batched[i] - alone)) <= 1e-12
+            m = len(ex.feasible)
+            assert np.max(np.abs(batched[i, :m] - alone)) <= 1e-12
+            assert np.all(batched[i, m:] == -np.inf)
 
     def test_items_and_feasible_sets_must_pair_up(self, idx, corpus):
         model = small_linearizer(idx, "full")

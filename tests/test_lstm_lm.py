@@ -8,6 +8,7 @@ from synlin.errors import DataError
 from synlin.lstm_lm import (
     LmConfig,
     _cell,
+    _sigmoid,
     init_lm,
     initial_lm_state,
     lm_grad_check,
@@ -36,7 +37,7 @@ def lm_bytes(model):
 
 def probs(model, state, ids):
     """Next-word probabilities over `ids`, in order (duplicates count separately)."""
-    return np.exp(next_word_logprobs(model, state, ids))
+    return np.exp(next_word_logprobs(model, [state], [ids])[0])
 
 
 class TestCell:
@@ -139,7 +140,47 @@ class TestDistribution:
     def test_empty_allowed(self, idx):
         model = small_lm(idx, seed=7)
         with pytest.raises(DataError):
-            next_word_logprobs(model, start_state(model), [])
+            next_word_logprobs(model, [start_state(model)], [[]])
+
+    def test_empty_allowed_set_in_a_batch(self, idx):
+        model = small_lm(idx, seed=7)
+        with pytest.raises(DataError, match="empty allowed set"):
+            next_word_logprobs(model, [start_state(model)] * 2, [[2, 3], []])
+
+    def test_states_and_allowed_sets_must_pair_up(self, idx):
+        model = small_lm(idx, seed=7)
+        with pytest.raises(DataError, match="2 LM states for 3 allowed sets"):
+            next_word_logprobs(model, [start_state(model)] * 2, [[2], [3], [4]])
+
+    def test_batch_rows_equal_single_rows(self, idx):
+        # one product for the whole batch: each row, up to its -inf padding,
+        # is the row the state gets alone (duplicate and shared ids included)
+        model = small_lm(idx, seed=7)
+        states = lm_step(model, [start_state(model)] * 3, [2, 5, 9])
+        allowed = [[4, 2, 2], [7], [9, 3, 4, 11]]
+        batch = next_word_logprobs(model, states, allowed)
+        assert batch.shape == (3, 4)
+        for row, state, ids in zip(batch, states, allowed):
+            [alone] = next_word_logprobs(model, [state], [ids])
+            assert np.max(np.abs(row[: len(ids)] - alone)) <= 1e-12
+            assert np.all(row[len(ids) :] == -np.inf)
+
+
+def test_sigmoid_is_bitwise_the_two_branch_formula():
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    rng = np.random.default_rng(3)
+    edges = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 709.8, -745.2, np.inf, -np.inf]
+    for x in (rng.standard_normal(10**6), 40.0 * rng.standard_normal(10**5), np.array(edges)):
+        assert np.array_equal(_sigmoid(x).view(np.int64), two_branch(x).view(np.int64))
+    batch = rng.standard_normal((10, 512))[:, :384]  # a strided gate slice, as in `_cell`
+    assert np.array_equal(_sigmoid(batch).view(np.int64), two_branch(batch).view(np.int64))
 
 
 class TestTraining:
