@@ -17,31 +17,29 @@ actions, and derivations have a fixed length (3n, 2n or n), so all
 surviving items finish together.  The LSTM state advances only on Shift.
 Ties in accumulated score break deterministically on the lexicographic
 action history, actions ordered by (kind, argument).
+
+A decode works on its bag's integer action codes; per bag, code arrays give
+each action's scorer row (OOV shifts share the UNK row) and LM word id.  A
+step's candidates are one (items x widest) score array, each item's columns
+in legal order.  Beam histories are distinct and of equal length, so one
+`np.lexsort` of (-score, parent's history rank, code) keeps the best.  LM
+states are (items x n) arrays per layer, gathered by parent index each step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from synlin.corpus import WordBag
 from synlin.errors import ConfigError, DataError, SearchSpaceError
 from synlin.ffnn import Linearizer, SlotTables, forward, slot_tables
-from synlin.lstm_lm import LanguageModel, LmState, lm_step, next_word_logprobs, start_state
+from synlin.lstm_lm import LanguageModel, LmStates, lm_step, next_word_logprobs, start_state
 from synlin.optim import log_softmax, pad_rows
-from synlin.transition import (
-    LIGHT,
-    SHIFT,
-    Action,
-    State,
-    apply,
-    derivation_length,
-    initial_state,
-    legal_actions,
-    realized_sentence,
-)
+from synlin.transition import LIGHT, SHIFT, Action, State, apply, derivation_length
+from synlin.transition import initial_state, legal_actions, realized_sentence
 
 MODE_SYN = "syn"
 MODE_LSTM = "lstm"
@@ -77,10 +75,36 @@ class Models:
 
 
 @dataclass
-class BeamItem:
-    state: State
-    score: float
-    lm_state: LmState | None
+class Beam:
+    """One step's items as parallel arrays, and the per-bag arrays they are scored with.
+
+    Item k is `states[k]`, with accumulated score `scores[k]`, its history's
+    rank `ranks[k]` among the items', and row k of each (h, c) array of `lm`.
+    By action code, `rows` holds the scorer's output row and `lm_ids` the
+    LM's word id (0 for non-Shifts); `tables` are the scorer's slot tables.
+    """
+
+    states: list[State]
+    scores: np.ndarray
+    ranks: np.ndarray
+    lm: LmStates | None
+    tables: SlotTables | None
+    rows: np.ndarray | None
+    lm_ids: np.ndarray | None
+
+
+@dataclass
+class Candidates:
+    """A step's `count` successors: item k's i-th legal action is `codes[k, i]`,
+    with accumulated score `scores[k, i]`, where `valid[k, i]`."""
+
+    scores: np.ndarray
+    codes: np.ndarray
+    valid: np.ndarray
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
 
 
 @dataclass
@@ -111,28 +135,23 @@ def _validate(models: Models, config: DecodeConfig) -> str:
                 f"LM feature width mismatch: model expects {lin.lm_feat_dim}, "
                 f"LM provides {lm.config.hidden_size}"
             )
-    else:
-        if lin.lm_feat_dim is not None:
-            raise ConfigError(
-                f"{config.mode} mode cannot drive a linearizer trained with LM features"
-            )
-        if config.mode == MODE_JOINT and lm is None:
-            raise ConfigError("syn+lstm mode needs a language model")
+    elif lin.lm_feat_dim is not None:
+        raise ConfigError(f"{config.mode} mode cannot drive a linearizer trained with LM features")
+    elif config.mode == MODE_JOINT and lm is None:
+        raise ConfigError("syn+lstm mode needs a language model")
     return lin.variant
 
 
-def _successors(state: State, mode: str) -> tuple[Action, ...]:
-    """Next actions of a derivation: in lstm mode a Shift of each remaining
-    form, otherwise the transition system's legal actions.
-    """
+def _successors(state: State, mode: str) -> tuple[int, ...]:
+    """Codes of a derivation's next actions: in lstm mode a Shift of each remaining form."""
     if mode == MODE_LSTM:
-        return tuple(Action(SHIFT, f) for f in state.remaining_forms())
+        return state.shifts
     return legal_actions(state)
 
 
 def _is_terminal(state: State, mode: str) -> bool:
     if mode == MODE_LSTM:
-        return not state.remaining
+        return not state.shifts
     return state.terminal
 
 
@@ -144,143 +163,137 @@ def _check_enumerable(n: int, mode: str):
         )
 
 
-def step_scores(
-    items: list[BeamItem], models: Models, config: DecodeConfig, tables: SlotTables | None = None
-) -> list[tuple[float, BeamItem, Action]]:
-    """The candidates of one search step, scored as one batch.
-
-    Returns (accumulated score, item, action) for every successor action of
-    every item, items in the given order and each item's actions in
-    canonical order.  One scorer call and one LM call cover all items;
-    `tables` are the scorer's slot tables for the items' bag (`_bag_tables`).
-    """
+def step_scores(beam: Beam, models: Models, config: DecodeConfig) -> Candidates:
+    """The candidates of one search step: one scorer call and one LM call cover all items."""
     mode = config.mode
-    feasibles = [_successors(item.state, mode) for item in items]
-    for item, feasible in zip(items, feasibles):
+    feasibles = [_successors(state, mode) for state in beam.states]
+    for state, feasible in zip(beam.states, feasibles):
         if not feasible:
-            raise DataError(f"no legal actions at {item.state.summary()}")
-    lm = models.lm
+            raise DataError(f"no legal actions at {state.summary()}")
+    codes, valid = pad_rows(feasibles)
     if mode == MODE_LSTM:
-        ids = [[lm.word_id(a.arg) for a in feasible] for feasible in feasibles]
-        increments = next_word_logprobs(lm, [item.lm_state for item in items], ids)
+        increments = next_word_logprobs(models.lm, beam.lm[-1][0], beam.lm_ids[codes], valid)
     else:
         lin = models.linearizer
-        lm_feats = None
-        if mode == MODE_FEATURE:
-            lm_feats = np.stack([item.lm_state.top_h for item in items])
-        features = [lin.extract_features(item.state) for item in items]
-        increments = forward(lin, features, feasibles, lm_feats, tables)
+        lm_feats = beam.lm[-1][0] if mode == MODE_FEATURE else None
+        features = [lin.extract_features(state) for state in beam.states]
+        increments = forward(lin, features, beam.rows[codes], valid, lm_feats, beam.tables)
         if mode == MODE_JOINT:
-            increments = _joint(lm, items, feasibles, increments, config)
-    return [
-        (item.score + s, item, action)
-        for item, feasible, inc in zip(items, feasibles, increments.tolist())
-        for action, s in zip(feasible, inc)
-    ]
+            increments = _joint(models.lm, beam, codes, valid, increments, config)
+    count = sum(map(len, feasibles))
+    return Candidates(beam.scores[:, None] + increments, codes, valid, count)
 
 
-def _joint(
-    lm: LanguageModel,
-    items: list[BeamItem],
-    feasibles: list[tuple[Action, ...]],
-    base: np.ndarray,
-    config: DecodeConfig,
-) -> np.ndarray:
+def _joint(lm: LanguageModel, beam: Beam, codes, valid, base: np.ndarray, config: DecodeConfig):
     """Scorer log-probs `base` plus alpha times the LM log-prob of each shifted word.
 
-    Adds in place.  Shifts come first in a feasible set, so an item's LM row
-    lines up with the first columns of its scorer row.
+    Adds in place.  Shifts come first in a feasible set, so the LM row of an
+    item that can shift lines up with the first columns of its scorer row.
     """
-    shifted = [[lm.word_id(a.arg) for a in feasible if a.kind == SHIFT] for feasible in feasibles]
-    shifting = [k for k, ids in enumerate(shifted) if ids]
-    if shifting:
-        ids = [shifted[k] for k in shifting]
-        lm_logp = next_word_logprobs(lm, [items[k].lm_state for k in shifting], ids)
-        lm_logp[~pad_rows(ids)[1]] = 0.0  # the other actions get no LM term
-        base[shifting, : lm_logp.shape[1]] += config.alpha * lm_logp
+    shift = valid & (codes < len(beam.states[0].space.forms))
+    shifting = np.flatnonzero(shift[:, 0])
+    if len(shifting):
+        width = shift.sum(axis=1).max()
+        shift = shift[shifting, :width]
+        ids = beam.lm_ids[codes[shifting, :width]]
+        lm_logp = next_word_logprobs(lm, beam.lm[-1][0][shifting], ids, shift)
+        lm_logp[~shift] = 0.0  # the other actions get no LM term
+        base[shifting, :width] += config.alpha * lm_logp
     return log_softmax(base) if config.renormalize_joint else base
 
 
-def _advance(item: BeamItem, action: Action, score: float, lm_state: LmState | None) -> BeamItem:
-    """The item one kept candidate leads to, given its already advanced LM state."""
-    return BeamItem(apply(item.state, action), score, lm_state)
+def _kept(beam: Beam, candidates: Candidates, beam_size: int) -> np.ndarray:
+    """Flat indices of the best `beam_size` candidates in (-score, history) order."""
+    neg = np.where(candidates.valid, -candidates.scores, np.inf).ravel()
+    ranks = np.repeat(beam.ranks, candidates.codes.shape[1])
+    order = np.lexsort((candidates.codes.ravel(), ranks, neg))
+    return order[: min(beam_size, len(candidates))]
 
 
-def _advance_all(
-    candidates: list[tuple[float, BeamItem, Action]], models: Models
-) -> list[BeamItem]:
-    """The items the candidates lead to; one LM step covers every Shift among them."""
-    lm_states = [item.lm_state for _, item, _ in candidates]
-    shifts = [
-        k
-        for k, (_, item, action) in enumerate(candidates)
-        if item.lm_state is not None and action.kind == SHIFT
-    ]
-    if shifts:
-        ids = [models.lm.word_id(candidates[k][2].arg) for k in shifts]
-        for k, state in zip(shifts, lm_step(models.lm, [lm_states[k] for k in shifts], ids)):
-            lm_states[k] = state
-    return [
-        _advance(item, action, score, lm_state)
-        for (score, item, action), lm_state in zip(candidates, lm_states)
-    ]
+def _advance(state: State, code: int) -> State:
+    """The state one kept candidate leads to."""
+    return apply(state, code)
 
 
-def _result(item: BeamItem, mode: str) -> DecodeResult:
-    if mode == MODE_LSTM:
-        refs = tuple(it.root for it in item.state.stack)
-        arcs = None
-    else:
-        refs = realized_sentence(item.state)
-        arcs = item.state.arcs
-    return DecodeResult(
-        tokens=tuple(r.form for r in refs),
-        tids=tuple(r.tid for r in refs),
-        arcs=arcs,
-        actions=item.state.history,
-        score=item.score,
-    )
+def _advance_all(beam: Beam, candidates: Candidates, kept: np.ndarray, models: Models) -> Beam:
+    """The beam of the `kept` candidates (flat indices, in the new beam's order).
+
+    A new item's history ranks as (its parent's rank, its code); one LM step
+    covers every Shift among the kept candidates.
+    """
+    parents = kept // candidates.codes.shape[1]
+    codes = candidates.codes.ravel()[kept]
+    states = [_advance(beam.states[k], c) for k, c in zip(parents.tolist(), codes.tolist())]
+    ranks = np.empty(len(kept), dtype=np.int64)
+    ranks[np.lexsort((codes, beam.ranks[parents]))] = np.arange(len(kept))
+    lm = beam.lm
+    if lm is not None:
+        lm = tuple((h[parents], c[parents]) for h, c in lm)
+        shifts = np.flatnonzero(codes < len(beam.states[0].space.forms))
+        if len(shifts):
+            ids = beam.lm_ids[codes[shifts]]
+            stepped = lm_step(models.lm, [(h[shifts], c[shifts]) for h, c in lm], ids)
+            for (h, c), (h_new, c_new) in zip(lm, stepped):
+                h[shifts], c[shifts] = h_new, c_new
+    scores = candidates.scores.ravel()[kept]
+    return Beam(states, scores, ranks, lm, beam.tables, beam.rows, beam.lm_ids)
 
 
-def _root_item(bag: WordBag, models: Models, config: DecodeConfig, variant: str) -> BeamItem:
-    lin = models.linearizer
+def _item(beam: Beam, k: int) -> Beam:
+    """The one-item beam of item k."""
+    at = [k]
+    lm = None if beam.lm is None else tuple((h[at], c[at]) for h, c in beam.lm)
+    states, scores, ranks = [beam.states[k]], beam.scores[at], beam.ranks[at]
+    return replace(beam, states=states, scores=scores, ranks=ranks, lm=lm)
+
+
+def _result(state: State, score: float, mode: str) -> DecodeResult:
+    lstm = mode == MODE_LSTM
+    refs = tuple(it.root for it in state.stack) if lstm else realized_sentence(state)
+    tokens, tids = tuple(r.form for r in refs), tuple(r.tid for r in refs)
+    return DecodeResult(tokens, tids, None if lstm else state.arcs, state.history, float(score))
+
+
+def _start(state: State, models: Models, config: DecodeConfig) -> Beam:
+    """The one-item beam at `state`: score 0 and the LM at its start state."""
+    lin, lm = models.linearizer, models.lm
+    actions = state.space.actions
+    tables = rows = lm_ids = lm_state = None
+    if config.mode != MODE_LSTM:
+        tables = slot_tables(lin, [lin.indexers.word_id(form) for form in state.space.forms])
+        rows = np.array([lin.inventory.row(a) for a in actions])
+    if config.mode != MODE_SYN:
+        lm_state = start_state(lm)
+        lm_ids = np.array([lm.word_id(a.arg) if a.kind == SHIFT else 0 for a in actions])
+    return Beam([state], np.zeros(1), np.zeros(1, dtype=np.int64), lm_state, tables, rows, lm_ids)
+
+
+def _root(bag: WordBag, models: Models, config: DecodeConfig) -> Beam:
+    """The one-item beam at the bag's initial state, once the mode and models check out."""
+    variant = _validate(models, config)
+    if len(bag) == 0:
+        raise DataError("cannot decode an empty bag")
     if config.mode == MODE_LSTM:
-        state = initial_state(bag, LIGHT)
-    else:
-        state = initial_state(
-            bag, variant, lin.indexers.content_pos_tags, lin.indexers.content_labels
-        )
-    lm_state = start_state(models.lm) if config.mode != MODE_SYN else None
-    return BeamItem(state, 0.0, lm_state)
-
-
-def _bag_tables(bag: WordBag, models: Models, config: DecodeConfig) -> SlotTables | None:
-    """The scorer's slot tables for one bag's states; lstm mode has no scorer."""
-    if config.mode == MODE_LSTM:
-        return None
-    lin = models.linearizer
-    return slot_tables(lin, [lin.indexers.word_id(form) for form in bag.forms()])
+        return _start(initial_state(bag, LIGHT), models, config)
+    indexers = models.linearizer.indexers
+    state = initial_state(bag, variant, indexers.content_pos_tags, indexers.content_labels)
+    return _start(state, models, config)
 
 
 def beam_decode(bag: WordBag, models: Models, config: DecodeConfig) -> DecodeResult:
     """Best derivation under a breadth-synchronous beam of `beam_size`."""
-    variant = _validate(models, config)
+    beam = _root(bag, models, config)
     n = len(bag)
-    if n == 0:
-        raise DataError("cannot decode an empty bag")
-    items = [_root_item(bag, models, config, variant)]
-    tables = _bag_tables(bag, models, config)
-    n_steps = n if config.mode == MODE_LSTM else derivation_length(variant, n)
+    n_steps = n if config.mode == MODE_LSTM else derivation_length(beam.states[0].space.variant, n)
     for step in range(n_steps):
-        candidates = step_scores(items, models, config, tables)
-        if not all(math.isfinite(c[0]) for c in candidates):
+        cands = step_scores(beam, models, config)
+        if not np.isfinite(cands.scores[cands.valid]).all():
             raise SearchSpaceError(f"non-finite score at step {step + 1}: are the weights finite?")
-        candidates.sort(key=lambda c: (-c[0], c[1].state.history, c[2]))
-        items = _advance_all(candidates[: config.beam_size], models)
-    best = items[0]
-    if not _is_terminal(best.state, config.mode):
-        raise SearchSpaceError(f"unfinished after {n_steps} steps: {best.state.summary()}")
-    return _result(best, config.mode)
+        beam = _advance_all(beam, cands, _kept(beam, cands, config.beam_size), models)
+    best = beam.states[0]
+    if not _is_terminal(best, config.mode):
+        raise SearchSpaceError(f"unfinished after {n_steps} steps: {best.summary()}")
+    return _result(best, beam.scores[0], config.mode)
 
 
 def exhaustive_decode(bag: WordBag, models: Models, config: DecodeConfig) -> DecodeResult:
@@ -289,35 +302,27 @@ def exhaustive_decode(bag: WordBag, models: Models, config: DecodeConfig) -> Dec
     Scores accumulate exactly as in beam_decode, ties break the same way.
     Refuses bags larger than the hard bounds.
     """
-    variant = _validate(models, config)
-    n = len(bag)
-    _check_enumerable(n, config.mode)
-    if n == 0:
-        raise DataError("cannot decode an empty bag")
-    best: BeamItem | None = None
-    tables = _bag_tables(bag, models, config)
+    root = _root(bag, models, config)
+    _check_enumerable(len(bag), config.mode)
+    best = None
 
-    def walk(item: BeamItem):
+    def walk(beam: Beam):
         nonlocal best
-        if _is_terminal(item.state, config.mode):
-            key = (-item.score, item.state.history)
-            if best is None or key < (-best.score, best.state.history):
-                best = item
+        state, score = beam.states[0], beam.scores[0]
+        if _is_terminal(state, config.mode):
+            if best is None or (-score, state.history) < best[0]:
+                best = (-score, state.history), state, score
             return
-        for child in _advance_all(step_scores([item], models, config, tables), models):
-            walk(child)
+        cands = step_scores(beam, models, config)
+        children = _advance_all(beam, cands, np.flatnonzero(cands.valid), models)
+        for k in range(len(children.states)):
+            walk(_item(children, k))
 
-    walk(_root_item(bag, models, config, variant))
-    return _result(best, config.mode)
+    walk(root)
+    return _result(best[1], best[2], config.mode)
 
 
-def count_derivations(
-    bag: WordBag,
-    mode: str,
-    variant: str = LIGHT,
-    pos_tags=(),
-    arc_labels=(),
-) -> int:
+def count_derivations(bag: WordBag, mode: str, variant=LIGHT, pos_tags=(), arc_labels=()) -> int:
     """Number of legal derivations for a bag (no models, structure only).
 
     Walks the same successors and terminal test as `exhaustive_decode`.

@@ -60,21 +60,14 @@ class FeatureVector:
 
 
 def _referents(state: State) -> list[StackItem | None]:
-    stack = state.stack
-    s = [stack[-i] if len(stack) >= i else None for i in (1, 2, 3)]
+    s = state.peek(3)
     out: list[StackItem | None] = list(s)
     for item in s[:2]:
         if item is None:
-            out.extend((None, None, None, None))
+            out.extend((None,) * 4)
         else:
-            out.extend(
-                (
-                    item.left_child(1),
-                    item.left_child(2),
-                    item.right_child(1),
-                    item.right_child(2),
-                )
-            )
+            out.extend((item.left_child(1), item.left_child(2)))
+            out.extend((item.right_child(1), item.right_child(2)))
     for item in s[:2]:
         lc1 = item.left_child(1) if item is not None else None
         rc1 = item.right_child(1) if item is not None else None
@@ -84,10 +77,8 @@ def _referents(state: State) -> list[StackItem | None]:
 
 
 def _word_ids(refs: list[StackItem | None], indexers: Indexers) -> tuple[int, ...]:
-    return tuple(
-        indexers.word_id(r.root.form) if r is not None else indexers.null_word_id
-        for r in refs
-    )
+    null = indexers.null_word_id
+    return tuple(null if r is None else indexers.word_id(r.root.form) for r in refs)
 
 
 def extract(state: State, indexers: Indexers) -> FeatureVector:

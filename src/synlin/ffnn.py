@@ -28,18 +28,8 @@ from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.features import FEATURE_BLOCKS, FeatureVector, extract, extract_light
 from synlin.optim import Adagrad, check_rates, max_grad_error, row_sums
 from synlin.optim import masked_log_softmax, pad_rows
-from synlin.transition import (
-    END,
-    FULL,
-    LEFT_ARC,
-    POS,
-    RIGHT_ARC,
-    SHIFT,
-    Action,
-    apply,
-    initial_state,
-    legal_actions,
-)
+from synlin.transition import END, FULL, LEFT_ARC, POS, RIGHT_ARC, SHIFT, Action, apply
+from synlin.transition import initial_state, legal_actions
 
 INIT_SCALE = 0.01
 
@@ -200,11 +190,7 @@ def init_linearizer(
     )
 
 
-def make_training_examples(
-    sentences: list[DepSentence],
-    model: Linearizer,
-    lm=None,
-) -> list[TrainExample]:
+def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=None) -> list[TrainExample]:
     """Replay the oracle over each sentence, recording one example per action.
 
     When `lm` is given (a trained LanguageModel), each example carries the
@@ -216,15 +202,11 @@ def make_training_examples(
     examples = []
     for k, sent in enumerate(sentences):
         actions = derive_oracle(sent, model.variant)
-        state = initial_state(
-            to_bag(sent),
-            model.variant,
-            model.indexers.content_pos_tags,
-            model.indexers.content_labels,
-        )
+        tags, labels = model.indexers.content_pos_tags, model.indexers.content_labels
+        state = initial_state(to_bag(sent), model.variant, tags, labels)
         lm_state = lstm_lm.start_state(lm) if lm is not None else None
         for act in actions:
-            feasible = legal_actions(state)
+            feasible = tuple(map(state.space.actions.__getitem__, legal_actions(state)))
             if act not in feasible:
                 raise DataError(
                     f"sentence {k + 1}: gold action {act.name()} not feasible at "
@@ -235,12 +217,12 @@ def make_training_examples(
                     features=model.extract_features(state),
                     feasible=feasible,
                     gold=act,
-                    lm_feat=None if lm_state is None else lm_state.top_h,
+                    lm_feat=None if lm_state is None else lm_state[-1][0][0],
                 )
             )
             state = apply(state, act)
             if lm is not None and act.kind == SHIFT:
-                lm_state = lstm_lm.lm_step(lm, [lm_state], [lm.word_id(act.arg)])[0]
+                lm_state = lstm_lm.lm_step(lm, lm_state, [lm.word_id(act.arg)])
     return examples
 
 
@@ -364,22 +346,23 @@ def slot_tables(model: Linearizer, word_ids) -> SlotTables:
 def forward(
     model: Linearizer,
     features: list[FeatureVector],
-    feasibles: list[tuple[Action, ...]],
+    rows: np.ndarray,
+    valid: np.ndarray,
     lm_feats: np.ndarray | None = None,
     tables: SlotTables | None = None,
 ) -> np.ndarray:
     """Log-probabilities of a batch of items, one row per item.
 
-    Item i has feature vector `features[i]`, feasible actions `feasibles[i]`
-    and, for a model with an LM feature block, the row `lm_feats[i]`.  Row i
-    holds the log-probabilities of `feasibles[i]` in that order, padded with
-    -inf.  The hidden layer sums rows of `tables`, which must cover every id
-    the features read (when not given, they are built for those ids); the
-    output layer is training's.
+    Item i has feature vector `features[i]`, feasible actions of the output
+    rows `rows[i][valid[i]]` (`optim.pad_rows` pads row sequences) and, for a
+    model with an LM feature block, the row `lm_feats[i]`.  Row i holds their
+    log-probabilities in that order, padded with -inf.  The hidden layer sums
+    rows of `tables`, which must cover every id the features read (when not
+    given, they are built for those ids); the output layer is training's.
     """
-    if len(features) != len(feasibles):
-        raise DataError(f"{len(features)} feature vectors for {len(feasibles)} feasible sets")
-    if not all(feasibles):
+    if len(features) != len(rows):
+        raise DataError(f"{len(features)} feature vectors for {len(rows)} feasible sets")
+    if not valid.any(axis=-1).all():
         raise DataError("feasible set is empty")
     p = model.params
     if "w1_lm" in p:
@@ -400,9 +383,8 @@ def forward(
         pre = pre + table[np.arange(len(table)), np.searchsorted(table_ids, block_ids)].sum(axis=1)
     if lm_feats is not None:
         pre += lm_feats @ p["w1_lm"].T
-    rows, valid = pad_rows([list(map(model.inventory.row, feasible)) for feasible in feasibles])
     h = np.tanh(pre + p["b1"])
-    return masked_log_softmax(np.take_along_axis(h @ p["w2"].T, rows, axis=1), valid)
+    return masked_log_softmax((h @ p["w2"].T)[np.arange(len(rows))[:, None], rows], valid)
 
 
 def loss(model: Linearizer, batch: list[TrainExample], l2_lambda: float | None = None) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from synlin.corpus import DepSentence, Indexers
 from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.optim import Adagrad, check_rates, log_softmax, max_grad_error, row_sums
-from synlin.optim import masked_log_softmax, pad_rows
+from synlin.optim import masked_log_softmax
 
 START_SYMBOL = "<s>"
 EOS_SYMBOL = "</s>"
@@ -55,16 +55,8 @@ class LmConfig:
         check_rates(self.learning_rate, self.l2_lambda)
 
 
-@dataclass(frozen=True)
-class LmState:
-    """Per-layer (h, c) pairs for a consumed prefix.  Never mutated in place."""
-
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    consumed: int = 0
-
-    @property
-    def top_h(self) -> np.ndarray:
-        return self.layers[-1][0]
+# A batch of LM states: per layer (h, c), each (k x n) with one row per sequence.
+LmStates = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass
@@ -146,55 +138,47 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def initial_lm_state(model: LanguageModel) -> LmState:
+def initial_lm_state(model: LanguageModel) -> LmStates:
+    """The zero state of one sequence."""
     n = model.config.hidden_size
-    zero = np.zeros(n)
-    return LmState(
-        layers=tuple((zero.copy(), zero.copy()) for _ in range(model.config.num_layers)),
-        consumed=0,
-    )
+    return tuple((np.zeros((1, n)), np.zeros((1, n))) for _ in range(model.config.num_layers))
 
 
-def lm_step(model: LanguageModel, states: list[LmState], word_ids) -> list[LmState]:
-    """Feed word_ids[k] to states[k]; returns the new states, in order.
+def lm_step(model: LanguageModel, states: LmStates, word_ids) -> LmStates:
+    """Feed word_ids[k] to row k of `states`; returns the new states.
 
-    All states advance together: one batched `_cell` per layer.
+    All rows advance together: one batched `_cell` per layer.
     """
     p = model.params
     below = p["emb"][np.asarray(word_ids, dtype=np.int64)]
     layers = []
-    for layer in range(model.config.num_layers):
-        h_prev = np.stack([s.layers[layer][0] for s in states])
-        c_prev = np.stack([s.layers[layer][1] for s in states])
+    for layer, (h_prev, c_prev) in enumerate(states):
         h, c, _ = _cell(p[f"cell{layer}"], below, h_prev, c_prev, p.get(f"cell{layer}_bias"))
         layers.append((h, c))
         below = h
-    return [
-        LmState(layers=tuple((h[k], c[k]) for h, c in layers), consumed=s.consumed + 1)
-        for k, s in enumerate(states)
-    ]
+    return tuple(layers)
 
 
-def start_state(model: LanguageModel) -> LmState:
+def start_state(model: LanguageModel) -> LmStates:
     """State after consuming the start symbol; the decode-time origin."""
-    return lm_step(model, [initial_lm_state(model)], [model.start_id])[0]
+    return lm_step(model, initial_lm_state(model), [model.start_id])
 
 
-def next_word_logprobs(model: LanguageModel, states: list[LmState], ids) -> np.ndarray:
+def next_word_logprobs(model: LanguageModel, top: np.ndarray, ids, valid) -> np.ndarray:
     """Next-word log-probabilities of a batch of states, one row per state.
 
-    Row k is normalized over the id sequence `ids[k]` (order kept) and padded
-    with -inf.  Duplicate ids each count as an outcome, which is what decoding
-    over distinct surface forms wants when several map to the unknown word.
-    All rows come from one batched product of the gathered output embeddings.
+    `top` holds the states' top-layer outputs (`states[-1][0]`).  Row k is
+    normalized over the ids `ids[k]` marks `valid` (order kept; `optim.pad_rows`
+    builds both from id sequences) and padded with -inf.  Duplicate ids each
+    count as an outcome, which is what decoding over distinct surface forms
+    wants when several map to the unknown word.  All rows come from one
+    batched product of the gathered output embeddings.
     """
-    if len(states) != len(ids):
-        raise DataError(f"{len(states)} LM states for {len(ids)} allowed sets")
-    if not ids or not all(len(allowed) for allowed in ids):
+    if len(top) != len(ids):
+        raise DataError(f"{len(top)} LM states for {len(ids)} allowed sets")
+    if not len(ids) or not valid.any(axis=-1).all():
         raise DataError("empty allowed set")
-    cols, valid = pad_rows(ids)
-    top = np.stack([state.top_h for state in states])
-    logits = np.matmul(model.params["out_emb"][cols], top[:, :, None])[..., 0]
+    logits = np.matmul(model.params["out_emb"][ids], top[:, :, None])[..., 0]
     return masked_log_softmax(logits, valid)
 
 

@@ -7,14 +7,18 @@ closes a finished derivation.  In the "full" variant every Shift is followed
 by exactly one Pos action tagging the new word, and arc actions carry labels;
 the "light" variant has neither.
 
-States are immutable values: `apply` returns a successor and never mutates
-its input, so beam search can branch and share prefixes freely.
+States are immutable nodes, as in the graph-structured stack of Huang &
+Sagae 2010: `apply` returns a node pointing at its parent and at the state
+holding the rest of its stack, so beam search can branch and share prefixes
+freely; history, stack, remaining words and arcs are read back from the
+nodes.  The states from one initial state share an `ActionSpace` that
+numbers their actions in canonical order: `legal_actions` returns these
+codes, and `apply` takes an action or its code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from synlin.errors import DataError, IllegalActionError, StateError
@@ -67,8 +71,7 @@ class Action:
         return self.sort_key() < other.sort_key()
 
 
-@dataclass(frozen=True)
-class StackItem:
+class StackItem(NamedTuple):
     """A partial subtree on the stack.
 
     Child tuples are kept nearest-to-root first (attachment order), so the
@@ -94,51 +97,120 @@ class StackItem:
         return self.right_children[-k] if len(self.right_children) >= k else None
 
 
-@dataclass(frozen=True)
-class State:
-    """A configuration: stack, remaining word set, arcs, and action history.
+class ActionSpace:
+    """The actions of every derivation from one initial state, by code.
 
-    `remaining` is kept sorted by (form, tid); shifting a form consumes the
-    lowest remaining tid carrying it, which makes duplicate handling
-    deterministic.  Arcs are (head tid, dependent tid, label-or-None).
+    Code c is `actions[c]`, in canonical order (`codes` inverts it): Shifts
+    first, code k shifting `forms[k]`.  Bit i of a state's `left` mask is
+    `tokens[i]`, the bag sorted by (form, tid).  `pos_codes` and `arc_codes`
+    are the Pos and arc blocks in legal order.
     """
 
-    variant: str
-    stack: tuple[StackItem, ...]
-    remaining: tuple[TokenRef, ...]
-    arcs: frozenset
-    history: tuple[Action, ...]
-    pos_tags: tuple[str, ...] = ()
-    arc_labels: tuple[str, ...] = ()
-    pending_pos: bool = False
-    terminal: bool = False
+    def __init__(self, tokens, variant: str, pos_tags: tuple, arc_labels: tuple):
+        self.variant = variant
+        self.tokens = tuple(sorted(tokens, key=lambda t: (t.form, t.tid)))
+        bits: dict[str, int] = {}
+        for i, tok in enumerate(self.tokens):
+            bits[tok.form] = bits.get(tok.form, 0) | 1 << i
+        self.forms, self.form_bits = tuple(bits), tuple(bits.values())
+        if variant != FULL:
+            pos_tags, arc_labels = (), (None,)
+        tags, labels = sorted(set(pos_tags)), sorted(set(arc_labels))
+        self.actions = (
+            *(Action(SHIFT, form) for form in self.forms),
+            *(Action(POS, tag) for tag in tags),
+            *(Action(kind, label) for kind in (LEFT_ARC, RIGHT_ARC) for label in labels),
+            Action(END),
+        )
+        tag_code = {tag: len(bits) + i for i, tag in enumerate(tags)}
+        label_code = {label: len(bits) + len(tags) + i for i, label in enumerate(labels)}
+        self.pos_codes = tuple(tag_code[tag] for tag in pos_tags)
+        left = tuple(label_code[label] for label in arc_labels)
+        self.arc_codes = left + tuple(code + len(labels) for code in left)
+        self.end_code = len(self.actions) - 1
+        self.codes = {a: c for c, a in enumerate(self.actions)}
+
+
+class State:
+    """A configuration node: the action `code` that led here from `parent`.
+
+    The stack is `top` on the stack of `below`, `depth` items in all; `left`
+    masks the remaining tokens, and `shifts` holds the Shift codes of their
+    distinct forms.  Shifting a form consumes the lowest remaining tid
+    carrying it, which makes duplicate handling deterministic.  Arcs are
+    (head tid, dependent tid, label-or-None).
+    """
+
+    __slots__ = ("space", "parent", "code", "top", "below", "depth", "left", "shifts", "_legal")
+
+    def __init__(self, space, parent, code, top, below, depth, left, shifts):
+        self.space, self.parent, self.code = space, parent, code
+        self.top, self.below, self.depth = top, below, depth
+        self.left, self.shifts, self._legal = left, shifts, None
 
     @property
-    def n_tokens(self) -> int:
-        return len(self.remaining) + sum(len(item.span) for item in self.stack)
+    def terminal(self) -> bool:
+        return self.code == self.space.end_code
+
+    @property
+    def legal(self) -> tuple[int, ...]:
+        """`legal_actions`, computed once per state (a cache, not a field)."""
+        if self._legal is None:
+            self._legal = _legal_codes(self)
+        return self._legal
+
+    def nodes(self) -> list["State"]:
+        """The states from the first action's to this one."""
+        out, node = [], self
+        while node.parent is not None:
+            out.append(node)
+            node = node.parent
+        return out[::-1]
+
+    @property
+    def history(self) -> tuple[Action, ...]:
+        return tuple(self.space.actions[node.code] for node in self.nodes())
+
+    def peek(self, k: int) -> list[StackItem | None]:
+        """The top k stack items, top first, padded with None."""
+        out, node = [], self
+        while len(out) < k and node.depth:
+            out.append(node.top)
+            node = node.below
+        return out + [None] * (k - len(out))
+
+    @property
+    def stack(self) -> tuple[StackItem, ...]:
+        return tuple(self.peek(self.depth)[::-1])
+
+    @property
+    def remaining(self) -> tuple[TokenRef, ...]:
+        return tuple(t for i, t in enumerate(self.space.tokens) if self.left >> i & 1)
+
+    @property
+    def arcs(self) -> frozenset:
+        arcs = set()
+        for node in self.nodes():
+            kind, label = self.space.actions[node.code].kind, self.space.actions[node.code].arg
+            if kind in (LEFT_ARC, RIGHT_ARC):
+                dep = (node.top.left_children if kind == LEFT_ARC else node.top.right_children)[-1]
+                arcs.add((node.top.root.tid, dep.root.tid, label))
+        return frozenset(arcs)
 
     def remaining_forms(self) -> list[str]:
         """Distinct remaining forms in canonical (sorted) order."""
-        seen: list[str] = []
-        for tok in self.remaining:
-            if not seen or seen[-1] != tok.form:
-                seen.append(tok.form)
-        return seen
-
-    @cached_property
-    def legal(self) -> tuple[Action, ...]:
-        """`legal_actions`, computed once per state (a cache, not a field)."""
-        return _legal_actions(self)
-
-    @cached_property
-    def legal_set(self) -> frozenset[Action]:
-        """The legal actions as a set, for `apply`'s membership check."""
-        return frozenset(self.legal)
+        return [self.space.forms[k] for k in self.shifts]
 
     def summary(self) -> str:
         stack = " ".join(item.root.form for item in self.stack)
         rho = " ".join(tok.form for tok in self.remaining)
-        return f"stack=[{stack}] remaining=[{rho}] step={len(self.history)}"
+        return f"stack=[{stack}] remaining=[{rho}] step={len(self.nodes())}"
+
+    def __eq__(self, other) -> bool:
+        """Equal when reached from the same initial state by the same actions."""
+        if not isinstance(other, State) or self.space is not other.space:
+            return False
+        return [n.code for n in self.nodes()] == [n.code for n in other.nodes()]
 
 
 def derivation_length(variant: str, n: int) -> int:
@@ -146,12 +218,7 @@ def derivation_length(variant: str, n: int) -> int:
     return 3 * n if variant == FULL else 2 * n
 
 
-def initial_state(
-    bag,
-    variant: str,
-    pos_tags: Iterable[str] = (),
-    arc_labels: Iterable[str] = (),
-) -> State:
+def initial_state(bag, variant: str, pos_tags: Iterable[str] = (), arc_labels: Iterable[str] = ()):
     """Start configuration: empty stack, full word set, no arcs.
 
     `bag` is a WordBag or any iterable of TokenRef.  For the full variant,
@@ -163,100 +230,71 @@ def initial_state(
     tokens = tuple(getattr(bag, "token_ids", bag))
     if not tokens:
         raise StateError("cannot initialize a state from an empty bag")
-    remaining = tuple(sorted(tokens, key=lambda t: (t.form, t.tid)))
-    return State(
-        variant=variant,
-        stack=(),
-        remaining=remaining,
-        arcs=frozenset(),
-        history=(),
-        pos_tags=tuple(pos_tags),
-        arc_labels=tuple(arc_labels),
-    )
+    space = ActionSpace(tokens, variant, tuple(pos_tags), tuple(arc_labels))
+    everything = (1 << len(tokens)) - 1
+    return State(space, None, None, None, None, 0, everything, tuple(range(len(space.forms))))
 
 
-def legal_actions(state: State) -> tuple[Action, ...]:
-    """All actions applicable at `state`, in a fixed canonical order.
-
-    Terminal states have none.  Directly after a Shift in the full variant
-    only Pos actions are legal.  End requires an empty word set and a single
-    stack item.  Computed once per state, so scoring and `apply` share it.
+def legal_actions(state: State) -> tuple[int, ...]:
+    """Codes of the actions applicable at `state` (`state.space.actions[c]` is
+    code c's action): Shifts by form, the Pos or arc block in the order
+    `initial_state` got its tags and labels, then End.  Terminal states have
+    none; right after a full-variant Shift only Pos is legal; End needs an
+    empty word set and one stack item.  Cached, so scoring and `apply` share it.
     """
     return state.legal
 
 
-def _legal_actions(state: State) -> tuple[Action, ...]:
+def _legal_codes(state: State) -> tuple[int, ...]:
+    space = state.space
     if state.terminal:
         return ()
-    if state.variant == FULL and state.pending_pos:
-        return tuple(Action(POS, p) for p in state.pos_tags)
-    acts = [Action(SHIFT, form) for form in state.remaining_forms()]
-    if len(state.stack) >= 2:
-        if state.variant == FULL:
-            acts.extend(Action(LEFT_ARC, l) for l in state.arc_labels)
-            acts.extend(Action(RIGHT_ARC, l) for l in state.arc_labels)
-        else:
-            acts.append(Action(LEFT_ARC))
-            acts.append(Action(RIGHT_ARC))
-    if not state.remaining and len(state.stack) == 1:
-        acts.append(Action(END))
-    return tuple(acts)
+    if space.variant == FULL and state.code is not None and state.code < len(space.forms):
+        return space.pos_codes  # a Pos action follows every Shift
+    codes = state.shifts
+    if state.depth >= 2:
+        codes += space.arc_codes
+    if not state.shifts and state.depth == 1:
+        codes += (space.end_code,)
+    return codes
 
 
-def apply(state: State, action: Action) -> State:
-    """Deterministic successor of `state` under `action`.
+def apply(state: State, action: Action | int) -> State:
+    """Deterministic successor of `state` under `action` (an Action or its code).
 
     Raises IllegalActionError when the action is outside `legal_actions`.
     LArc pops the top two items i (top) and j, makes j a dependent of i and
     prepends j's span; RArc symmetrically roots the combined item at j, so
     the second item always ends up left of the top one in surface order.
     """
-    if action not in state.legal_set:
-        raise IllegalActionError(f"illegal {action.name()} at {state.summary()}")
-    history = state.history + (action,)
-    if action.kind == SHIFT:
-        pos = next(i for i, t in enumerate(state.remaining) if t.form == action.arg)
-        tok = state.remaining[pos]
+    space = state.space
+    code = space.codes.get(action) if isinstance(action, Action) else action
+    if code not in state.legal:
+        name = action.name() if isinstance(action, Action) else f"action code {action}"
+        raise IllegalActionError(f"illegal {name} at {state.summary()}")
+    kind, arg = space.actions[code].kind, space.actions[code].arg
+    if kind == SHIFT:
+        mine = state.left & space.form_bits[code]
+        bit = mine & -mine
+        tok = space.tokens[bit.bit_length() - 1]
+        shifts = state.shifts if mine != bit else tuple(k for k in state.shifts if k != code)
         item = StackItem(root=tok, span=(tok,))
-        return replace(
-            state,
-            stack=state.stack + (item,),
-            remaining=state.remaining[:pos] + state.remaining[pos + 1 :],
-            history=history,
-            pending_pos=state.variant == FULL,
-        )
-    if action.kind == POS:
-        top = replace(state.stack[-1], pos=action.arg)
-        return replace(
-            state, stack=state.stack[:-1] + (top,), history=history, pending_pos=False
-        )
-    if action.kind == LEFT_ARC:
-        i, j = state.stack[-1], state.stack[-2]
-        attached = replace(j, arc_label=action.arg)
-        merged = replace(
-            i, left_children=i.left_children + (attached,), span=j.span + i.span
-        )
-        arcs = state.arcs | {(i.root.tid, j.root.tid, action.arg)}
-        return replace(
-            state, stack=state.stack[:-2] + (merged,), arcs=arcs, history=history
-        )
-    if action.kind == RIGHT_ARC:
-        i, j = state.stack[-1], state.stack[-2]
-        attached = replace(i, arc_label=action.arg)
-        merged = replace(
-            j, right_children=j.right_children + (attached,), span=j.span + i.span
-        )
-        arcs = state.arcs | {(j.root.tid, i.root.tid, action.arg)}
-        return replace(
-            state, stack=state.stack[:-2] + (merged,), arcs=arcs, history=history
-        )
-    if action.kind == END:
-        return replace(state, terminal=True, history=history)
-    raise IllegalActionError(f"unknown action kind {action.kind!r}")
+        return State(space, state, code, item, state, state.depth + 1, state.left ^ bit, shifts)
+    i, below, depth = state.top, state.below, state.depth
+    if kind == POS:
+        i = i._replace(pos=arg)
+    elif kind != END:
+        j, below, depth = below.top, below.below, depth - 1
+        span = j.span + i.span
+        if kind == LEFT_ARC:
+            i = i._replace(left_children=(*i.left_children, j._replace(arc_label=arg)), span=span)
+        else:
+            i = j._replace(right_children=(*j.right_children, i._replace(arc_label=arg)), span=span)
+    return State(space, state, code, i, below, depth, state.left, state.shifts)
 
 
 def realized_sentence(state: State) -> tuple[TokenRef, ...]:
     """Surface order of a finished derivation (requires a terminal state)."""
     if not state.terminal:
         raise StateError(f"state is not terminal: {state.summary()}")
-    return state.stack[0].span
+    return state.top.span

@@ -29,6 +29,7 @@ from synlin.corpus import (
 )
 from synlin.decoder import DecodeConfig, Models, beam_decode, count_derivations, exhaustive_decode
 from synlin.lstm_lm import next_word_logprobs, start_state
+from synlin.optim import pad_rows
 from synlin.synth import toy_corpus
 from synlin.transition import apply, initial_state, legal_actions, realized_sentence
 
@@ -160,21 +161,22 @@ def test_distribution_laws(synth220):
             if not acts:
                 break
             state = apply(state, acts[rng.integers(0, len(acts))])
-        feasible = legal_actions(state)
+        feasible = tuple(state.space.actions[c] for c in legal_actions(state))
         if not feasible:
             continue
         fv = lin.extract_features(state)
-        logp = dict(zip(feasible, ffnn.forward(lin, [fv], [feasible])[0]))
+        rows = pad_rows([[lin.inventory.row(a) for a in feasible]])
+        logp = dict(zip(feasible, ffnn.forward(lin, [fv], *rows)[0]))
         worst_softmax = max(worst_softmax, abs(sum(np.exp(v) for v in logp.values()) - 1.0))
         if state.remaining:
-            allowed = [idx.word_id(f) for f in state.remaining_forms()]
-            dist = np.exp(next_word_logprobs(lm, [start_state(lm)], [allowed])[0])
+            allowed = pad_rows([[idx.word_id(f) for f in state.remaining_forms()]])
+            dist = np.exp(next_word_logprobs(lm, start_state(lm)[-1][0], *allowed)[0])
             worst_lm = max(worst_lm, abs(sum(dist) - 1.0))
-        item = decoder.BeamItem(state, 0.0, start_state(lm))
-        joint = decoder.step_scores(
-            [item], Models(linearizer=lin, lm=lm), DecodeConfig(mode="syn+lstm", alpha=0.4)
-        )
-        for value, _, action in joint:
+        models = Models(linearizer=lin, lm=lm)
+        config = DecodeConfig(mode="syn+lstm", alpha=0.4)
+        joint = decoder.step_scores(decoder._start(state, models, config), models, config)
+        for value, code in zip(joint.scores[joint.valid], joint.codes[joint.valid]):
+            action = state.space.actions[code]
             if action.kind != "Shift" and value != logp[action]:
                 joint_zero_ok = False
         checked += 1

@@ -217,13 +217,14 @@ class TestRoundTrip:
 
     def test_lm_reload_behaves_identically(self, idx, tmp_path):
         from synlin.lstm_lm import next_word_logprobs, start_state
+        from synlin.optim import pad_rows
 
         lm = small_lm(idx, seed=6)
         path = tmp_path / "m.slm"
         cont.save(cont.container_from_lm(lm), path)
         again = cont.lm_from_container(cont.load(path))
-        d1 = next_word_logprobs(lm, [start_state(lm)], [[2, 3, 4]])
-        d2 = next_word_logprobs(again, [start_state(again)], [[2, 3, 4]])
+        d1 = next_word_logprobs(lm, start_state(lm)[-1][0], *pad_rows([[2, 3, 4]]))
+        d2 = next_word_logprobs(again, start_state(again)[-1][0], *pad_rows([[2, 3, 4]]))
         assert np.array_equal(d1, d2)
 
     def test_combined_loads_both(self, idx, tmp_path):

@@ -1,12 +1,19 @@
-"""Table-driven decoding against the per-item reference in `reference_decode.py`.
+"""Decoding against the references in `reference_decode.py`.
+
+The array beam of `synlin.decoder` must reproduce the object beam it
+replaced bit for bit: every `DecodeResult` field is compared with `==`, in
+all four modes, with seeded random models and with all-tie models (`w2` and
+`out_emb` zeroed), where the tie rule decides every step.
 
 `step_scores` sums per-bag slot tables for the hidden layer, takes one output
-product per step and one LM product per step; the reference builds each
-item's hidden layer with training's product and scores every item alone.
+product per step and one LM product per step; the per-item reference builds
+each item's hidden layer with training's product and scores every item alone.
 The sums run in another order, so scores may differ in the last bits: every
 candidate must match within 1e-9, with the same items and actions in the
 same order.  The tables must be built per bag and per call, so they never go
-stale and never grow with the vocabulary.
+stale and never grow with the vocabulary.  The action codes of a bag must
+sort as its actions do and map to the scorer rows and LM ids of those
+actions.
 """
 
 import dataclasses
@@ -14,13 +21,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_decode
 from conftest import small_linearizer, small_lm
 from synlin import decoder, ffnn
-from synlin.corpus import bag_from_forms, build_indexers, to_bag
+from synlin.corpus import UNK_WORD, bag_from_forms, build_indexers, to_bag
 from synlin.decoder import DecodeConfig, Models, beam_decode, step_scores
 from synlin.synth import toy_corpus
+from synlin.transition import SHIFT, Action, initial_state
 
 TOL = 1e-9
 
@@ -68,6 +78,32 @@ def models_for(idx, lm, mode, variant):
     return Models(linearizer=lin, lm=None if mode == "syn" else lm)
 
 
+def all_tie(models):
+    """Copies of the models with `w2` and `out_emb` zeroed: every feasible
+    action of an item gets the same score."""
+
+    def zeroed(model, name):
+        params = {k: np.zeros_like(v) if k == name else v for k, v in model.params.items()}
+        return dataclasses.replace(model, params=params)
+
+    return Models(
+        linearizer=models.linearizer and zeroed(models.linearizer, "w2"),
+        lm=models.lm and zeroed(models.lm, "out_emb"),
+    )
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["random", "all-tie"])
+@pytest.mark.parametrize("beam", [1, 2, 10])
+@pytest.mark.parametrize("mode,variant,renormalize", CASES)
+def test_array_beam_equals_the_object_beam(idx, lm, bags, mode, variant, renormalize, beam, ties):
+    models = models_for(idx, lm, mode, variant)
+    if ties:
+        models = all_tie(models)
+    cfg = DecodeConfig(mode=mode, alpha=0.4, beam_size=beam, renormalize_joint=renormalize)
+    for bag in bags:
+        assert beam_decode(bag, models, cfg) == reference_decode.beam_decode(bag, models, cfg)
+
+
 @pytest.mark.parametrize("beam", [1, 2, 10])
 @pytest.mark.parametrize("mode,variant,renormalize", CASES)
 def test_every_candidate_matches_the_reference(idx, lm, bags, mode, variant, renormalize, beam):
@@ -75,17 +111,51 @@ def test_every_candidate_matches_the_reference(idx, lm, bags, mode, variant, ren
     cfg = DecodeConfig(mode=mode, alpha=0.4, beam_size=beam, renormalize_joint=renormalize)
     widest = 0
     for bag in bags:
-        items = [decoder._root_item(bag, models, cfg, decoder._validate(models, cfg))]
-        tables = decoder._bag_tables(bag, models, cfg)
-        while not decoder._is_terminal(items[0].state, mode):
-            fast = step_scores(items, models, cfg, tables)
-            slow = reference_decode.step_scores(items, models, cfg)
-            assert [(id(i), a) for _, i, a in fast] == [(id(i), a) for _, i, a in slow]
-            assert max(abs(f[0] - s[0]) for f, s in zip(fast, slow)) <= TOL
-            fast.sort(key=lambda c: (-c[0], c[1].state.history, c[2]))
-            items = decoder._advance_all(fast[:beam], models)
-            widest = max(widest, len(items))
+        items = decoder._root(bag, models, cfg)
+        while not decoder._is_terminal(items.states[0], mode):
+            fast = step_scores(items, models, cfg)
+            reference_items = reference_decode.items_of(items)
+            slow = reference_decode.step_scores(reference_items, models, cfg)
+            # the same items and actions in the same order
+            actions = items.states[0].space.actions
+            k, i = np.nonzero(fast.valid)
+            item_index = {id(item): n for n, item in enumerate(reference_items)}
+            assert [(int(n), actions[c]) for n, c in zip(k, fast.codes[k, i])] == [
+                (item_index[id(item)], a) for _, item, a in slow
+            ]
+            assert len(fast) == len(slow)
+            assert max(abs(f - s[0]) for f, s in zip(fast.scores[k, i], slow)) <= TOL
+            items = decoder._advance_all(items, fast, decoder._kept(items, fast, beam), models)
+            widest = max(widest, len(items.states))
     assert widest == beam
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    forms=st.lists(st.sampled_from(["the", "dog", "a", "cat", "qqq", "zebra", "ran"]), min_size=1, max_size=8),
+    variant=st.sampled_from(["full", "light"]),
+)
+def test_action_codes_sort_and_map_as_their_actions(forms, variant):
+    idx = build_indexers(toy_corpus(30, seed=81))
+    lin = small_linearizer(idx, variant, seed=84)
+    lm = small_lm(idx, seed=82)
+    state = initial_state(bag_from_forms(forms), variant, idx.content_pos_tags, idx.content_labels)
+    space = state.space
+    # sorting codes sorts their actions: code c is the c-th action in canonical order
+    assert list(space.actions) == sorted(space.actions)
+    assert all(space.codes[a] == c for c, a in enumerate(space.actions))
+    assert len(space.codes) == len(space.actions)
+    arrays = decoder._start(state, Models(linearizer=lin, lm=lm), DecodeConfig(mode="syn+lstm"))
+    unk_row = lin.inventory.row(Action(SHIFT, UNK_WORD))
+    for code, action in enumerate(space.actions):
+        assert arrays.rows[code] == lin.inventory.row(action)
+        if action.kind == SHIFT:
+            assert code < len(space.forms)
+            assert arrays.lm_ids[code] == lm.word_id(action.arg)
+            if not idx.has_word(action.arg):
+                assert arrays.rows[code] == unk_row
+        else:
+            assert code >= len(space.forms)
 
 
 def test_tables_are_rebuilt_for_every_call(idx):

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,8 @@ from synlin.decoder import (
 )
 from synlin.errors import ConfigError, SearchSpaceError
 from synlin.ffnn import forward, make_training_examples, train
-from synlin.lstm_lm import next_word_logprobs, start_state
+from synlin.lstm_lm import lm_step, next_word_logprobs, start_state
+from synlin.optim import pad_rows
 from synlin.synth import toy_corpus
 from synlin.transition import Action, initial_state, legal_actions
 
@@ -65,13 +68,29 @@ def lin_trained(corpus, idx):
     return model
 
 
-def scores(item, models, cfg):
+def candidates(beam, models, cfg):
+    """step_scores as (accumulated score, item index, action) triples."""
+    cands = step_scores(beam, models, cfg)
+    actions = beam.states[0].space.actions
+    k, i = np.nonzero(cands.valid)
+    return [
+        (score, int(item), actions[code])
+        for score, item, code in zip(cands.scores[k, i].tolist(), k, cands.codes[k, i])
+    ]
+
+
+def scores(beam, models, cfg):
     """step_scores on a one-item beam, as a map action -> accumulated score."""
-    return {action: score for score, _, action in step_scores([item], models, cfg)}
+    return {action: score for score, _, action in candidates(beam, models, cfg)}
 
 
-def advance(item, action, score, models):
-    return decoder._advance_all([(score, item, action)], models)[0]
+def advance(beam, action, score, models, cfg):
+    """The one-item beam that `action` leads to from a one-item beam, with accumulated `score`."""
+    cands = step_scores(beam, models, cfg)
+    code = beam.states[0].space.codes[action]
+    kept = np.flatnonzero(cands.valid & (cands.codes == code))
+    child = decoder._advance_all(beam, cands, kept, models)
+    return dataclasses.replace(child, scores=np.array([score]))
 
 
 class TestValidation:
@@ -116,8 +135,7 @@ class TestValidation:
 
 class TestStepScores:
     def root_item(self, bag, models, config):
-        variant = decoder._validate(models, config)
-        return decoder._root_item(bag, models, config, variant)
+        return decoder._root(bag, models, config)
 
     def test_joint_nonshift_lm_contribution_exactly_zero(self, corpus, lin_light, lm):
         bag = to_bag(corpus[1])
@@ -128,9 +146,9 @@ class TestStepScores:
         # shift twice so arc actions become available
         for _ in range(2):
             shift = next(a for a in scores(item, models, joint_cfg) if a.kind == "Shift")
-            item = advance(item, shift, 0.0, models)
+            item = advance(item, shift, 0.0, models, joint_cfg)
         joint = scores(item, models, joint_cfg)
-        syn_item = decoder.BeamItem(item.state, 0.0, None)
+        syn_item = decoder._start(item.states[0], models, syn_cfg)
         syn = scores(syn_item, models, syn_cfg)
         nonshift = [a for a in joint if a.kind != "Shift"]
         assert nonshift
@@ -143,7 +161,9 @@ class TestStepScores:
         item = self.root_item(bag, models, DecodeConfig(mode="syn+lstm", alpha=0.0))
         joint = scores(item, models, DecodeConfig(mode="syn+lstm", alpha=0.0))
         syn = scores(
-            decoder.BeamItem(item.state, 0.0, None), models, DecodeConfig(mode="syn")
+            decoder._start(item.states[0], models, DecodeConfig(mode="syn")),
+            models,
+            DecodeConfig(mode="syn"),
         )
         assert joint == syn
 
@@ -153,13 +173,13 @@ class TestStepScores:
         cfg = DecodeConfig(mode="syn+lstm", alpha=0.4)
         item = self.root_item(bag, models, cfg)
         combined = scores(item, models, cfg)
-        state = item.state
-        feasible = legal_actions(state)
-        syn_lp = dict(
-            zip(feasible, forward(lin_full, [lin_full.extract_features(state)], [feasible])[0])
-        )
+        state = item.states[0]
+        feasible = tuple(state.space.actions[c] for c in legal_actions(state))
+        rows = pad_rows([[lin_full.inventory.row(a) for a in feasible]])
+        syn_lp = dict(zip(feasible, forward(lin_full, [lin_full.extract_features(state)], *rows)[0]))
         forms = state.remaining_forms()
-        [lm_row] = next_word_logprobs(lm, [item.lm_state], [[lm.word_id(f) for f in forms]])
+        ids = pad_rows([[lm.word_id(f) for f in forms]])
+        [lm_row] = next_word_logprobs(lm, item.lm[-1][0], *ids)
         lm_lp = dict(zip(forms, lm_row))
         for action, value in combined.items():
             if action.kind == "Shift":
@@ -181,24 +201,18 @@ class TestStepScores:
         item = self.root_item(bag, models, cfg)
         base = scores(item, models, cfg)
         # a different LM state must change the scores
-        other = decoder.BeamItem(
-            item.state, 0.0, start_state(lm).__class__(
-                layers=tuple((h + 1.0, c) for h, c in item.lm_state.layers),
-                consumed=item.lm_state.consumed,
-            )
-        )
+        other = dataclasses.replace(item, lm=tuple((h + 1.0, c) for h, c in item.lm))
         changed = scores(other, models, cfg)
         assert any(abs(base[a] - changed[a]) > 1e-9 for a in base)
 
 
 def beam_after(bag, models, cfg, steps):
     """The beam items after `steps` steps of beam_decode's search."""
-    items = [decoder._root_item(bag, models, cfg, decoder._validate(models, cfg))]
+    beam = decoder._root(bag, models, cfg)
     for _ in range(steps):
-        candidates = step_scores(items, models, cfg)
-        candidates.sort(key=lambda c: (-c[0], c[1].state.history, c[2]))
-        items = decoder._advance_all(candidates[: cfg.beam_size], models)
-    return items
+        cands = step_scores(beam, models, cfg)
+        beam = decoder._advance_all(beam, cands, decoder._kept(beam, cands, cfg.beam_size), models)
+    return beam
 
 
 class TestBatchedStep:
@@ -216,13 +230,17 @@ class TestBatchedStep:
         )
         cfg = DecodeConfig(mode=mode, alpha=0.4, beam_size=width, renormalize_joint=renormalize)
         bag = to_bag(next(s for s in corpus if len(s) >= 6))
-        items = beam_after(bag, models, cfg, steps=5)
-        assert len(items) == width
-        batched = step_scores(items, models, cfg)
-        single = [c for item in items for c in step_scores([item], models, cfg)]
+        beam = beam_after(bag, models, cfg, steps=5)
+        assert len(beam.states) == width
+        batched = candidates(beam, models, cfg)
+        single = [
+            (score, k, action)
+            for k in range(width)
+            for score, _, action in candidates(decoder._item(beam, k), models, cfg)
+        ]
         assert len(batched) == len(single)
         for (score, item, action), (score1, item1, action1) in zip(batched, single):
-            assert item is item1 and action == action1
+            assert item == item1 and action == action1
             assert abs(score - score1) <= 1e-12
 
 
@@ -232,13 +250,13 @@ class TestBeam:
         cfg = DecodeConfig(mode="syn", beam_size=1)
         bag = to_bag(corpus[5])
         result = beam_decode(bag, models, cfg)
-        item = decoder._root_item(bag, models, cfg, "full")
-        while not item.state.terminal:
+        item = decoder._root(bag, models, cfg)
+        while not item.states[0].terminal:
             totals = scores(item, models, cfg)
             best = min(totals, key=lambda a: (-totals[a], a.sort_key()))
-            item = advance(item, best, totals[best], models)
-        assert result.actions == item.state.history
-        assert abs(result.score - item.score) < 1e-12
+            item = advance(item, best, totals[best], models, cfg)
+        assert result.actions == item.states[0].history
+        assert abs(result.score - item.scores[0]) < 1e-12
 
     def test_single_token_bag(self, lin_full, lm):
         for mode, models in [
@@ -293,15 +311,17 @@ class TestBeam:
         bag = to_bag(corpus[2])
         models = Models(linearizer=lin_full, lm=lm)
         cfg = DecodeConfig(mode="syn+lstm", alpha=0.4)
-        item = decoder._root_item(bag, models, cfg, "full")
-        shifts = 0
-        while not item.state.terminal:
+        item = decoder._root(bag, models, cfg)
+        prefix = start_state(lm)
+        while not item.states[0].terminal:
             totals = scores(item, models, cfg)
             action = max(totals, key=lambda a: (totals[a], a.sort_key()))
-            item = advance(item, action, 0.0, models)
-            shifts += action.kind == "Shift"
+            item = advance(item, action, 0.0, models, cfg)
+            if action.kind == "Shift":
+                prefix = lm_step(lm, prefix, [lm.word_id(action.arg)])
             # start symbol plus one step per shifted word
-            assert item.lm_state.consumed == 1 + shifts
+            for (h, c), (h1, c1) in zip(item.lm, prefix):
+                assert np.array_equal(h, h1) and np.array_equal(c, c1)
 
     def test_unfinished_derivation_is_a_search_error(self, corpus, lin_full, monkeypatch):
         # a coded error rather than an assert, so the check survives python -O
@@ -357,13 +377,15 @@ class TestExhaustive:
         leaves = []
 
         def walk(item):
-            if decoder._is_terminal(item.state, mode):
-                leaves.append((item.score, item.state.history))
+            if decoder._is_terminal(item.states[0], mode):
+                leaves.append((item.scores[0], item.states[0].history))
                 return
-            for child in decoder._advance_all(step_scores([item], models, cfg), models):
-                walk(child)
+            cands = step_scores(item, models, cfg)
+            children = decoder._advance_all(item, cands, np.flatnonzero(cands.valid), models)
+            for k in range(len(children.states)):
+                walk(decoder._item(children, k))
 
-        walk(decoder._root_item(bag, models, cfg, decoder._validate(models, cfg)))
+        walk(decoder._root(bag, models, cfg))
         assert len(leaves) == count_derivations(bag, mode)
         assert all(best.score >= s for s, _ in leaves)
         assert min(leaves, key=lambda leaf: (-leaf[0], leaf[1])) == (best.score, best.actions)
@@ -383,6 +405,33 @@ class TestExhaustive:
             assert beamed.tokens == exact.tokens
             assert beamed.actions == exact.actions
             assert abs(beamed.score - exact.score) < 1e-9
+
+    @pytest.mark.parametrize("mode", ["syn", "syn+lstm", "synxlstm", "lstm"])
+    def test_oversized_beams_equal_exhaustive(self, mode, lin_light, lin_feat, lm):
+        # The kept slice must take any beam_size: a beam past the space, the
+        # space's size (the candidate count of the last step), and one short
+        # of it, which still keeps the argmax because the last step is forced
+        # and adds 0 to every score.  Nothing is allocated by beam_size.
+        models = Models(
+            linearizer={"syn": lin_light, "syn+lstm": lin_light, "synxlstm": lin_feat}.get(mode),
+            lm=None if mode == "syn" else lm,
+        )
+        for forms in (["go"], ["the", "dog"], ["a", "cat", "ran"], ["the", "the", "dog", "ran"]):
+            bag = bag_from_forms(forms)
+            space = count_derivations(bag, mode)
+            exact = exhaustive_decode(bag, models, DecodeConfig(mode=mode, alpha=0.4))
+            for beam in sorted({max(1, space - 1), space, space + 1, 10**12}):
+                tracemalloc.start()
+                try:
+                    beamed = beam_decode(bag, models, DecodeConfig(mode=mode, alpha=0.4, beam_size=beam))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2**24
+                assert (beamed.tokens, beamed.tids, beamed.arcs, beamed.actions) == (
+                    exact.tokens, exact.tids, exact.arcs, exact.actions
+                )
+                assert abs(beamed.score - exact.score) < 1e-9
 
     def test_full_variant_tiny_tag_set(self, corpus):
         # keep the enumeration small: 2 tokens, 2 tags, 1 label

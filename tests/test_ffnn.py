@@ -15,6 +15,7 @@ from synlin.ffnn import (
     make_training_examples,
     train,
 )
+from synlin.optim import pad_rows
 from synlin.synth import toy_corpus
 from synlin.transition import Action, initial_state, legal_actions
 
@@ -57,9 +58,19 @@ class TestInventory:
             inv.row(Action("Pos", "ZZZ"))
 
 
+def feasible_rows(model, feasibles):
+    """`forward`'s rows and mask for sequences of feasible actions."""
+    return pad_rows([[model.inventory.row(a) for a in feasible] for feasible in feasibles])
+
+
+def actions_at(state):
+    """The legal actions of `state`, in legal order."""
+    return tuple(state.space.actions[c] for c in legal_actions(state))
+
+
 def logprobs(model, fv, feasible):
     """forward on a one-item batch, as a map action -> log-probability."""
-    return dict(zip(feasible, forward(model, [fv], [feasible])[0]))
+    return dict(zip(feasible, forward(model, [fv], *feasible_rows(model, [feasible]))[0]))
 
 
 class TestForward:
@@ -77,7 +88,7 @@ class TestForward:
         for t in model.params.values():
             t[...] = 0.0
         state = self.feasible_state(model, corpus)
-        feasible = legal_actions(state)
+        feasible = actions_at(state)
         out = logprobs(model, model.extract_features(state), feasible)
         expected = -np.log(len(feasible))
         assert all(abs(v - expected) < 1e-12 for v in out.values())
@@ -85,7 +96,7 @@ class TestForward:
     def test_normalization(self, idx, corpus):
         model = small_linearizer(idx, "full", seed=3)
         state = self.feasible_state(model, corpus)
-        out = logprobs(model, model.extract_features(state), legal_actions(state))
+        out = logprobs(model, model.extract_features(state), actions_at(state))
         assert abs(sum(np.exp(v) for v in out.values()) - 1.0) < 1e-9
 
     def test_subset_renormalization_identity(self, idx, corpus):
@@ -94,7 +105,7 @@ class TestForward:
         fv = model.extract_features(state)
         full_set = model.inventory.actions
         full_lp = logprobs(model, fv, full_set)
-        subset = tuple(legal_actions(state))
+        subset = tuple(actions_at(state))
         sub_lp = logprobs(model, fv, subset)
         log_mass = np.log(sum(np.exp(full_lp[a]) for a in subset))
         for a in subset:
@@ -104,7 +115,7 @@ class TestForward:
         model = small_linearizer(idx, "full", seed=5)
         state = self.feasible_state(model, corpus)
         fv = model.extract_features(state)
-        feasible = legal_actions(state)
+        feasible = actions_at(state)
         before = logprobs(model, fv, feasible)
         # adding one vector to every output row shifts all logits by v @ h
         model.params["w2"] += np.random.default_rng(0).uniform(-1, 1, model.params["w2"].shape[1])
@@ -120,7 +131,7 @@ class TestForward:
         model = small_linearizer(idx, "full", seed=6)
         state = self.feasible_state(model, corpus)
         fv = model.extract_features(state)
-        feasible = legal_actions(state)
+        feasible = actions_at(state)
         r1 = logprobs(model, fv, feasible)
         r2 = logprobs(model, fv, feasible)
         assert r1 == r2
@@ -129,7 +140,7 @@ class TestForward:
         model = small_linearizer(idx, "full")
         state = self.feasible_state(model, corpus)
         with pytest.raises(DataError):
-            forward(model, [model.extract_features(state)], [()])
+            forward(model, [model.extract_features(state)], *feasible_rows(model, [()]))
 
     def test_lm_feat_mismatch(self, idx, corpus):
         model = small_linearizer(idx, "full")
@@ -138,7 +149,7 @@ class TestForward:
             forward(
                 model,
                 [model.extract_features(state)],
-                [legal_actions(state)],
+                *feasible_rows(model, [actions_at(state)]),
                 np.zeros((1, 4)),
             )
 
@@ -158,13 +169,13 @@ class TestSharedHiddenLayer:
         feats = np.stack([e.lm_feat for e in examples]) if lm else None
         fvs = [e.features for e in examples]
         feasibles = [e.feasible for e in examples]
-        batched = forward(model, fvs, feasibles, feats)
+        batched = forward(model, fvs, *feasible_rows(model, feasibles), feats)
         packed = ffnn._pack(model, examples)
         for i, ex in enumerate(examples):
             ce, _ = ffnn._batch_pass(model, packed, np.array([i]), 0.0, want_grads=False)
             assert abs(ce + batched[i][ex.feasible.index(ex.gold)]) <= 1e-12
             row = None if feats is None else feats[i : i + 1]
-            [alone] = forward(model, fvs[i : i + 1], feasibles[i : i + 1], row)
+            [alone] = forward(model, fvs[i : i + 1], *feasible_rows(model, feasibles[i : i + 1]), row)
             m = len(ex.feasible)
             assert np.max(np.abs(batched[i, :m] - alone)) <= 1e-12
             assert np.all(batched[i, m:] == -np.inf)
@@ -173,7 +184,7 @@ class TestSharedHiddenLayer:
         model = small_linearizer(idx, "full")
         state = initial_state(to_bag(corpus[0]), "full", idx.content_pos_tags, idx.content_labels)
         with pytest.raises(DataError):
-            forward(model, [model.extract_features(state)] * 2, [legal_actions(state)])
+            forward(model, [model.extract_features(state)] * 2, *feasible_rows(model, [actions_at(state)]))
 
 
 class TestLoss:

@@ -5,6 +5,7 @@ from conftest import small_lm
 from synlin import lstm_lm
 from synlin.corpus import build_indexers, parse_conll
 from synlin.errors import DataError
+from synlin.optim import pad_rows
 from synlin.lstm_lm import (
     LmConfig,
     _cell,
@@ -37,7 +38,22 @@ def lm_bytes(model):
 
 def probs(model, state, ids):
     """Next-word probabilities over `ids`, in order (duplicates count separately)."""
-    return np.exp(next_word_logprobs(model, [state], [ids])[0])
+    return np.exp(logprobs(model, state, [list(ids)])[0])
+
+
+def logprobs(model, states, ids):
+    """next_word_logprobs of the rows of `states` over the id sequences `ids`."""
+    return next_word_logprobs(model, states[-1][0], *pad_rows(ids))
+
+
+def starts(model, k):
+    """k copies of the start state."""
+    return tuple((np.repeat(h, k, axis=0), np.repeat(c, k, axis=0)) for h, c in start_state(model))
+
+
+def rows(states, k):
+    """Row k of a batch of LM states, as a one-row batch."""
+    return tuple((h[[k]], c[[k]]) for h, c in states)
 
 
 class TestCell:
@@ -70,26 +86,27 @@ class TestStep:
         model = small_lm(idx, scale=None)
         for t in model.params.values():
             t[...] = 0.0
-        [state] = lm_step(model, [initial_lm_state(model)], [model.start_id])
-        assert np.all(state.top_h == 0.0)
-        assert state.consumed == 1
+        state = lm_step(model, initial_lm_state(model), [model.start_id])
+        assert np.all(state[-1][0] == 0.0)
+        assert state[-1][0].shape == (1, model.config.hidden_size)
 
     def test_determinism_and_purity(self, idx):
         model = small_lm(idx, seed=4)
         st0 = initial_lm_state(model)
-        snapshot = [(h.copy(), c.copy()) for h, c in st0.layers]
-        [s1] = lm_step(model, [st0], [3])
-        [s2] = lm_step(model, [st0], [3])
-        assert np.array_equal(s1.top_h, s2.top_h)
-        for (h, c), (hs, cs) in zip(st0.layers, snapshot):
+        snapshot = [(h.copy(), c.copy()) for h, c in st0]
+        s1 = lm_step(model, st0, [3])
+        s2 = lm_step(model, st0, [3])
+        assert np.array_equal(s1[-1][0], s2[-1][0])
+        for (h, c), (hs, cs) in zip(st0, snapshot):
             assert np.array_equal(h, hs) and np.array_equal(c, cs)
 
-    def test_prefix_counter(self, idx):
+    def test_start_state_consumes_the_start_symbol(self, idx):
         model = small_lm(idx, seed=4)
         st = start_state(model)
-        assert st.consumed == 1
-        [st] = lm_step(model, [st], [2])
-        assert st.consumed == 2
+        again = lm_step(model, initial_lm_state(model), [model.start_id])
+        for (h, c), (h1, c1) in zip(st, again):
+            assert np.array_equal(h, h1) and np.array_equal(c, c1)
+        assert any(np.any(h != 0.0) for h, _ in st)
 
 
     @pytest.mark.parametrize("gate_bias", [False, True])
@@ -98,12 +115,13 @@ class TestStep:
         rng = np.random.default_rng(7)
         states = [start_state(model)]  # ten different prefixes
         for _ in range(9):
-            states += lm_step(model, states[-1:], [int(rng.integers(model.vocab_size))])
+            states.append(lm_step(model, states[-1], [int(rng.integers(model.vocab_size))]))
+        batch = tuple(tuple(np.concatenate(x) for x in zip(*layer)) for layer in zip(*states))
         ids = [int(i) for i in rng.integers(0, model.vocab_size, len(states))]
-        for state, wid, got in zip(states, ids, lm_step(model, states, ids)):
-            [want] = lm_step(model, [state], [wid])
-            assert got.consumed == want.consumed
-            for (h, c), (h1, c1) in zip(got.layers, want.layers):
+        stepped = lm_step(model, batch, ids)
+        for k, (state, wid) in enumerate(zip(states, ids)):
+            got, want = rows(stepped, k), lm_step(model, state, [wid])
+            for (h, c), (h1, c1) in zip(got, want):
                 assert np.max(np.abs(h - h1)) <= 1e-12 and np.max(np.abs(c - c1)) <= 1e-12
 
 
@@ -140,28 +158,28 @@ class TestDistribution:
     def test_empty_allowed(self, idx):
         model = small_lm(idx, seed=7)
         with pytest.raises(DataError):
-            next_word_logprobs(model, [start_state(model)], [[]])
+            logprobs(model, start_state(model), [[]])
 
     def test_empty_allowed_set_in_a_batch(self, idx):
         model = small_lm(idx, seed=7)
         with pytest.raises(DataError, match="empty allowed set"):
-            next_word_logprobs(model, [start_state(model)] * 2, [[2, 3], []])
+            logprobs(model, starts(model, 2), [[2, 3], []])
 
     def test_states_and_allowed_sets_must_pair_up(self, idx):
         model = small_lm(idx, seed=7)
         with pytest.raises(DataError, match="2 LM states for 3 allowed sets"):
-            next_word_logprobs(model, [start_state(model)] * 2, [[2], [3], [4]])
+            next_word_logprobs(model, starts(model, 2)[-1][0], *pad_rows([[2], [3], [4]]))
 
     def test_batch_rows_equal_single_rows(self, idx):
         # one product for the whole batch: each row, up to its -inf padding,
         # is the row the state gets alone (duplicate and shared ids included)
         model = small_lm(idx, seed=7)
-        states = lm_step(model, [start_state(model)] * 3, [2, 5, 9])
+        states = lm_step(model, starts(model, 3), [2, 5, 9])
         allowed = [[4, 2, 2], [7], [9, 3, 4, 11]]
-        batch = next_word_logprobs(model, states, allowed)
+        batch = logprobs(model, states, allowed)
         assert batch.shape == (3, 4)
-        for row, state, ids in zip(batch, states, allowed):
-            [alone] = next_word_logprobs(model, [state], [ids])
+        for k, (row, ids) in enumerate(zip(batch, allowed)):
+            [alone] = logprobs(model, rows(states, k), [ids])
             assert np.max(np.abs(row[: len(ids)] - alone)) <= 1e-12
             assert np.all(row[len(ids) :] == -np.inf)
 
