@@ -329,11 +329,12 @@ def _batch_pass(
 SlotTables = dict[str, tuple[np.ndarray, np.ndarray]]
 
 
-def slot_tables(model: Linearizer, word_ids) -> SlotTables:
-    """Tables for states whose word features read only `word_ids` and padding."""
+def slot_tables(model: Linearizer, word_ids, blocks=None) -> SlotTables:
+    """Tables of `blocks` (default: all); the word block's covers `word_ids`
+    and padding, the others every id, so they depend only on the model."""
     p, d = model.params, model.config.embed_dim
     tables = {}
-    for block in FEATURE_BLOCKS[model.variant]:
+    for block in FEATURE_BLOCKS[model.variant] if blocks is None else blocks:
         emb, w1 = p[f"emb_{block}"], p[f"w1_{block}"]
         ids = np.arange(len(emb))
         if block == "word":
@@ -380,7 +381,9 @@ def forward(
     pre = 0.0
     for block, block_ids in ids.items():
         table_ids, table = tables[block]
-        pre = pre + table[np.arange(len(table)), np.searchsorted(table_ids, block_ids)].sum(axis=1)
+        if block == "word":
+            block_ids = np.searchsorted(table_ids, block_ids)
+        pre = pre + table[np.arange(len(table)), block_ids].sum(axis=1)
     if lm_feats is not None:
         pre += lm_feats @ p["w1_lm"].T
     h = np.tanh(pre + p["b1"])

@@ -10,10 +10,11 @@ product per step and one LM product per step; the per-item reference builds
 each item's hidden layer with training's product and scores every item alone.
 The sums run in another order, so scores may differ in the last bits: every
 candidate must match within 1e-9, with the same items and actions in the
-same order.  The tables must be built per bag and per call, so they never go
-stale and never grow with the vocabulary.  The action codes of a bag must
-sort as its actions do and map to the scorer rows and LM ids of those
-actions.
+same order.  The word block's table must be built per bag, so it never grows
+with the vocabulary; the POS and label tables, the non-Shift code rows and
+the LM start state once per `Models`, which must see a rebound model and
+never a stale one.  The action codes of a bag must sort as its actions do
+and map to the scorer rows and LM ids of those actions.
 """
 
 import dataclasses
@@ -29,6 +30,7 @@ from conftest import small_linearizer, small_lm
 from synlin import decoder, ffnn
 from synlin.corpus import UNK_WORD, bag_from_forms, build_indexers, to_bag
 from synlin.decoder import DecodeConfig, Models, beam_decode, step_scores
+from synlin.lstm_lm import start_state
 from synlin.synth import toy_corpus
 from synlin.transition import SHIFT, Action, initial_state
 
@@ -159,8 +161,9 @@ def test_action_codes_sort_and_map_as_their_actions(forms, variant):
 
 
 def test_tables_are_rebuilt_for_every_call(idx):
-    # parameters edited in place between two decodes: the second decode must
-    # equal a fresh model's, so nothing is cached across calls
+    # parameters edited in place between two decodes, each with a new Models:
+    # the second decode must equal a fresh model's, so nothing is cached
+    # across Models
     model = small_linearizer(idx, "full", seed=85)
     bag = to_bag(next(s for s in toy_corpus(20, seed=86) if len(s) >= 5))
     cfg = DecodeConfig(mode="syn", beam_size=4)
@@ -181,17 +184,73 @@ def test_word_table_covers_only_the_bag(idx):
     model = small_linearizer(big, "full", seed=88)
     forms = ["the", "the", "dog", "qqq", "zebra", "extra7"]
     built = []
+    start = decoder._start
 
     def spy(*args):
-        built.append(ffnn.slot_tables(*args))
+        built.append(start(*args))
         return built[-1]
 
-    with mock.patch.object(decoder, "slot_tables", spy):
+    with mock.patch.object(decoder, "_start", spy):
         beam_decode(bag_from_forms(forms), Models(linearizer=model), DecodeConfig(beam_size=2))
-    [tables] = built
+    [tables] = [beam.tables for beam in built]
     ids, table = tables["word"]
     # the, dog, extra7, one UNK row for qqq and zebra, and the padding id
     expected = sorted({big.word_id(f) for f in forms} | {big.null_word_id})
     assert list(ids) == expected and len(expected) == 5
     assert table.shape == (15, 5, model.config.hidden_dim)
     assert tables["pos"][1].shape == (15, big.n_pos, model.config.hidden_dim)
+
+
+def held_bytes(models):
+    """The bytes of every array a `Models` holds, in order."""
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value.tobytes()]
+        return [a for v in (value.values() if isinstance(value, dict) else value) for a in arrays(v)]
+
+    return arrays([value for _, value in models._held.values()])
+
+
+@pytest.mark.parametrize("mode,variant,renormalize", CASES)
+def test_held_constants_are_fresh_and_never_written(idx, lm, bags, mode, variant, renormalize):
+    models = models_for(idx, lm, mode, variant)
+    beam_decode(bags[0], models, DecodeConfig(mode=mode))
+    lin = models.linearizer
+    if lin is not None:
+        tables, _ = models._held["linearizer"][1]
+        fresh = ffnn.slot_tables(lin, [lin.indexers.word_id(f) for f in bags[0].forms()])
+        assert sorted(tables) == sorted(fresh.keys() - {"word"})
+        for block, (ids, table) in tables.items():
+            assert ids.tobytes() == fresh[block][0].tobytes()
+            assert table.tobytes() == fresh[block][1].tobytes()
+    if mode != "syn":
+        held = models._held["lm"][1]
+        assert [a.tobytes() for layer in held for a in layer] == [
+            a.tobytes() for layer in start_state(lm) for a in layer
+        ]
+    before = held_bytes(models)
+    for beam in (1, 10):
+        cfg = DecodeConfig(mode=mode, beam_size=beam, renormalize_joint=renormalize)
+        for bag in bags:
+            beam_decode(bag, models, cfg)
+    assert held_bytes(models) == before
+
+
+@pytest.mark.parametrize("mode", ["syn", "syn+lstm", "lstm"])
+def test_rebinding_a_model_rebuilds_its_constants(idx, lm, bags, mode):
+    # the CLI fills an empty Models after building it; a model rebound after
+    # a decode must decode as it does in a fresh Models
+    other_lin, other_lm = small_linearizer(idx, "full", seed=89), small_lm(idx, seed=90)
+    cfg = DecodeConfig(mode=mode, beam_size=4)
+    models = Models()
+    models.linearizer, models.lm = small_linearizer(idx, "full", seed=84), lm
+    before = [beam_decode(bag, models, cfg) for bag in bags]
+    if mode != "lstm":
+        models.linearizer = other_lin
+    if mode != "syn":
+        models.lm = other_lm
+    fresh = Models(linearizer=models.linearizer, lm=models.lm)
+    after = [beam_decode(bag, models, cfg) for bag in bags]
+    assert after == [beam_decode(bag, fresh, cfg) for bag in bags]
+    assert after != before
