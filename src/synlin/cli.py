@@ -143,15 +143,15 @@ def cmd_train(args) -> int:
 
 def _load_decode_models(args, mode: str) -> dec.Models:
     """The models `mode` reads, from the files given; `beam_decode` checks them."""
-    models = dec.Models()
+    linearizer = lm = None
     if mode != dec.MODE_LSTM and args.model:
         loaded = cont.load(args.model)
-        models.linearizer = cont.linearizer_from_container(loaded)
+        linearizer = cont.linearizer_from_container(loaded)
         if mode == dec.MODE_FEATURE and loaded.component == cont.COMPONENT_COMBINED:
-            models.lm = cont.lm_from_container(loaded)
+            lm = cont.lm_from_container(loaded)
     if mode in (dec.MODE_LSTM, dec.MODE_JOINT) and args.lm:
-        models.lm = cont.lm_from_container(cont.load(args.lm))
-    return models
+        lm = cont.lm_from_container(cont.load(args.lm))
+    return dec.Models(linearizer, lm)
 
 
 def _read_bags(args) -> list[cp.WordBag]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from synlin import ffnn, lstm_lm
 from synlin.corpus import Indexers
-from synlin.errors import ModelFormatError
+from synlin.errors import ConfigError, ModelFormatError
 from synlin.features import FEATURE_BLOCKS
 from synlin.ffnn import ActionInventory, Linearizer, TrainConfig
 from synlin.lstm_lm import LanguageModel, LmConfig
@@ -170,7 +170,7 @@ def _section(container: ModelContainer, section: str, prefix: str, config_cls):
     try:
         indexers = _indexers_from_payload(container.indexers[section])
         config = config_cls(**container.config[section])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise ModelFormatError(
             f"unusable {section} section in the model header ({type(exc).__name__}: {exc})"
         ) from None

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from synlin.errors import (
+    ConfigError,
     ConllError,
     DataError,
     DerivationError,
@@ -83,9 +84,6 @@ class DepSentence:
 
     def forms(self) -> list[str]:
         return [t.form for t in self.tokens]
-
-    def root_index(self) -> int:
-        return next(t.index for t in self.tokens if t.head == 0)
 
 
 def _validate_tree(tokens: tuple[Token, ...]):
@@ -176,9 +174,6 @@ class Indexers:
     def word_id(self, form: str) -> int:
         return self._word_ids.get(form, self.unk_id)
 
-    def has_word(self, form: str) -> bool:
-        return form in self._word_ids
-
     def pos_id(self, tag: str) -> int:
         try:
             return self._pos_ids[tag]
@@ -199,7 +194,7 @@ def build_indexers(corpus: Iterable[DepSentence], min_count: int = 1) -> Indexer
     placeholders excluded from the label inventory, "_" from the POS one).
     """
     if min_count < 1:
-        raise DataError(f"min_count must be >= 1, got {min_count}")
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
     counts: Counter = Counter()
     pos_set: set[str] = set()
     label_set: set[str] = set()
@@ -236,11 +231,6 @@ class WordBag:
 
     def __len__(self) -> int:
         return len(self.token_ids)
-
-    @property
-    def entries(self) -> tuple[tuple[str, int], ...]:
-        counts = Counter(t.form for t in self.token_ids)
-        return tuple(sorted(counts.items()))
 
     def forms(self) -> list[str]:
         return [t.form for t in self.token_ids]
@@ -305,28 +295,12 @@ def _parse_block(block: list[tuple[int, str]]) -> DepSentence:
     return DepSentence(tokens=tuple(tokens))
 
 
-def parse_conll(text) -> list[DepSentence]:
-    """Parse CoNLL text (a string or line iterable) into validated sentences.
-
-    Raises ConllError for malformed lines and TreeError/NonProjectiveError
-    (with the 1-based sentence index) for trees the system cannot rebuild.
-    """
-    lines = text.splitlines() if isinstance(text, str) else text
-    sentences = []
-    for sent_no, block in enumerate(_blocks(lines), start=1):
-        try:
-            sentences.append(_parse_block(block))
-        except (TreeError, NonProjectiveError) as exc:
-            exc.args = (f"sentence {sent_no}: {exc}",)
-            raise
-    return sentences
-
-
 def parse_conll_lenient(text) -> tuple[list[DepSentence], list[str]]:
-    """Like parse_conll but skips sentences with invalid trees.
+    """Parse CoNLL text (a string or line iterable), skipping invalid trees.
 
-    Returns (sentences, skip messages).  Malformed lines still raise: they
-    indicate file corruption, not data quality.
+    Returns (sentences, skip messages), each message naming the 1-based
+    sentence index of a tree the system cannot rebuild.  Malformed lines
+    raise ConllError: they indicate file corruption, not data quality.
     """
     lines = text.splitlines() if isinstance(text, str) else text
     sentences = []
@@ -334,9 +308,7 @@ def parse_conll_lenient(text) -> tuple[list[DepSentence], list[str]]:
     for sent_no, block in enumerate(_blocks(lines), start=1):
         try:
             sentences.append(_parse_block(block))
-        except ConllError:
-            raise
-        except (TreeError, NonProjectiveError) as exc:
+        except TreeError as exc:
             skipped.append(f"sentence {sent_no}: {exc}")
     return sentences, skipped
 

@@ -29,7 +29,8 @@ states are (items x n) arrays per layer, gathered by parent index each step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -69,24 +70,28 @@ class DecodeConfig:
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Models:
-    """The models of a decode session and the decode constants `held` from them:
+    """The models of a decode session, fixed when it is built, and the decode
+    constants that depend only on them, each built at its first use and kept:
     the POS/label slot tables and non-Shift rows of `linearizer`, the start
-    state of `lm`.  Each is built at its first decode and again once its model
-    is rebound; after editing weights in place, build a new `Models`."""
+    state of `lm`.  After editing weights in place, build a new `Models`."""
 
     linearizer: Linearizer | None = None
     lm: LanguageModel | None = None
-    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def held(self, name: str, build):
-        """`build(model)` of the model bound to `name`, built once per binding."""
-        model = getattr(self, name)
-        kept = self._held.get(name)
-        if kept is None or kept[0] is not model:
-            kept = self._held[name] = model, build(model)
-        return kept[1]
+    @cached_property
+    def scorer_constants(self) -> tuple[SlotTables, np.ndarray]:
+        """The slot tables of all blocks but the word block, and the non-Shift code rows."""
+        lin = self.linearizer
+        idx = lin.indexers
+        others = ActionSpace((), lin.variant, idx.content_pos_tags, idx.content_labels).actions
+        blocks = [block for block in FEATURE_BLOCKS[lin.variant] if block != "word"]
+        return slot_tables(lin, (), blocks), np.array([lin.inventory.row(a) for a in others])
+
+    @cached_property
+    def lm_start(self) -> LmStates:
+        return start_state(self.lm)
 
 
 @dataclass
@@ -269,25 +274,17 @@ def _result(state: State, score: float, mode: str) -> DecodeResult:
     return DecodeResult(tokens, tids, None if lstm else state.arcs, state.history, float(score))
 
 
-def _scorer_constants(lin: Linearizer) -> tuple[SlotTables, np.ndarray]:
-    """The slot tables of all blocks but the word block, and the non-Shift code rows."""
-    idx = lin.indexers
-    others = ActionSpace((), lin.variant, idx.content_pos_tags, idx.content_labels).actions
-    blocks = [block for block in FEATURE_BLOCKS[lin.variant] if block != "word"]
-    return slot_tables(lin, (), blocks), np.array([lin.inventory.row(a) for a in others])
-
-
 def _start(state: State, models: Models, config: DecodeConfig) -> Beam:
     """The one-item beam at `state`: score 0 and the LM at its start state."""
     lin, lm = models.linearizer, models.lm
     space, n = state.space, len(state.space.forms)
     tables = rows = lm_ids = lm_state = None
     if config.mode != MODE_LSTM:
-        held, other_rows = models.held("linearizer", _scorer_constants)
-        tables = {**held, **slot_tables(lin, map(lin.indexers.word_id, space.forms), ["word"])}
+        fixed, other_rows = models.scorer_constants
+        tables = {**fixed, **slot_tables(lin, map(lin.indexers.word_id, space.forms), ["word"])}
         rows = np.concatenate([[lin.inventory.row(a) for a in space.actions[:n]], other_rows])
     if config.mode != MODE_SYN:
-        lm_state = models.held("lm", start_state)
+        lm_state = models.lm_start
         lm_ids = np.zeros(len(space.actions), dtype=np.int64)
         lm_ids[:n] = [lm.word_id(form) for form in space.forms]
     return Beam([state], np.zeros(1), np.zeros(1, dtype=np.int64), lm_state, tables, rows, lm_ids)

@@ -10,8 +10,6 @@ padding ids.  Nothing is ever read from the remaining word set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from synlin.corpus import Indexers
 from synlin.transition import FULL, LIGHT, StackItem, State
 
@@ -37,26 +35,14 @@ WORD_SLOTS = (
 POS_SLOTS = WORD_SLOTS
 LABEL_SLOTS = WORD_SLOTS[3:]
 
-N_WORD_SLOTS = len(WORD_SLOTS)
-N_POS_SLOTS = len(POS_SLOTS)
-N_LABEL_SLOTS = len(LABEL_SLOTS)
-
 # The feature blocks of each variant, in the order the scorer adds them,
-# each with its slot names.  Block `b` reads `FeatureVector.<b>_ids` and has
-# the scorer tensors `emb_<b>` and `w1_<b>`.
+# each with its slot names.  A feature vector maps each block `b` of its
+# variant to its tuple of ids, one per slot; the scorer tensors of `b` are
+# `emb_<b>` and `w1_<b>`.
 FEATURE_BLOCKS = {
     FULL: {"word": WORD_SLOTS, "pos": POS_SLOTS, "label": LABEL_SLOTS},
     LIGHT: {"word": WORD_SLOTS},
 }
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Fixed-layout id slots; pos_ids/label_ids are None for the light system."""
-
-    word_ids: tuple[int, ...]
-    pos_ids: tuple[int, ...] | None = None
-    label_ids: tuple[int, ...] | None = None
 
 
 def _referents(state: State) -> list[StackItem | None]:
@@ -81,7 +67,7 @@ def _word_ids(refs: list[StackItem | None], indexers: Indexers) -> tuple[int, ..
     return tuple(null if r is None else indexers.word_id(r.root.form) for r in refs)
 
 
-def extract(state: State, indexers: Indexers) -> FeatureVector:
+def extract(state: State, indexers: Indexers) -> dict[str, tuple[int, ...]]:
     """Full 42-slot feature vector (15 word + 15 POS + 12 label ids)."""
     refs = _referents(state)
     pos = tuple(
@@ -94,9 +80,9 @@ def extract(state: State, indexers: Indexers) -> FeatureVector:
         else indexers.null_label_id
         for r in refs[3:]
     )
-    return FeatureVector(word_ids=_word_ids(refs, indexers), pos_ids=pos, label_ids=labels)
+    return {"word": _word_ids(refs, indexers), "pos": pos, "label": labels}
 
 
-def extract_light(state: State, indexers: Indexers) -> FeatureVector:
+def extract_light(state: State, indexers: Indexers) -> dict[str, tuple[int, ...]]:
     """Word-only 15-slot feature vector."""
-    return FeatureVector(word_ids=_word_ids(_referents(state), indexers))
+    return {"word": _word_ids(_referents(state), indexers)}

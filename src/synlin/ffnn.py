@@ -13,7 +13,6 @@ against central finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from synlin.corpus import (
     to_bag,
 )
 from synlin.errors import ConfigError, DataError, TrainingError
-from synlin.features import FEATURE_BLOCKS, FeatureVector, extract, extract_light
+from synlin.features import FEATURE_BLOCKS, extract, extract_light
 from synlin.optim import Adagrad, check_rates, max_grad_error, row_sums
 from synlin.optim import masked_log_softmax, pad_rows
 from synlin.transition import END, FULL, LEFT_ARC, POS, RIGHT_ARC, SHIFT, Action, apply
@@ -54,6 +53,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_rates(self.learning_rate, self.l2_lambda)
 
 
@@ -65,10 +66,10 @@ class ActionInventory:
     have no rows.
     """
 
-    def __init__(self, actions: tuple[Action, ...], unk_word: str = UNK_WORD):
+    def __init__(self, actions: tuple[Action, ...]):
         self.actions = actions
         self._rows = {a: i for i, a in enumerate(actions)}
-        self._unk_shift = self._rows.get(Action(SHIFT, unk_word))
+        self._unk_shift = self._rows.get(Action(SHIFT, UNK_WORD))
 
     @classmethod
     def from_indexers(cls, indexers: Indexers, variant: str) -> "ActionInventory":
@@ -120,7 +121,7 @@ class Linearizer:
     config: TrainConfig
     lm_feat_dim: int | None = None
 
-    def extract_features(self, state) -> FeatureVector:
+    def extract_features(self, state) -> dict[str, tuple[int, ...]]:
         if self.variant == FULL:
             return extract(state, self.indexers)
         return extract_light(state, self.indexers)
@@ -130,7 +131,7 @@ class Linearizer:
 class TrainExample:
     """One oracle decision: features, the legal actions, the gold one."""
 
-    features: FeatureVector
+    features: dict[str, tuple[int, ...]]
     feasible: tuple[Action, ...]
     gold: Action
     lm_feat: np.ndarray | None = None
@@ -237,10 +238,10 @@ class _Packed:
     gold_col: np.ndarray
 
 
-def _block_ids(model: Linearizer, features: list[FeatureVector]) -> dict[str, np.ndarray]:
+def _block_ids(model: Linearizer, features: list[dict]) -> dict[str, np.ndarray]:
     """One (items x slots) id array per feature block of the model's variant."""
     return {
-        block: np.array(list(map(attrgetter(f"{block}_ids"), features)), dtype=np.int64)
+        block: np.array([f[block] for f in features], dtype=np.int64)
         for block in FEATURE_BLOCKS[model.variant]
     }
 
@@ -329,12 +330,13 @@ def _batch_pass(
 SlotTables = dict[str, tuple[np.ndarray, np.ndarray]]
 
 
-def slot_tables(model: Linearizer, word_ids, blocks=None) -> SlotTables:
-    """Tables of `blocks` (default: all); the word block's covers `word_ids`
-    and padding, the others every id, so they depend only on the model."""
+def slot_tables(model: Linearizer, word_ids, blocks) -> SlotTables:
+    """The tables of the feature blocks `blocks`.  The word block's covers
+    `word_ids` and padding, so a decode builds it per bag; the others cover
+    every id and depend only on the model."""
     p, d = model.params, model.config.embed_dim
     tables = {}
-    for block in FEATURE_BLOCKS[model.variant] if blocks is None else blocks:
+    for block in blocks:
         emb, w1 = p[f"emb_{block}"], p[f"w1_{block}"]
         ids = np.arange(len(emb))
         if block == "word":
@@ -346,20 +348,20 @@ def slot_tables(model: Linearizer, word_ids, blocks=None) -> SlotTables:
 
 def forward(
     model: Linearizer,
-    features: list[FeatureVector],
+    features: list[dict],
     rows: np.ndarray,
     valid: np.ndarray,
-    lm_feats: np.ndarray | None = None,
-    tables: SlotTables | None = None,
+    lm_feats: np.ndarray | None,
+    tables: SlotTables,
 ) -> np.ndarray:
     """Log-probabilities of a batch of items, one row per item.
 
     Item i has feature vector `features[i]`, feasible actions of the output
     rows `rows[i][valid[i]]` (`optim.pad_rows` pads row sequences) and, for a
-    model with an LM feature block, the row `lm_feats[i]`.  Row i holds their
-    log-probabilities in that order, padded with -inf.  The hidden layer sums
-    rows of `tables`, which must cover every id the features read (when not
-    given, they are built for those ids); the output layer is training's.
+    model with an LM feature block, the row `lm_feats[i]` (None otherwise).
+    Row i holds their log-probabilities in that order, padded with -inf.  The
+    hidden layer sums rows of `tables` (`slot_tables` of every block), which
+    must cover every id the features read; the output layer is training's.
     """
     if len(features) != len(rows):
         raise DataError(f"{len(features)} feature vectors for {len(rows)} feasible sets")
@@ -375,11 +377,8 @@ def forward(
             raise ConfigError(f"LM feature rows {lm_feats.shape} != ({len(features)}, {width})")
     elif lm_feats is not None:
         raise ConfigError("model has no LM feature block but one was supplied")
-    ids = _block_ids(model, features)
-    if tables is None:
-        tables = slot_tables(model, ids["word"].ravel().tolist())
     pre = 0.0
-    for block, block_ids in ids.items():
+    for block, block_ids in _block_ids(model, features).items():
         table_ids, table = tables[block]
         if block == "word":
             block_ids = np.searchsorted(table_ids, block_ids)

@@ -52,6 +52,8 @@ class LmConfig:
             raise ConfigError("num_layers and hidden_size must be positive")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_rates(self.learning_rate, self.l2_lambda)
 
 
@@ -70,11 +72,6 @@ class LanguageModel:
     params: dict[str, np.ndarray]
     indexers: Indexers
     config: LmConfig
-
-    @property
-    def vocab_size(self) -> int:
-        """Word vocabulary plus the start and end symbols."""
-        return self.indexers.n_words + 2
 
     @property
     def start_id(self) -> int:
@@ -112,8 +109,12 @@ def init_lm(indexers: Indexers, config: LmConfig, rng: np.random.Generator | Non
     return LanguageModel(params=params, indexers=indexers, config=config)
 
 
+# What backprop needs of a cell step, in the order `_cell` returns it.
+_CACHED = ("u", "i", "f", "o", "g", "c_prev", "tc")
+
+
 def _cell(weights, h_below, h_prev, c_prev, bias):
-    """The cell math: (h, c, cache), the cache holding what backprop needs.
+    """The cell math: (h, c, cache), the cache holding the `_CACHED` values.
 
     Inputs are vectors of width n or (b, n) batches with one row per
     sequence; a batch costs one (b x 2n) @ (2n x 4n) product.
@@ -129,7 +130,7 @@ def _cell(weights, h_below, h_prev, c_prev, bias):
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    return h, c, {"u": u, "i": i, "f": f, "o": o, "g": g, "c_prev": c_prev, "tc": tc}
+    return h, c, (u, i, f, o, g, c_prev, tc)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -191,37 +192,32 @@ def sentence_ids(model: LanguageModel, forms) -> tuple[list[int], list[int]]:
 def _forward_sentence(model, inputs, targets, dropout=0.0, rng=None):
     """Run one sentence, returning (cross_entropy, caches for backprop).
 
-    The output layer never feeds back, so after the step-by-step recurrence
-    the softmax of all T steps is one (T x n) @ (n x V) product.
+    Layer by layer, like `_backward_sentence`: each layer runs its recurrence
+    over all T steps and caches each `_CACHED` value and its dropout mask
+    (all ones without dropout) as one (T x .) array.  The masks of every step
+    and layer are one draw in step-major order.  The output layer never feeds
+    back, so the softmax of all T steps is one (T x n) @ (n x V) product.
     """
     p = model.params
-    n = model.config.hidden_size
-    n_layers = model.config.num_layers
-    h_prev = [np.zeros(n) for _ in range(n_layers)]
-    c_prev = [np.zeros(n) for _ in range(n_layers)]
-    steps, top = [], []
-    for wid in inputs:
-        below = p["emb"][wid]
-        layers = []
-        for layer in range(n_layers):
-            h, c, cache = _cell(
-                p[f"cell{layer}"], below, h_prev[layer], c_prev[layer], p.get(f"cell{layer}_bias")
-            )
-            if dropout > 0.0:
-                cache["mask"] = (rng.random(n) >= dropout) / (1.0 - dropout)
-                below = h * cache["mask"]
-            else:
-                cache["mask"] = None
-                below = h
-            layers.append(cache)
-            h_prev[layer] = h
-            c_prev[layer] = c
-        steps.append(layers)
-        top.append(below)
-    top = np.array(top)
-    logp = log_softmax(top @ p["out_emb"].T)
+    n, n_layers = model.config.hidden_size, model.config.num_layers
+    masks = np.ones((len(inputs), n_layers, n))
+    if dropout > 0.0:
+        masks = (rng.random(masks.shape) >= dropout) / (1.0 - dropout)
+    below = p["emb"][inputs]
+    layers = []
+    for layer in range(n_layers):
+        weights, bias = p[f"cell{layer}"], p.get(f"cell{layer}_bias")
+        h = c = np.zeros(n)
+        steps = []
+        for x in below:
+            h, c, step = _cell(weights, x, h, c, bias)
+            steps.append(step)
+        cache = dict(zip(_CACHED, map(np.array, zip(*steps))), mask=masks[:, layer])
+        below = cache["o"] * cache["tc"] * cache["mask"]
+        layers.append(cache)
+    logp = log_softmax(below @ p["out_emb"].T)
     ce = -float(np.sum(logp[np.arange(len(targets)), targets]))
-    return ce, {"inputs": inputs, "targets": targets, "steps": steps, "top": top, "logp": logp}
+    return ce, {"inputs": inputs, "targets": targets, "layers": layers, "top": below, "logp": logp}
 
 
 def _backward_sentence(model, caches):
@@ -234,35 +230,36 @@ def _backward_sentence(model, caches):
     """
     p = model.params
     n = model.config.hidden_size
-    steps = caches["steps"]
     dlogits = np.exp(caches["logp"])
-    dlogits[np.arange(len(steps)), caches["targets"]] -= 1.0
+    n_steps = len(dlogits)
+    dlogits[np.arange(n_steps), caches["targets"]] -= 1.0
     grads = {"out_emb": dlogits.T @ caches["top"]}
     d_above = dlogits @ p["out_emb"]
     for layer in range(model.config.num_layers - 1, -1, -1):
         weights = p[f"cell{layer}"]
-        dz = np.empty((len(steps), 4 * n))
+        cache = caches["layers"][layer]
+        i, f, o, g, c_prev, tc = (cache[key] for key in _CACHED[1:])
+        d_above = d_above * cache["mask"]
+        dz = np.empty((n_steps, 4 * n))
         dh_next = dc_next = np.zeros(n)
-        for t in range(len(steps) - 1, -1, -1):
-            cache = steps[t][layer]
-            d_from_above = d_above[t] if cache["mask"] is None else d_above[t] * cache["mask"]
-            dh = d_from_above + dh_next
-            dc = dh * cache["o"] * (1.0 - cache["tc"] ** 2) + dc_next
-            do = dh * cache["tc"]
-            df = dc * cache["c_prev"]
-            di = dc * cache["g"]
-            dg = dc * cache["i"]
+        for t in range(n_steps - 1, -1, -1):
+            dh = d_above[t] + dh_next
+            dc = dh * o[t] * (1.0 - tc[t] ** 2) + dc_next
+            do = dh * tc[t]
+            df = dc * c_prev[t]
+            di = dc * g[t]
+            dg = dc * i[t]
             dz[t] = np.concatenate(
                 [
-                    di * cache["i"] * (1.0 - cache["i"]),
-                    df * cache["f"] * (1.0 - cache["f"]),
-                    do * cache["o"] * (1.0 - cache["o"]),
-                    dg * (1.0 - cache["g"] ** 2),
+                    di * i[t] * (1.0 - i[t]),
+                    df * f[t] * (1.0 - f[t]),
+                    do * o[t] * (1.0 - o[t]),
+                    dg * (1.0 - g[t] ** 2),
                 ]
             )
             dh_next = weights[:, n:].T @ dz[t]
-            dc_next = dc * cache["f"]
-        grads[f"cell{layer}"] = dz.T @ np.array([step[layer]["u"] for step in steps])
+            dc_next = dc * f[t]
+        grads[f"cell{layer}"] = dz.T @ cache["u"]
         grads[f"cell{layer}_bias"] = dz.sum(axis=0)
         d_above = dz @ weights[:, :n]
     grads["emb"] = row_sums(caches["inputs"], d_above, len(p["emb"]))

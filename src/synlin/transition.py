@@ -197,10 +197,6 @@ class State:
                 arcs.add((node.top.root.tid, dep.root.tid, label))
         return frozenset(arcs)
 
-    def remaining_forms(self) -> list[str]:
-        """Distinct remaining forms in canonical (sorted) order."""
-        return [self.space.forms[k] for k in self.shifts]
-
     def summary(self) -> str:
         stack = " ".join(item.root.form for item in self.stack)
         rho = " ".join(tok.form for tok in self.remaining)

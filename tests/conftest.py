@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from synlin import ffnn, lstm_lm
-from synlin.corpus import DepSentence, Token, build_indexers, parse_conll
+from synlin.corpus import DepSentence, Token, build_indexers, parse_conll_lenient
+from synlin.features import FEATURE_BLOCKS
 from synlin.synth import toy_corpus
 
 # Filled by the acceptance module; echoed after the run so the one-line
@@ -23,9 +24,16 @@ TABLE2_CONLL = (
 )
 
 
+def parse_valid(text) -> list[DepSentence]:
+    """The sentences of CoNLL text whose every tree is valid."""
+    sentences, skipped = parse_conll_lenient(text)
+    assert skipped == []
+    return sentences
+
+
 @pytest.fixture(scope="session")
 def table2() -> DepSentence:
-    return parse_conll(TABLE2_CONLL)[0]
+    return parse_valid(TABLE2_CONLL)[0]
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +62,14 @@ def small_linearizer(indexers, variant, seed=0, lm_feat_dim=None, scale=0.5, **c
     if scale is not None:
         randomize_params(model.params, np.random.default_rng(seed), scale)
     return model
+
+
+def score(model, features, rows, valid, lm_feats=None):
+    """`ffnn.forward` from slot tables of every block, the word block's over
+    the word ids that `features` read."""
+    words = {i for f in features for i in f["word"]}
+    tables = ffnn.slot_tables(model, words, FEATURE_BLOCKS[model.variant])
+    return ffnn.forward(model, features, rows, valid, lm_feats, tables)
 
 
 def small_lm(indexers, seed=0, hidden_size=8, scale=0.5, **cfg_kw):

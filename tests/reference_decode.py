@@ -29,6 +29,7 @@ from synlin.decoder import (
     DecodeResult,
     _validate,
 )
+from synlin.features import FEATURE_BLOCKS
 from synlin.ffnn import _block_ids, forward as table_forward, slot_tables
 from synlin.lstm_lm import lm_step, next_word_logprobs as batch_next_word_logprobs, start_state
 from synlin.optim import log_softmax, pad_rows
@@ -58,7 +59,7 @@ class BeamItem:
 def successors(state, mode):
     """The next actions: a Shift of each remaining form in lstm mode, else the legal actions."""
     if mode == MODE_LSTM:
-        return tuple(Action(SHIFT, form) for form in state.remaining_forms())
+        return tuple(Action(SHIFT, state.space.forms[k]) for k in state.shifts)
     return tuple(state.space.actions[c] for c in legal_actions(state))
 
 
@@ -221,7 +222,8 @@ def beam_decode(bag, models, config):
     else:
         indexers = lin.indexers
         state = initial_state(bag, variant, indexers.content_pos_tags, indexers.content_labels)
-        tables = slot_tables(lin, [indexers.word_id(form) for form in bag.forms()])
+        word_ids = [indexers.word_id(form) for form in bag.forms()]
+        tables = slot_tables(lin, word_ids, FEATURE_BLOCKS[variant])
         n_steps = derivation_length(variant, len(bag))
     lm_state = None if mode == MODE_SYN else row(start_state(models.lm), 0)
     items = [BeamItem(state, 0.0, (), lm_state)]

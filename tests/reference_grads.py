@@ -9,7 +9,7 @@ checks the fast paths in `synlin` against them.
 
 import numpy as np
 
-from synlin.lstm_lm import _cell
+from synlin.lstm_lm import _CACHED, _cell
 from synlin.optim import log_softmax
 
 
@@ -43,9 +43,10 @@ def lm_sentence_grads(model, inputs, targets, dropout=0.0, rng=None):
         below = p["emb"][wid]
         step = {"wid": wid, "target": target, "layers": []}
         for layer in range(n_layers):
-            h, c, cache = _cell(
+            h, c, cached = _cell(
                 p[f"cell{layer}"], below, h_prev[layer], c_prev[layer], p.get(f"cell{layer}_bias")
             )
+            cache = dict(zip(_CACHED, cached))
             if dropout > 0.0:
                 cache["mask"] = (rng.random(n) >= dropout) / (1.0 - dropout)
                 below = h * cache["mask"]

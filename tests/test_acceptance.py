@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import small_linearizer, small_lm
+from conftest import score, small_linearizer, small_lm
 from test_metrics import naive_corpus_bleu
 from synlin import decoder, ffnn, lstm_lm, metrics
 from synlin.cli import main as cli_main
@@ -166,10 +166,10 @@ def test_distribution_laws(synth220):
             continue
         fv = lin.extract_features(state)
         rows = pad_rows([[lin.inventory.row(a) for a in feasible]])
-        logp = dict(zip(feasible, ffnn.forward(lin, [fv], *rows)[0]))
+        logp = dict(zip(feasible, score(lin, [fv], *rows)[0]))
         worst_softmax = max(worst_softmax, abs(sum(np.exp(v) for v in logp.values()) - 1.0))
         if state.remaining:
-            allowed = pad_rows([[idx.word_id(f) for f in state.remaining_forms()]])
+            allowed = pad_rows([[idx.word_id(state.space.forms[k]) for k in state.shifts]])
             dist = np.exp(next_word_logprobs(lm, start_state(lm)[-1][0], *allowed)[0])
             worst_lm = max(worst_lm, abs(sum(dist) - 1.0))
         models = Models(linearizer=lin, lm=lm)

@@ -1,9 +1,12 @@
 import argparse
+import re
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from synlin import errors
 from synlin.cli import build_parser, main
 from synlin.container import container_from_linearizer, linearizer_from_container, load, save
 from synlin.corpus import to_conll
@@ -108,12 +111,18 @@ class TestConfigFlags:
             ["train-lm", "--lr", "inf"],
             ["train-lm", "--l2", "-1"],
             ["train-lm", "--l2", "nan"],
+            ["train", "--seed", "-1"],
+            ["train-lm", "--seed", "-1"],
+            ["train", "--min-count", "0"],
+            ["train-lm", "--min-count", "0"],
         ],
         ids=[
             "train-batch-size-0", "train-epochs-negative", "train-lm-epochs-negative",
             "decode-alpha-nan", "decode-alpha-inf", "decode-alpha-minus-inf",
             "train-lr-nan", "train-lr-negative", "train-l2-inf", "train-l2-negative",
             "train-lm-lr-negative", "train-lm-lr-inf", "train-lm-l2-negative", "train-lm-l2-nan",
+            "train-seed-negative", "train-lm-seed-negative", "train-min-count-0",
+            "train-lm-min-count-0",
         ],
     )
     def test_out_of_range_values_are_config_errors(
@@ -129,6 +138,21 @@ class TestConfigFlags:
         assert main([*argv, *files]) == 1
         assert_one_error(capsys, "config")
         assert not out.exists()
+
+
+def test_readme_lists_every_error_code():
+    # `main` prints the code of each error class (the base class's is never
+    # raised), "usage" for argparse errors and "io" for an OSError
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"`([a-z]+)`", re.search(r"\(codes: ([^)]*)\)", readme).group(1))
+    raised = {
+        cls.code
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.SynlinError)
+        and cls is not errors.SynlinError
+    }
+    assert len(listed) == len(set(listed))
+    assert set(listed) == raised | {"usage", "io"}
 
 
 class TestNonUtf8Input:

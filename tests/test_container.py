@@ -84,6 +84,11 @@ MALFORMED_HEADERS = {
     "unknown-linearizer-config-key": ("linearizer", _set("linearizer", "warp_speed", 9)),
     "missing-linearizer-tensor": ("linearizer", _rename_tensor("lin.w2", "lin.w9")),
     "unknown-lm-config-key": ("lm", _set("lm", "warp_speed", 9)),
+    # values the config dataclasses reject: the file is at fault, not the flags
+    "linearizer-dropout-out-of-range": ("linearizer", _set("linearizer", "dropout", 1.5)),
+    "linearizer-seed-negative": ("linearizer", _set("linearizer", "seed", -1)),
+    "lm-no-layers": ("lm", _set("lm", "num_layers", 0)),
+    "lm-seed-negative": ("lm", _set("lm", "seed", -1)),
     "missing-lm-tensor": ("lm", _rename_tensor("lm.cell1", "lm.cell9")),
     # same payload size, dimensions swapped: only a shape check catches these
     "transposed-w1-word": ("linearizer", _reshape_tensor("lin.w1_word", lambda s: s[::-1])),
@@ -391,3 +396,50 @@ class TestFreshModelBytes:
         else:
             again = cont.linearizer_from_container(cont.load(path))
         assert list(model.params) == list(again.params) == PARAMS_ORDER[kind]
+
+
+# sha256 of small model files saved after two epochs of training with
+# dropout on: the LMs exercise the forward and backward recurrences (the
+# gate-bias one with three layers and L2), the scorers their forward and
+# backward passes, the LM-feature one also `make_training_examples`' LM
+# states.  A moved bit anywhere in training changes them.
+TRAINED_MODEL_SHA256 = {
+    "full": "d44a4989a673e92c82fc4cdbc36d3dbec4b037be21ca168f660c1079d3537dbe",
+    "light": "c91a86180a32486089ebde3e796fe18fb15e04805c7ce17d0b4c02eb79f6941b",
+    "combined": "7bc753127ab7c1c93f726ccb075b54a2f53d3bcc5677250b3f53353f66cca7c8",
+    "lm": "7240b0d1ec66b4a35f730e769a55c9cd91d6b50880dd9edeffaf9597043dabd1",
+    "lm-gate-bias-l2": "f8c39e7afaafc0489d3f5b4b373ab395659c05e1ae13ccaca86b33d535b1e5ca",
+}
+
+
+def _trained(kind, indexers, sentences):
+    """The container of a model of `kind` trained for two epochs on `sentences`."""
+    lm_config = lstm_lm.LmConfig(hidden_size=6, dropout=0.5, epochs=2, seed=41)
+    if kind == "lm-gate-bias-l2":
+        lm_config = lstm_lm.LmConfig(
+            num_layers=3, hidden_size=6, dropout=0.5, epochs=2, seed=42, gate_bias=True,
+            l2_lambda=1e-3,
+        )
+    lm = None
+    if kind.startswith("lm") or kind == "combined":
+        lm = lstm_lm.init_lm(indexers, lm_config)
+        lstm_lm.train_lm(lm, sentences)
+        if kind.startswith("lm"):
+            return cont.container_from_lm(lm)
+    config = ffnn.TrainConfig(embed_dim=8, hidden_dim=12, dropout=0.3, epochs=2, seed=43)
+    model = ffnn.init_linearizer(
+        indexers,
+        "light" if kind == "light" else "full",
+        config,
+        lm_feat_dim=6 if lm is not None else None,
+    )
+    ffnn.train(model, ffnn.make_training_examples(sentences, model, lm=lm))
+    return cont.container_from_linearizer(model, lm=lm)
+
+
+class TestTrainedModelBytes:
+    @pytest.mark.parametrize("kind", sorted(TRAINED_MODEL_SHA256))
+    def test_pinned_digest(self, kind, idx, tmp_path):
+        path = tmp_path / "m.slm"
+        cont.save(_trained(kind, idx, toy_corpus(10, seed=23)), path)
+        assert hashlib.sha256(_bytes(path)).hexdigest() == TRAINED_MODEL_SHA256[kind]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TABLE2_CONLL, random_projective_sentence
+from conftest import TABLE2_CONLL, parse_valid, random_projective_sentence
 from synlin.corpus import (
     DepSentence,
     Token,
@@ -11,7 +11,6 @@ from synlin.corpus import (
     bag_from_forms,
     derive_oracle,
     gold_arcs,
-    parse_conll,
     parse_conll_forms,
     parse_conll_lenient,
     replay_oracle,
@@ -48,25 +47,25 @@ class TestParseConll:
     def test_basic_block(self, table2):
         assert [t.form for t in table2.tokens] == ["I", "love", "NLP"]
         assert [t.head for t in table2.tokens] == [2, 0, 2]
-        assert table2.tokens[table2.root_index() - 1].form == "love"
+        assert [t.form for t in table2.tokens if t.head == 0] == ["love"]
 
     def test_empty_input(self):
-        assert parse_conll("") == []
-        assert parse_conll("\n\n") == []
+        assert parse_conll_lenient("") == ([], [])
+        assert parse_conll_lenient("\n\n") == ([], [])
 
     def test_space_separated_columns(self):
         text = "1 I _ _ PRP _ 2 nsubj\n2 love _ _ VBP _ 0 root\n3 NLP _ _ NNP _ 2 dobj\n"
-        assert parse_conll(text)[0].forms() == ["I", "love", "NLP"]
+        assert parse_valid(text)[0].forms() == ["I", "love", "NLP"]
 
     def test_multi_root_rejected(self):
         text = "1\ta\t_\t_\tX\t_\t0\troot\n2\tb\t_\t_\tX\t_\t0\troot\n"
-        with pytest.raises(TreeError, match="sentence 1"):
-            parse_conll(text)
+        assert parse_conll_lenient(text) == ([], ["sentence 1: expected exactly one root, found 2"])
 
     def test_cycle_rejected(self):
         text = "1\ta\t_\t_\tX\t_\t2\tl\n2\tb\t_\t_\tX\t_\t1\tl\n3\tc\t_\t_\tX\t_\t0\troot\n"
-        with pytest.raises(TreeError, match="cycle"):
-            parse_conll(text)
+        sentences, [skipped] = parse_conll_lenient(TABLE2_CONLL + "\n" + text)
+        assert len(sentences) == 1
+        assert skipped.startswith("sentence 2: ") and "cycle" in skipped
 
     def test_nonprojective_rejected(self):
         # arcs 3->1 and 4->2 cross
@@ -76,18 +75,19 @@ class TestParseConll:
             "3\tc\t_\t_\tX\t_\t0\troot\n"
             "4\td\t_\t_\tX\t_\t3\tl\n"
         )
+        assert parse_conll_lenient(text) == ([], ["sentence 1: arc 4->2 crosses token 3"])
         with pytest.raises(NonProjectiveError):
-            parse_conll(text)
+            DepSentence(tokens=tuple(Token(i, "x", "X", h, "l") for i, h in enumerate((3, 4, 0, 3), 1)))
 
     def test_malformed_line_number(self):
         text = "1\tI\t_\t_\tPRP\t_\t2\tnsubj\n2\tlove\t_\t_\tVBP\n"
         with pytest.raises(ConllError, match="line 2"):
-            parse_conll(text)
+            parse_conll_lenient(text)
 
     def test_non_integer_head(self):
         text = "1\tI\t_\t_\tPRP\t_\tx\tnsubj\n"
         with pytest.raises(ConllError, match="line 1"):
-            parse_conll(text)
+            parse_conll_lenient(text)
 
     def test_lenient_skips_bad_trees(self):
         good = TABLE2_CONLL
@@ -101,7 +101,9 @@ class TestParseConll:
         assert parse_conll_forms(bad) == [["a", "b"]]
 
     def test_conllu_ranges_and_empty_nodes_skipped_by_strict_reader(self):
-        (sent,) = parse_conll(CONLLU_BLOCK)
+        # a reader that must accept every tree reads ranges and empty nodes
+        # as no tokens, not as a bad tree
+        (sent,) = parse_valid(CONLLU_BLOCK)
         assert sent.forms() == ["de", "el", "perro"]
         assert [t.head for t in sent.tokens] == [3, 3, 0]
 
@@ -116,13 +118,13 @@ class TestParseConll:
         assert parse_conll_forms("1-2\tdel\n1.1\tx\n") == []
 
     def test_roundtrip_through_text(self, synth220):
-        again = parse_conll(to_conll(synth220))
+        again = parse_valid(to_conll(synth220))
         assert again == synth220
 
 
 class TestIndexers:
     def one_sentence(self):
-        return parse_conll(
+        return parse_valid(
             "1\tI\t_\t_\tPRP\t_\t2\tnsubj\n2\tlove\t_\t_\tVBP\t_\t0\troot\n"
             "3\tNLP\t_\t_\tNNP\t_\t2\tdobj\n"
         )
@@ -142,8 +144,8 @@ class TestIndexers:
             "1\tI\t_\t_\tPRP\t_\t2\tnsubj\n2\tlove\t_\t_\tVBP\t_\t0\troot\n\n"
             "1\tyou\t_\t_\tPRP\t_\t2\tnsubj\n2\tlove\t_\t_\tVBP\t_\t0\troot\n"
         )
-        idx = build_indexers(parse_conll(text), min_count=2)
-        assert idx.has_word("love") and not idx.has_word("I") and not idx.has_word("you")
+        idx = build_indexers(parse_valid(text), min_count=2)
+        assert idx.words[2:] == ("love",)
 
     def test_bijectivity(self, synth220_indexers):
         idx = synth220_indexers
@@ -169,11 +171,11 @@ class TestIndexers:
 
 class TestWordBag:
     def test_simple_multiset(self, table2):
-        assert to_bag(table2).entries == (("I", 1), ("NLP", 1), ("love", 1))
+        assert to_bag(table2).forms() == ["I", "NLP", "love"]
 
     def test_multiplicity(self):
         bag = bag_from_forms("the dog bit the man".split())
-        assert dict(bag.entries) == {"the": 2, "dog": 1, "bit": 1, "man": 1}
+        assert bag.forms() == ["bit", "dog", "man", "the", "the"]
         assert len(bag) == 5
 
     def test_empty_rejected(self):
@@ -201,7 +203,7 @@ class TestOracle:
         ]
 
     def test_single_token_full(self):
-        sent = parse_conll("1\tGo\t_\t_\tVB\t_\t0\troot\n")[0]
+        sent = parse_valid("1\tGo\t_\t_\tVB\t_\t0\troot\n")[0]
         acts = derive_oracle(sent, "full")
         assert names(acts) == ["Shift-Go", "Pos-VB", "End"]
         assert len(acts) == 3 * 1
@@ -223,7 +225,7 @@ class TestOracle:
         # w1 <- w2 <- w3: deferring the first LArc would dead-end, so the
         # oracle must emit it before shifting w3.
         text = "1\tw1\t_\t_\tA\t_\t2\tl1\n2\tw2\t_\t_\tA\t_\t3\tl2\n3\tw3\t_\t_\tA\t_\t0\troot\n"
-        sent = parse_conll(text)[0]
+        sent = parse_valid(text)[0]
         acts = names(derive_oracle(sent, "light"))
         assert acts == ["Shift-w1", "Shift-w2", "LArc", "Shift-w3", "LArc", "End"]
         state = replay_oracle(sent, "light")
@@ -260,7 +262,7 @@ class TestOracle:
             "4\tthe\t_\t_\tDT\t_\t5\tdet\n"
             "5\tman\t_\t_\tNN\t_\t3\tdobj\n"
         )
-        sent = parse_conll(text)[0]
+        sent = parse_valid(text)[0]
         state = replay_oracle(sent, "full")
         realized = realized_sentence(state)
         assert [t.form for t in realized] == ["the", "dog", "bit", "the", "man"]

@@ -30,6 +30,7 @@ from conftest import small_linearizer, small_lm
 from synlin import decoder, ffnn
 from synlin.corpus import UNK_WORD, bag_from_forms, build_indexers, to_bag
 from synlin.decoder import DecodeConfig, Models, beam_decode, step_scores
+from synlin.features import FEATURE_BLOCKS
 from synlin.lstm_lm import start_state
 from synlin.synth import toy_corpus
 from synlin.transition import SHIFT, Action, initial_state
@@ -67,7 +68,7 @@ def bags(idx):
     sents = [s for s in toy_corpus(40, seed=83) if 4 <= len(s) <= 9][:3]
     extra = [["qqq", "the", "the", "dog", "zebra"], ["a", "a", "cat", "qqq", "qqq"]]
     out = [to_bag(s) for s in sents] + [bag_from_forms(forms) for forms in extra]
-    assert any(not idx.has_word(f) for bag in out for f in bag.forms())
+    assert any(idx.word_id(f) == idx.unk_id for bag in out for f in bag.forms())
     assert any(len(set(bag.forms())) < len(bag) for bag in out)
     return out
 
@@ -154,7 +155,7 @@ def test_action_codes_sort_and_map_as_their_actions(forms, variant):
         if action.kind == SHIFT:
             assert code < len(space.forms)
             assert arrays.lm_ids[code] == lm.word_id(action.arg)
-            if not idx.has_word(action.arg):
+            if idx.word_id(action.arg) == idx.unk_id:
                 assert arrays.rows[code] == unk_row
         else:
             assert code >= len(space.forms)
@@ -201,15 +202,23 @@ def test_word_table_covers_only_the_bag(idx):
     assert tables["pos"][1].shape == (15, big.n_pos, model.config.hidden_dim)
 
 
-def held_bytes(models):
-    """The bytes of every array a `Models` holds, in order."""
+def held(models, mode):
+    """The decode constants a `Models` holds for `mode`."""
+    return [
+        *([models.scorer_constants] if mode != "lstm" else []),
+        *([models.lm_start] if mode != "syn" else []),
+    ]
+
+
+def held_bytes(models, mode):
+    """The bytes of every array a `Models` holds for `mode`, in order."""
 
     def arrays(value):
         if isinstance(value, np.ndarray):
             return [value.tobytes()]
         return [a for v in (value.values() if isinstance(value, dict) else value) for a in arrays(v)]
 
-    return arrays([value for _, value in models._held.values()])
+    return arrays(held(models, mode))
 
 
 @pytest.mark.parametrize("mode,variant,renormalize", CASES)
@@ -218,38 +227,41 @@ def test_held_constants_are_fresh_and_never_written(idx, lm, bags, mode, variant
     beam_decode(bags[0], models, DecodeConfig(mode=mode))
     lin = models.linearizer
     if lin is not None:
-        tables, _ = models._held["linearizer"][1]
-        fresh = ffnn.slot_tables(lin, [lin.indexers.word_id(f) for f in bags[0].forms()])
+        tables, _ = models.scorer_constants
+        word_ids = [lin.indexers.word_id(f) for f in bags[0].forms()]
+        fresh = ffnn.slot_tables(lin, word_ids, FEATURE_BLOCKS[lin.variant])
         assert sorted(tables) == sorted(fresh.keys() - {"word"})
         for block, (ids, table) in tables.items():
             assert ids.tobytes() == fresh[block][0].tobytes()
             assert table.tobytes() == fresh[block][1].tobytes()
     if mode != "syn":
-        held = models._held["lm"][1]
-        assert [a.tobytes() for layer in held for a in layer] == [
+        assert [a.tobytes() for layer in models.lm_start for a in layer] == [
             a.tobytes() for layer in start_state(lm) for a in layer
         ]
-    before = held_bytes(models)
+    before, kept = held_bytes(models, mode), held(models, mode)
     for beam in (1, 10):
         cfg = DecodeConfig(mode=mode, beam_size=beam, renormalize_joint=renormalize)
         for bag in bags:
             beam_decode(bag, models, cfg)
-    assert held_bytes(models) == before
+    assert held_bytes(models, mode) == before
+    assert all(a is b for a, b in zip(held(models, mode), kept, strict=True))
 
 
 @pytest.mark.parametrize("mode", ["syn", "syn+lstm", "lstm"])
 def test_rebinding_a_model_rebuilds_its_constants(idx, lm, bags, mode):
-    # the CLI fills an empty Models after building it; a model rebound after
-    # a decode must decode as it does in a fresh Models
+    # a Models cannot be rebound in place; the session built from it with
+    # another model must decode as a fresh one, not from the old constants
     other_lin, other_lm = small_linearizer(idx, "full", seed=89), small_lm(idx, seed=90)
     cfg = DecodeConfig(mode=mode, beam_size=4)
-    models = Models()
-    models.linearizer, models.lm = small_linearizer(idx, "full", seed=84), lm
+    models = Models(small_linearizer(idx, "full", seed=84), lm)
     before = [beam_decode(bag, models, cfg) for bag in bags]
+    for name, other in [("linearizer", other_lin), ("lm", other_lm)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(models, name, other)
     if mode != "lstm":
-        models.linearizer = other_lin
+        models = dataclasses.replace(models, linearizer=other_lin)
     if mode != "syn":
-        models.lm = other_lm
+        models = dataclasses.replace(models, lm=other_lm)
     fresh = Models(linearizer=models.linearizer, lm=models.lm)
     after = [beam_decode(bag, models, cfg) for bag in bags]
     assert after == [beam_decode(bag, fresh, cfg) for bag in bags]

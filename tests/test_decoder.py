@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_projective_sentence, small_linearizer, small_lm
+from conftest import parse_valid, random_projective_sentence, score, small_linearizer, small_lm
 from synlin import decoder, ffnn
 from synlin.corpus import bag_from_forms, build_indexers, to_bag
 from synlin.decoder import (
@@ -19,7 +19,7 @@ from synlin.decoder import (
     step_scores,
 )
 from synlin.errors import ConfigError, SearchSpaceError
-from synlin.ffnn import forward, make_training_examples, train
+from synlin.ffnn import make_training_examples, train
 from synlin.lstm_lm import lm_step, next_word_logprobs, start_state
 from synlin.optim import pad_rows
 from synlin.synth import toy_corpus
@@ -176,8 +176,8 @@ class TestStepScores:
         state = item.states[0]
         feasible = tuple(state.space.actions[c] for c in legal_actions(state))
         rows = pad_rows([[lin_full.inventory.row(a) for a in feasible]])
-        syn_lp = dict(zip(feasible, forward(lin_full, [lin_full.extract_features(state)], *rows)[0]))
-        forms = state.remaining_forms()
+        syn_lp = dict(zip(feasible, score(lin_full, [lin_full.extract_features(state)], *rows)[0]))
+        forms = [state.space.forms[k] for k in state.shifts]
         ids = pad_rows([[lm.word_id(f) for f in forms]])
         [lm_row] = next_word_logprobs(lm, item.lm[-1][0], *ids)
         lm_lp = dict(zip(forms, lm_row))
@@ -289,10 +289,9 @@ class TestBeam:
         assert all(a.kind == "Shift" for a in r.actions)
 
     def test_overfit_single_sentence_recovers_it(self):
-        from synlin.corpus import build_indexers, parse_conll
         from synlin.ffnn import TrainConfig, init_linearizer
 
-        sent = parse_conll(
+        sent = parse_valid(
             "1\tI\t_\t_\tPRP\t_\t2\tnsubj\n2\tlove\t_\t_\tVBP\t_\t0\troot\n"
             "3\tNLP\t_\t_\tNNP\t_\t2\tdobj\n"
         )

@@ -1,11 +1,10 @@
 import pytest
 
-from synlin.corpus import bag_from_forms, build_indexers, parse_conll
+from conftest import parse_valid
+from synlin.corpus import bag_from_forms, build_indexers
 from synlin.features import (
+    FEATURE_BLOCKS,
     LABEL_SLOTS,
-    N_LABEL_SLOTS,
-    N_POS_SLOTS,
-    N_WORD_SLOTS,
     POS_SLOTS,
     WORD_SLOTS,
     extract,
@@ -23,7 +22,7 @@ CORPUS = (
 
 @pytest.fixture(scope="module")
 def idx():
-    return build_indexers(parse_conll(CORPUS))
+    return build_indexers(parse_valid(CORPUS))
 
 
 def start(forms, idx, variant="full"):
@@ -40,22 +39,21 @@ def run(state, *action_names):
 
 class TestLayout:
     def test_slot_counts(self):
-        assert N_WORD_SLOTS == 15
-        assert N_POS_SLOTS == 15
-        assert N_LABEL_SLOTS == 12
-        assert N_WORD_SLOTS + N_POS_SLOTS + N_LABEL_SLOTS == 42
         assert len(WORD_SLOTS) == 15 and len(POS_SLOTS) == 15 and len(LABEL_SLOTS) == 12
+        assert sum(map(len, FEATURE_BLOCKS["full"].values())) == 42
+        assert sum(map(len, FEATURE_BLOCKS["light"].values())) == 15
 
     def test_initial_state_all_null(self, idx):
         fv = extract(start(["I", "love"], idx), idx)
-        assert fv.word_ids == (idx.null_word_id,) * 15
-        assert fv.pos_ids == (idx.null_pos_id,) * 15
-        assert fv.label_ids == (idx.null_label_id,) * 12
+        assert fv == {
+            "word": (idx.null_word_id,) * 15,
+            "pos": (idx.null_pos_id,) * 15,
+            "label": (idx.null_label_id,) * 12,
+        }
 
     def test_light_is_words_only(self, idx):
         fv = extract_light(start(["I", "love"], idx, variant="light"), idx)
-        assert fv.word_ids == (idx.null_word_id,) * 15
-        assert fv.pos_ids is None and fv.label_ids is None
+        assert fv == {"word": (idx.null_word_id,) * 15}
 
 
 class TestStackSlots:
@@ -71,11 +69,11 @@ class TestStackSlots:
         )
         fv = extract(st, idx)
         w = idx.word_id
-        assert fv.word_ids[:3] == (w("NLP"), w("love"), w("I"))
-        assert fv.word_ids[3:] == (idx.null_word_id,) * 12
+        assert fv["word"][:3] == (w("NLP"), w("love"), w("I"))
+        assert fv["word"][3:] == (idx.null_word_id,) * 12
         p = idx.pos_id
-        assert fv.pos_ids[:3] == (p("NNP"), p("VBP"), p("PRP"))
-        assert fv.label_ids == (idx.null_label_id,) * 12
+        assert fv["pos"][:3] == (p("NNP"), p("VBP"), p("PRP"))
+        assert fv["label"] == (idx.null_label_id,) * 12
 
     def test_light_three_shifted(self, idx):
         st = run(
@@ -86,13 +84,13 @@ class TestStackSlots:
         )
         fv = extract_light(st, idx)
         w = idx.word_id
-        assert fv.word_ids == (w("NLP"), w("love"), w("I")) + (idx.null_word_id,) * 12
+        assert fv["word"] == (w("NLP"), w("love"), w("I")) + (idx.null_word_id,) * 12
 
     def test_pending_pos_exposes_null_tag(self, idx):
         st = run(start(["I", "love"], idx), "Shift-I")
         fv = extract(st, idx)
-        assert fv.word_ids[0] == idx.word_id("I")
-        assert fv.pos_ids[0] == idx.null_pos_id
+        assert fv["word"][0] == idx.word_id("I")
+        assert fv["pos"][0] == idx.null_pos_id
 
     def test_child_and_label_slots(self, idx):
         st = run(
@@ -105,11 +103,11 @@ class TestStackSlots:
         )
         fv = extract(st, idx)
         i_lc1_s1 = WORD_SLOTS.index("lc1(s1)")
-        assert fv.word_ids[0] == idx.word_id("dog")
-        assert fv.word_ids[i_lc1_s1] == idx.word_id("the")
-        assert fv.word_ids[WORD_SLOTS.index("lc2(s1)")] == idx.null_word_id
-        assert fv.pos_ids[i_lc1_s1] == idx.pos_id("DT")
-        assert fv.label_ids[LABEL_SLOTS.index("lc1(s1)")] == idx.label_id("det")
+        assert fv["word"][0] == idx.word_id("dog")
+        assert fv["word"][i_lc1_s1] == idx.word_id("the")
+        assert fv["word"][WORD_SLOTS.index("lc2(s1)")] == idx.null_word_id
+        assert fv["pos"][i_lc1_s1] == idx.pos_id("DT")
+        assert fv["label"][LABEL_SLOTS.index("lc1(s1)")] == idx.label_id("det")
 
     def test_grandchild_slot(self, idx):
         # ((the <- dog) <- ran): lc1(s1)=dog, lc1(lc1(s1))=the
@@ -122,9 +120,9 @@ class TestStackSlots:
             "LArc",
         )
         fv = extract_light(st, idx)
-        assert fv.word_ids[0] == idx.word_id("ran")
-        assert fv.word_ids[WORD_SLOTS.index("lc1(s1)")] == idx.word_id("dog")
-        assert fv.word_ids[WORD_SLOTS.index("lc1(lc1(s1))")] == idx.word_id("the")
+        assert fv["word"][0] == idx.word_id("ran")
+        assert fv["word"][WORD_SLOTS.index("lc1(s1)")] == idx.word_id("dog")
+        assert fv["word"][WORD_SLOTS.index("lc1(lc1(s1))")] == idx.word_id("the")
 
     def test_outermost_child_ordering(self, idx):
         # two left children: nearest is attached first, lc1 is the outermost
@@ -137,8 +135,8 @@ class TestStackSlots:
             "LArc",  # I <- dog
         )
         fv = extract_light(st, idx)
-        assert fv.word_ids[WORD_SLOTS.index("lc1(s1)")] == idx.word_id("I")
-        assert fv.word_ids[WORD_SLOTS.index("lc2(s1)")] == idx.word_id("the")
+        assert fv["word"][WORD_SLOTS.index("lc1(s1)")] == idx.word_id("I")
+        assert fv["word"][WORD_SLOTS.index("lc2(s1)")] == idx.word_id("the")
 
 
 class TestInvariants:
@@ -155,4 +153,4 @@ class TestInvariants:
     def test_unknown_word_maps_to_unk(self, idx):
         st = run(start(["xyzzy"], idx, variant="light"), "Shift-xyzzy")
         fv = extract_light(st, idx)
-        assert fv.word_ids[0] == idx.unk_id
+        assert fv["word"][0] == idx.unk_id

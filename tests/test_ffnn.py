@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import randomize_params, small_linearizer, small_lm
+from conftest import randomize_params, score, small_linearizer, small_lm
 from synlin import ffnn, lstm_lm
 from synlin.corpus import build_indexers, to_bag
 from synlin.errors import ConfigError, DataError
@@ -9,7 +9,6 @@ from synlin.ffnn import (
     ActionInventory,
     TrainConfig,
     TrainExample,
-    forward,
     grad_check,
     loss,
     make_training_examples,
@@ -59,7 +58,7 @@ class TestInventory:
 
 
 def feasible_rows(model, feasibles):
-    """`forward`'s rows and mask for sequences of feasible actions."""
+    """`ffnn.forward`'s rows and mask for sequences of feasible actions."""
     return pad_rows([[model.inventory.row(a) for a in feasible] for feasible in feasibles])
 
 
@@ -69,8 +68,8 @@ def actions_at(state):
 
 
 def logprobs(model, fv, feasible):
-    """forward on a one-item batch, as a map action -> log-probability."""
-    return dict(zip(feasible, forward(model, [fv], *feasible_rows(model, [feasible]))[0]))
+    """`ffnn.forward` on a one-item batch, as a map action -> log-probability."""
+    return dict(zip(feasible, score(model, [fv], *feasible_rows(model, [feasible]))[0]))
 
 
 class TestForward:
@@ -140,13 +139,13 @@ class TestForward:
         model = small_linearizer(idx, "full")
         state = self.feasible_state(model, corpus)
         with pytest.raises(DataError):
-            forward(model, [model.extract_features(state)], *feasible_rows(model, [()]))
+            score(model, [model.extract_features(state)], *feasible_rows(model, [()]))
 
     def test_lm_feat_mismatch(self, idx, corpus):
         model = small_linearizer(idx, "full")
         state = self.feasible_state(model, corpus)
         with pytest.raises(ConfigError):
-            forward(
+            score(
                 model,
                 [model.extract_features(state)],
                 *feasible_rows(model, [actions_at(state)]),
@@ -169,13 +168,13 @@ class TestSharedHiddenLayer:
         feats = np.stack([e.lm_feat for e in examples]) if lm else None
         fvs = [e.features for e in examples]
         feasibles = [e.feasible for e in examples]
-        batched = forward(model, fvs, *feasible_rows(model, feasibles), feats)
+        batched = score(model, fvs, *feasible_rows(model, feasibles), feats)
         packed = ffnn._pack(model, examples)
         for i, ex in enumerate(examples):
             ce, _ = ffnn._batch_pass(model, packed, np.array([i]), 0.0, want_grads=False)
             assert abs(ce + batched[i][ex.feasible.index(ex.gold)]) <= 1e-12
             row = None if feats is None else feats[i : i + 1]
-            [alone] = forward(model, fvs[i : i + 1], *feasible_rows(model, feasibles[i : i + 1]), row)
+            [alone] = score(model, fvs[i : i + 1], *feasible_rows(model, feasibles[i : i + 1]), row)
             m = len(ex.feasible)
             assert np.max(np.abs(batched[i, :m] - alone)) <= 1e-12
             assert np.all(batched[i, m:] == -np.inf)
@@ -184,7 +183,7 @@ class TestSharedHiddenLayer:
         model = small_linearizer(idx, "full")
         state = initial_state(to_bag(corpus[0]), "full", idx.content_pos_tags, idx.content_labels)
         with pytest.raises(DataError):
-            forward(model, [model.extract_features(state)] * 2, *feasible_rows(model, [actions_at(state)]))
+            score(model, [model.extract_features(state)] * 2, *feasible_rows(model, [actions_at(state)]))
 
 
 class TestLoss:

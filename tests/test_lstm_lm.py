@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import small_lm
+from conftest import parse_valid, small_lm
 from synlin import lstm_lm
-from synlin.corpus import build_indexers, parse_conll
+from synlin.corpus import build_indexers
 from synlin.errors import DataError
 from synlin.optim import pad_rows
 from synlin.lstm_lm import (
@@ -115,9 +115,9 @@ class TestStep:
         rng = np.random.default_rng(7)
         states = [start_state(model)]  # ten different prefixes
         for _ in range(9):
-            states.append(lm_step(model, states[-1], [int(rng.integers(model.vocab_size))]))
+            states.append(lm_step(model, states[-1], [int(rng.integers(len(model.params["emb"])))]))
         batch = tuple(tuple(np.concatenate(x) for x in zip(*layer)) for layer in zip(*states))
-        ids = [int(i) for i in rng.integers(0, model.vocab_size, len(states))]
+        ids = [int(i) for i in rng.integers(0, len(model.params["emb"]), len(states))]
         stepped = lm_step(model, batch, ids)
         for k, (state, wid) in enumerate(zip(states, ids)):
             got, want = rows(stepped, k), lm_step(model, state, [wid])
@@ -140,7 +140,7 @@ class TestDistribution:
     def test_sums_to_one(self, idx):
         model = small_lm(idx, seed=6)
         st = start_state(model)
-        full = probs(model, st, range(model.vocab_size))
+        full = probs(model, st, range(len(model.params["emb"])))
         assert abs(sum(full) - 1.0) < 1e-9
         some = probs(model, st, [2, 5, 7, 7])
         assert abs(sum(some) - 1.0) < 1e-9
@@ -148,7 +148,7 @@ class TestDistribution:
     def test_restriction_identity(self, idx):
         model = small_lm(idx, seed=7)
         st = start_state(model)
-        full = probs(model, st, range(model.vocab_size))
+        full = probs(model, st, range(len(model.params["emb"])))
         allowed = [2, 4, 9]
         restricted = probs(model, st, allowed)
         mass = sum(full[i] for i in allowed)
@@ -209,7 +209,7 @@ class TestTraining:
         assert log == [] and lm_bytes(model) == before
 
     def test_one_sentence_overfit(self):
-        sent = parse_conll(
+        sent = parse_valid(
             "1\tthe\t_\t_\tDT\t_\t2\tdet\n2\tdog\t_\t_\tNN\t_\t3\tnsubj\n"
             "3\tran\t_\t_\tVBD\t_\t0\troot\n"
         )
