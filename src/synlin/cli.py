@@ -19,7 +19,7 @@ from synlin import corpus as cp
 from synlin import decoder as dec
 from synlin import ffnn, lstm_lm, metrics
 from synlin.errors import ConfigError, DataError, SynlinError
-from synlin.transition import FULL, LIGHT, Action, derivation_length, realized_sentence
+from synlin.transition import FULL, LIGHT, Action, realized_sentence
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +89,8 @@ def _config(cls, args):
     return cls(**{name: value for name, value in given.items() if value is not None})
 
 
-def _read_corpus(path: str) -> list[cp.DepSentence]:
+def _read_corpus(path: str) -> tuple[list[cp.DepSentence], int]:
+    """The usable sentences of a CoNLL file and how many were skipped."""
     sentences, skipped = cp.parse_conll_lenient(_read_text(path))
     if skipped:
         print(f"skipped {len(skipped)} sentence(s) with unusable trees:", file=sys.stderr)
@@ -97,12 +98,12 @@ def _read_corpus(path: str) -> list[cp.DepSentence]:
             print(f"  {msg}", file=sys.stderr)
     if not sentences:
         raise DataError(f"{path}: no usable sentences")
-    return sentences
+    return sentences, len(skipped)
 
 
 def cmd_train_lm(args) -> int:
     config = _config(lstm_lm.LmConfig, args)
-    sentences = _read_corpus(args.corpus)
+    sentences, _ = _read_corpus(args.corpus)
     indexers = cp.build_indexers(sentences, args.min_count)
     model = lstm_lm.init_lm(indexers, config)
     log = lstm_lm.train_lm(model, sentences, config)
@@ -115,7 +116,7 @@ def cmd_train_lm(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config(ffnn.TrainConfig, args)
-    sentences = _read_corpus(args.corpus)
+    sentences, _ = _read_corpus(args.corpus)
     indexers = cp.build_indexers(sentences, args.min_count)
     if args.variant == FULL:
         if not indexers.content_pos_tags:
@@ -227,21 +228,18 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    text = _read_text(args.corpus)
-    sentences, skipped = cp.parse_conll_lenient(text)
+    sentences, skipped = _read_corpus(args.corpus)
+    indexers = cp.build_indexers(sentences)
     failures = []
     for i, sent in enumerate(sentences, start=1):
-        actions = cp.derive_oracle(sent, args.variant)
-        state = cp.replay_oracle(sent, args.variant, actions)
+        try:
+            state = cp.derive_oracle(sent, args.variant, indexers)
+        except DataError as exc:
+            raise DataError(f"sentence {i}: {exc}") from None
         realized = [t.form for t in realized_sentence(state)]
-        ok = (
-            len(actions) == derivation_length(args.variant, len(sent))
-            and realized == sent.forms()
-            and state.arcs == cp.gold_arcs(sent, args.variant)
-        )
-        if not ok:
+        if realized != sent.forms() or state.arcs != cp.gold_arcs(sent, args.variant):
             failures.append(i)
-    print(f"pass {len(sentences) - len(failures)}/{len(sentences)} skip {len(skipped)}")
+    print(f"pass {len(sentences) - len(failures)}/{len(sentences)} skip {skipped}")
     if failures:
         raise DataError(f"oracle round-trip failed for sentences {failures}")
     return 0

@@ -18,7 +18,7 @@ from synlin.errors import (
     ConfigError,
     ConllError,
     DataError,
-    DerivationError,
+    IllegalActionError,
     NonProjectiveError,
     TreeError,
 )
@@ -26,16 +26,15 @@ from synlin.transition import (
     END,
     FULL,
     LEFT_ARC,
-    LIGHT,
     POS,
     RIGHT_ARC,
     SHIFT,
     VARIANTS,
     Action,
+    StackItem,
     State,
     TokenRef,
     apply,
-    derivation_length,
     initial_state,
 )
 
@@ -352,86 +351,63 @@ def gold_arcs(sentence: DepSentence, variant: str) -> frozenset:
     )
 
 
-def derive_oracle(sentence: DepSentence, variant: str) -> list[Action]:
-    """Action sequence that rebuilds the gold order and gold arc set.
+def derive_oracle(sentence: DepSentence, variant: str, indexers: Indexers) -> State:
+    """Terminal state of the derivation that rebuilds the gold order and arcs.
 
-    Arc-standard derivation: an arc fires only once the dependent has
-    collected all of its own dependents; RArc is taken the moment it is
-    valid (deferring it is never recoverable).  When LArc and Shift are both
-    derivable -- the next gold word sits inside the prospective head's
-    subtree -- Shift wins.  Full derivations are 3n actions, light 2n.
+    The arc-standard policy walks `transition.State` over the inventories of
+    `indexers`; the derivation is the returned state's `history`.  An arc
+    fires only once the dependent's stack item holds all of its gold
+    children; RArc is taken the moment it is valid (deferring it is never
+    recoverable).  When LArc and Shift are both derivable -- the next gold
+    word sits inside the prospective head's subtree -- Shift wins.  A gold
+    action outside the inventories is a DataError.
     """
     if variant not in VARIANTS:
         raise DataError(f"unknown variant {variant!r}")
-    full = variant == FULL
-    heads = {t.index: t.head for t in sentence.tokens}
-    labels = {t.index: t.label for t in sentence.tokens}
-    forms = {t.index: t.form for t in sentence.tokens}
-    tags = {t.index: t.pos for t in sentence.tokens}
-    n_children = Counter(heads.values())
-    attached: Counter = Counter()
+    gold = {t.index: t for t in sentence.tokens}
+    n_children = Counter(t.head for t in sentence.tokens)
     n = len(sentence)
 
-    def complete(i: int) -> bool:
-        return attached[i] == n_children[i]
+    def head(item: StackItem) -> int:
+        return gold[item.root.tid].head
+
+    def complete(item: StackItem) -> bool:
+        return len(item.left_children) + len(item.right_children) == n_children[item.root.tid]
+
+    def label(item: StackItem) -> str | None:
+        return gold[item.root.tid].label if variant == FULL else None
 
     def inside_subtree(node: int, ancestor: int) -> bool:
-        node = heads[node]
+        node = gold[node].head
         while node != 0:
             if node == ancestor:
                 return True
-            node = heads[node]
+            node = gold[node].head
         return False
 
-    actions: list[Action] = []
-    stack: list[int] = []
-    nxt = 1
-    while True:
-        if len(stack) >= 2:
-            top, second = stack[-1], stack[-2]
-            if heads[top] == second and complete(top):
-                actions.append(Action(RIGHT_ARC, labels[top] if full else None))
-                attached[second] += 1
-                stack.pop()
-                continue
-            if heads[second] == top and complete(second):
-                prefer_shift = nxt <= n and inside_subtree(nxt, top)
-                if not prefer_shift:
-                    actions.append(Action(LEFT_ARC, labels[second] if full else None))
-                    attached[top] += 1
-                    del stack[-2]
-                    continue
-        if nxt <= n:
-            actions.append(Action(SHIFT, forms[nxt]))
-            if full:
-                actions.append(Action(POS, tags[nxt]))
-            stack.append(nxt)
-            nxt += 1
-            continue
-        break
-    if len(stack) != 1:
-        raise DerivationError(
-            f"no arc-standard derivation (stack {stack}); tree is not projective"
-        )
-    actions.append(Action(END))
-    expected = derivation_length(variant, n)
-    if len(actions) != expected:
-        raise DerivationError(f"derivation length {len(actions)} != {expected}")
-    return actions
-
-
-def replay_oracle(sentence: DepSentence, variant: str, actions=None) -> State:
-    """Apply the oracle actions through the transition system; terminal state.
-
-    Inventories for legality checks are taken from the sentence itself.
-    """
-    if actions is None:
-        actions = derive_oracle(sentence, variant)
-    pos_tags = sorted({t.pos for t in sentence.tokens if t.pos != MISSING})
-    arc_labels = sorted(
-        {t.label for t in sentence.tokens if t.head != 0 and t.label != MISSING}
-    )
-    state = initial_state(to_bag(sentence), variant, pos_tags, arc_labels)
-    for act in actions:
-        state = apply(state, act)
+    state = initial_state(to_bag(sentence), variant, indexers.content_pos_tags, indexers.content_labels)
+    while not state.terminal:
+        top, second = state.peek(2)
+        nxt = n - state.left.bit_count() + 1  # tokens are shifted in gold order
+        if variant == FULL and top is not None and top.pos is None:  # a Pos follows each Shift
+            action = Action(POS, gold[top.root.tid].pos)
+        elif second is not None and head(top) == second.root.tid and complete(top):
+            action = Action(RIGHT_ARC, label(top))
+        elif (
+            second is not None
+            and head(second) == top.root.tid
+            and complete(second)
+            and not (nxt <= n and inside_subtree(nxt, top.root.tid))
+        ):
+            action = Action(LEFT_ARC, label(second))
+        elif nxt <= n:
+            action = Action(SHIFT, gold[nxt].form)
+        else:
+            action = Action(END)
+        try:
+            state = apply(state, action)
+        except IllegalActionError:
+            raise DataError(
+                f"gold action {action.name()} not feasible at {state.summary()}"
+            ) from None
     return state

@@ -342,19 +342,3 @@ def exhaustive_decode(bag: WordBag, models: Models, config: DecodeConfig) -> Dec
 
     walk(root)
     return _result(best[1], best[2], config.mode)
-
-
-def count_derivations(bag: WordBag, mode: str, variant=LIGHT, pos_tags=(), arc_labels=()) -> int:
-    """Number of legal derivations for a bag (no models, structure only).
-
-    Walks the same successors and terminal test as `exhaustive_decode`.
-    """
-    _check_enumerable(len(bag), mode)
-    state = initial_state(bag, LIGHT if mode == MODE_LSTM else variant, pos_tags, arc_labels)
-
-    def walk(st: State) -> int:
-        if _is_terminal(st, mode):
-            return 1
-        return sum(walk(apply(st, a)) for a in _successors(st, mode))
-
-    return walk(state)

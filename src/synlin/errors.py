@@ -31,12 +31,6 @@ class NonProjectiveError(TreeError):
     code = "nonprojective"
 
 
-class DerivationError(DataError):
-    """Oracle could not derive an action sequence for a sentence."""
-
-    code = "oracle"
-
-
 class StateError(SynlinError):
     """Transition-system contract violation."""
 

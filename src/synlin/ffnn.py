@@ -16,19 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from synlin.corpus import (
-    DepSentence,
-    Indexers,
-    UNK_WORD,
-    derive_oracle,
-    to_bag,
-)
+from synlin.corpus import DepSentence, Indexers, UNK_WORD, derive_oracle
 from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.features import FEATURE_BLOCKS, extract, extract_light
 from synlin.optim import Adagrad, check_rates, max_grad_error, row_sums
 from synlin.optim import masked_log_softmax, pad_rows
-from synlin.transition import END, FULL, LEFT_ARC, POS, RIGHT_ARC, SHIFT, Action, apply
-from synlin.transition import initial_state, legal_actions
+from synlin.transition import END, FULL, LEFT_ARC, POS, RIGHT_ARC, SHIFT, Action, legal_actions
 
 INIT_SCALE = 0.01
 
@@ -192,7 +185,7 @@ def init_linearizer(
 
 
 def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=None) -> list[TrainExample]:
-    """Replay the oracle over each sentence, recording one example per action.
+    """One example per gold action, read off each sentence's oracle derivation.
 
     When `lm` is given (a trained LanguageModel), each example carries the
     LM's top hidden vector for the words shifted so far, and the LM advances
@@ -202,26 +195,21 @@ def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=N
 
     examples = []
     for k, sent in enumerate(sentences):
-        actions = derive_oracle(sent, model.variant)
-        tags, labels = model.indexers.content_pos_tags, model.indexers.content_labels
-        state = initial_state(to_bag(sent), model.variant, tags, labels)
+        try:
+            final = derive_oracle(sent, model.variant, model.indexers)
+        except DataError as exc:
+            raise DataError(f"sentence {k + 1}: {exc}") from None
         lm_state = lstm_lm.start_state(lm) if lm is not None else None
-        for act in actions:
-            feasible = tuple(map(state.space.actions.__getitem__, legal_actions(state)))
-            if act not in feasible:
-                raise DataError(
-                    f"sentence {k + 1}: gold action {act.name()} not feasible at "
-                    f"{state.summary()}"
-                )
+        for node in final.nodes():
+            state, act = node.parent, node.space.actions[node.code]
             examples.append(
                 TrainExample(
                     features=model.extract_features(state),
-                    feasible=feasible,
+                    feasible=tuple(map(state.space.actions.__getitem__, legal_actions(state))),
                     gold=act,
                     lm_feat=None if lm_state is None else lm_state[-1][0][0],
                 )
             )
-            state = apply(state, act)
             if lm is not None and act.kind == SHIFT:
                 lm_state = lstm_lm.lm_step(lm, lm_state, [lm.word_id(act.arg)])
     return examples

@@ -13,10 +13,12 @@ Run as a module to write a corpus:
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
 from synlin.corpus import DepSentence, Token, to_conll
+from synlin.errors import ConfigError
 
 _DETS = ["the", "a"]
 _ADJS = ["big", "red", "old", "small", "young", "lazy"]
@@ -118,7 +120,14 @@ def _flatten(root: _Node) -> DepSentence:
 
 
 def toy_corpus(n_sentences: int, seed: int, max_len: int = 15) -> list[DepSentence]:
-    """Generate `n_sentences` projective sentences, deterministic in `seed`."""
+    """Generate `n_sentences` projective sentences, deterministic in `seed`.
+
+    Every clause has at least two tokens, so `max_len` must be at least 2.
+    """
+    if n_sentences < 0 or seed < 0:
+        raise ConfigError(f"sentence count and seed must be >= 0, got {n_sentences} and {seed}")
+    if max_len < 2:
+        raise ConfigError(f"max_len must be >= 2, got {max_len}")
     rng = np.random.default_rng(seed)
     sentences = []
     while len(sentences) < n_sentences:
@@ -139,11 +148,19 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument("--max-len", type=int, default=15)
     args = parser.parse_args(argv)
-    corpus = toy_corpus(args.sentences, args.seed, args.max_len)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(to_conll(corpus))
+    try:
+        corpus = toy_corpus(args.sentences, args.seed, args.max_len)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(to_conll(corpus))
+    except ConfigError as exc:
+        print(f"error: {exc.code}: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: io: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(corpus)} sentences to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

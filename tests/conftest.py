@@ -3,8 +3,10 @@ import pytest
 
 from synlin import ffnn, lstm_lm
 from synlin.corpus import DepSentence, Token, build_indexers, parse_conll_lenient
+from synlin.decoder import MODE_LSTM, _check_enumerable, _is_terminal, _successors
 from synlin.features import FEATURE_BLOCKS
 from synlin.synth import toy_corpus
+from synlin.transition import LIGHT, apply, initial_state
 
 # Filled by the acceptance module; echoed after the run so the one-line
 # verdicts are visible without -s.
@@ -109,3 +111,19 @@ def random_projective_sentence(rng, n) -> DepSentence:
         for i in range(1, n + 1)
     )
     return DepSentence(tokens=toks)
+
+
+def count_derivations(bag, mode, variant=LIGHT, pos_tags=(), arc_labels=()) -> int:
+    """Number of legal derivations for a bag (no models, structure only).
+
+    Walks the same successors and terminal test as `exhaustive_decode`.
+    """
+    _check_enumerable(len(bag), mode)
+    state = initial_state(bag, LIGHT if mode == MODE_LSTM else variant, pos_tags, arc_labels)
+
+    def walk(st) -> int:
+        if _is_terminal(st, mode):
+            return 1
+        return sum(walk(apply(st, a)) for a in _successors(st, mode))
+
+    return walk(state)

@@ -1,0 +1,111 @@
+"""Test-only references for the gold oracle.
+
+`derive_oracle` is the oracle before it walked `transition.State`: its own
+integer stack of gold indices, an `attached` counter per head and a check
+that the derivation has 3n (full) or 2n (light) actions.  It returns the
+action list, which `make_training_examples` replays through a second
+`initial_state`/`apply` walk, checking each gold action against the legal
+set before taking its example.  `synlin.corpus.derive_oracle` must give the
+same actions and `synlin.ffnn.make_training_examples` the same examples
+(`test_oracle_equivalence.py`).
+"""
+
+from collections import Counter
+
+from synlin.corpus import to_bag
+from synlin.errors import DataError
+from synlin.ffnn import TrainExample
+from synlin.lstm_lm import lm_step, start_state
+from synlin.transition import (
+    END,
+    FULL,
+    LEFT_ARC,
+    POS,
+    RIGHT_ARC,
+    SHIFT,
+    Action,
+    apply,
+    derivation_length,
+    initial_state,
+    legal_actions,
+)
+
+
+def derive_oracle(sentence, variant):
+    """Action sequence that rebuilds the gold order and gold arc set."""
+    full = variant == FULL
+    heads = {t.index: t.head for t in sentence.tokens}
+    labels = {t.index: t.label for t in sentence.tokens}
+    forms = {t.index: t.form for t in sentence.tokens}
+    tags = {t.index: t.pos for t in sentence.tokens}
+    n_children = Counter(heads.values())
+    attached = Counter()
+    n = len(sentence)
+
+    def complete(i):
+        return attached[i] == n_children[i]
+
+    def inside_subtree(node, ancestor):
+        node = heads[node]
+        while node != 0:
+            if node == ancestor:
+                return True
+            node = heads[node]
+        return False
+
+    actions = []
+    stack = []
+    nxt = 1
+    while True:
+        if len(stack) >= 2:
+            top, second = stack[-1], stack[-2]
+            if heads[top] == second and complete(top):
+                actions.append(Action(RIGHT_ARC, labels[top] if full else None))
+                attached[second] += 1
+                stack.pop()
+                continue
+            if heads[second] == top and complete(second):
+                prefer_shift = nxt <= n and inside_subtree(nxt, top)
+                if not prefer_shift:
+                    actions.append(Action(LEFT_ARC, labels[second] if full else None))
+                    attached[top] += 1
+                    del stack[-2]
+                    continue
+        if nxt <= n:
+            actions.append(Action(SHIFT, forms[nxt]))
+            if full:
+                actions.append(Action(POS, tags[nxt]))
+            stack.append(nxt)
+            nxt += 1
+            continue
+        break
+    assert len(stack) == 1, stack
+    actions.append(Action(END))
+    assert len(actions) == derivation_length(variant, n)
+    return actions
+
+
+def make_training_examples(sentences, model, lm=None):
+    """Replay the reference oracle over each sentence, one example per action."""
+    examples = []
+    for k, sent in enumerate(sentences):
+        actions = derive_oracle(sent, model.variant)
+        tags, labels = model.indexers.content_pos_tags, model.indexers.content_labels
+        state = initial_state(to_bag(sent), model.variant, tags, labels)
+        lm_state = start_state(lm) if lm is not None else None
+        for act in actions:
+            feasible = tuple(map(state.space.actions.__getitem__, legal_actions(state)))
+            if act not in feasible:
+                raise DataError(f"sentence {k + 1}: gold action {act.name()} not feasible")
+            examples.append(
+                TrainExample(
+                    features=model.extract_features(state),
+                    feasible=feasible,
+                    gold=act,
+                    lm_feat=None if lm_state is None else lm_state[-1][0][0],
+                )
+            )
+            state = apply(state, act)
+            if lm is not None and act.kind == SHIFT:
+                lm_state = lm_step(lm, lm_state, [lm.word_id(act.arg)])
+    return examples

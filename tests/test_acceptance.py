@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import score, small_linearizer, small_lm
+from conftest import count_derivations, score, small_linearizer, small_lm
 from test_metrics import naive_corpus_bleu
 from synlin import decoder, ffnn, lstm_lm, metrics
 from synlin.cli import main as cli_main
@@ -23,11 +23,10 @@ from synlin.corpus import (
     build_indexers,
     derive_oracle,
     gold_arcs,
-    replay_oracle,
     to_bag,
     to_conll,
 )
-from synlin.decoder import DecodeConfig, Models, beam_decode, count_derivations, exhaustive_decode
+from synlin.decoder import DecodeConfig, Models, beam_decode, exhaustive_decode
 from synlin.lstm_lm import next_word_logprobs, start_state
 from synlin.optim import pad_rows
 from synlin.synth import toy_corpus
@@ -91,14 +90,13 @@ def trained_lm50(toy50):
     return model
 
 
-def test_oracle_round_trip(synth220):
+def test_oracle_round_trip(synth220, synth220_indexers):
     t0 = time.time()
     n_checked = 0
     for variant, factor in (("full", 3), ("light", 2)):
         for sent in synth220:
-            actions = derive_oracle(sent, variant)
-            assert len(actions) == factor * len(sent)
-            state = replay_oracle(sent, variant, actions)
+            state = derive_oracle(sent, variant, synth220_indexers)
+            assert len(state.history) == factor * len(sent)
             assert [t.form for t in realized_sentence(state)] == sent.forms()
             assert state.arcs == gold_arcs(sent, variant)
             n_checked += 1

@@ -399,4 +399,30 @@ class TestEvaluateInspectOracle:
             "3\tc\t_\t_\tX\t_\t0\troot\n4\td\t_\t_\tX\t_\t3\tl\n"
         )
         assert main(["oracle-check", "--corpus", str(conll), "--variant", "light"]) == 0
-        assert "pass 1/1 skip 1" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "pass 1/1 skip 1" in captured.out
+        assert "skipped 1 sentence(s)" in captured.err and "sentence 2: " in captured.err
+
+    @pytest.mark.parametrize(
+        "text", ["", "1\ta\t_\t_\tX\t_\t2\tl\n2\tb\t_\t_\tX\t_\t1\tl\n"], ids=["empty", "all-skipped"]
+    )
+    def test_oracle_check_needs_a_usable_sentence(self, tmp_path, text, capsys):
+        conll = tmp_path / "none.conll"
+        conll.write_text(text)
+        assert main(["oracle-check", "--corpus", str(conll)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1] == f"error: data: {conll}: no usable sentences"
+
+    @pytest.mark.parametrize("command", ["train", "oracle-check"])
+    def test_underivable_gold_action_names_its_sentence(self, tmp_path, command, capsys):
+        # sentence 2 has a "_" POS tag, which no Pos action carries
+        conll = tmp_path / "gap.conll"
+        conll.write_text(
+            "1\tGo\t_\t_\tVB\t_\t0\troot\n\n"
+            "1\tdogs\t_\t_\t_\t_\t2\tnsubj\n2\tbark\t_\t_\tVBP\t_\t0\troot\n"
+        )
+        argv = {"train": ["--out", str(tmp_path / "m.slm"), *FAST_TRAIN], "oracle-check": []}
+        assert main([command, "--corpus", str(conll), "--variant", "full", *argv[command]]) == 1
+        err = assert_one_error(capsys, "data").err
+        assert err.startswith("error: data: sentence 2: gold action Pos-_ not feasible at ")

@@ -13,14 +13,12 @@ from synlin.corpus import (
     gold_arcs,
     parse_conll_forms,
     parse_conll_lenient,
-    replay_oracle,
     to_bag,
     to_conll,
 )
 from synlin.errors import (
     ConllError,
     DataError,
-    DerivationError,
     NonProjectiveError,
     TreeError,
 )
@@ -183,13 +181,18 @@ class TestWordBag:
             bag_from_forms([])
 
 
+def oracle(sent, variant):
+    """The oracle's terminal state over the sentence's own inventories."""
+    return derive_oracle(sent, variant, build_indexers([sent]))
+
+
 class TestOracle:
     def test_table2_light(self, table2):
-        acts = derive_oracle(table2, "light")
+        acts = oracle(table2, "light").history
         assert names(acts) == ["Shift-I", "Shift-love", "Shift-NLP", "RArc", "LArc", "End"]
 
     def test_table2_full(self, table2):
-        acts = derive_oracle(table2, "full")
+        acts = oracle(table2, "full").history
         assert names(acts) == [
             "Shift-I",
             "Pos-PRP",
@@ -204,21 +207,13 @@ class TestOracle:
 
     def test_single_token_full(self):
         sent = parse_valid("1\tGo\t_\t_\tVB\t_\t0\troot\n")[0]
-        acts = derive_oracle(sent, "full")
+        acts = oracle(sent, "full").history
         assert names(acts) == ["Shift-Go", "Pos-VB", "End"]
         assert len(acts) == 3 * 1
 
-    def test_wrong_length_is_a_derivation_error(self, table2, monkeypatch):
-        # a coded error rather than an assert, so the check survives python -O
-        from synlin import corpus
-
-        monkeypatch.setattr(corpus, "derivation_length", lambda variant, n: 2 * n + 1)
-        with pytest.raises(DerivationError, match="derivation length 6 != 7"):
-            derive_oracle(table2, "light")
-
     def test_shift_preferred_over_left_arc(self, table2):
         # After [I love] the arc I<-love is available but NLP is shifted first.
-        acts = names(derive_oracle(table2, "light"))
+        acts = names(oracle(table2, "light").history)
         assert acts.index("Shift-NLP") < acts.index("LArc")
 
     def test_left_branching_chain(self):
@@ -226,20 +221,19 @@ class TestOracle:
         # oracle must emit it before shifting w3.
         text = "1\tw1\t_\t_\tA\t_\t2\tl1\n2\tw2\t_\t_\tA\t_\t3\tl2\n3\tw3\t_\t_\tA\t_\t0\troot\n"
         sent = parse_valid(text)[0]
-        acts = names(derive_oracle(sent, "light"))
-        assert acts == ["Shift-w1", "Shift-w2", "LArc", "Shift-w3", "LArc", "End"]
-        state = replay_oracle(sent, "light")
+        state = oracle(sent, "light")
+        assert names(state.history) == ["Shift-w1", "Shift-w2", "LArc", "Shift-w3", "LArc", "End"]
         assert [t.form for t in realized_sentence(state)] == ["w1", "w2", "w3"]
 
-    def test_action_count_law(self, synth220):
+    def test_action_count_law(self, synth220, synth220_indexers):
         for sent in synth220:
-            assert len(derive_oracle(sent, "full")) == 3 * len(sent)
-            assert len(derive_oracle(sent, "light")) == 2 * len(sent)
+            assert len(derive_oracle(sent, "full", synth220_indexers).history) == 3 * len(sent)
+            assert len(derive_oracle(sent, "light", synth220_indexers).history) == 2 * len(sent)
 
     @pytest.mark.parametrize("variant", ["full", "light"])
-    def test_roundtrip_corpus(self, synth220, variant):
+    def test_roundtrip_corpus(self, synth220, synth220_indexers, variant):
         for sent in synth220:
-            state = replay_oracle(sent, variant)
+            state = derive_oracle(sent, variant, synth220_indexers)
             assert [t.form for t in realized_sentence(state)] == sent.forms()
             assert state.arcs == gold_arcs(sent, variant)
 
@@ -248,9 +242,8 @@ class TestOracle:
         rng = np.random.default_rng(2024)
         for _ in range(400):
             sent = random_projective_sentence(rng, int(rng.integers(1, 13)))
-            actions = derive_oracle(sent, variant)
-            assert len(actions) == derivation_length(variant, len(sent))
-            state = replay_oracle(sent, variant, actions)
+            state = oracle(sent, variant)
+            assert len(state.history) == derivation_length(variant, len(sent))
             assert [t.form for t in realized_sentence(state)] == sent.forms()
             assert state.arcs == gold_arcs(sent, variant)
 
@@ -263,7 +256,7 @@ class TestOracle:
             "5\tman\t_\t_\tNN\t_\t3\tdobj\n"
         )
         sent = parse_valid(text)[0]
-        state = replay_oracle(sent, "full")
+        state = oracle(sent, "full")
         realized = realized_sentence(state)
         assert [t.form for t in realized] == ["the", "dog", "bit", "the", "man"]
         assert [t.tid for t in realized] == [1, 2, 3, 4, 5]
@@ -271,7 +264,27 @@ class TestOracle:
 
     def test_unknown_variant(self, table2):
         with pytest.raises(DataError):
-            derive_oracle(table2, "medium")
+            oracle(table2, "medium")
+
+    @pytest.mark.parametrize(
+        "text,action",
+        [
+            ("1\tGo\t_\t_\t_\t_\t0\troot\n", "Pos-_"),
+            ("1\ta\t_\t_\tX\t_\t2\t_\n2\tb\t_\t_\tX\t_\t0\troot\n", "LArc-_"),
+        ],
+    )
+    def test_gold_action_outside_inventories_is_a_data_error(self, text, action):
+        # "_" is absent from the inventories, so the gold Pos/arc action is illegal
+        sent = parse_valid(text)[0]
+        with pytest.raises(DataError, match=f"gold action {action} not feasible at "):
+            oracle(sent, "full")
+        assert oracle(sent, "light").terminal
+
+    def test_inventories_come_from_the_indexers(self, table2):
+        other = build_indexers(parse_valid("1\tGo\t_\t_\tVB\t_\t0\troot\n"))
+        with pytest.raises(DataError, match="gold action Pos-PRP not feasible"):
+            derive_oracle(table2, "full", other)
+        assert derive_oracle(table2, "light", other).history == oracle(table2, "light").history
 
 
 class TestDepSentenceInvariants:

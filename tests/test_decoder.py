@@ -7,14 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parse_valid, random_projective_sentence, score, small_linearizer, small_lm
+from conftest import (
+    count_derivations,
+    parse_valid,
+    random_projective_sentence,
+    score,
+    small_linearizer,
+    small_lm,
+)
 from synlin import decoder, ffnn
 from synlin.corpus import bag_from_forms, build_indexers, to_bag
 from synlin.decoder import (
     DecodeConfig,
     Models,
     beam_decode,
-    count_derivations,
     exhaustive_decode,
     step_scores,
 )
