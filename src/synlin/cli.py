@@ -231,14 +231,14 @@ def cmd_oracle_check(args) -> int:
     sentences, skipped = _read_corpus(args.corpus)
     indexers = cp.build_indexers(sentences)
     failures = []
-    for i, sent in enumerate(sentences, start=1):
+    for sent in sentences:
         try:
             state = cp.derive_oracle(sent, args.variant, indexers)
         except DataError as exc:
-            raise DataError(f"sentence {i}: {exc}") from None
+            raise DataError(f"sentence {sent.number}: {exc}") from None
         realized = [t.form for t in realized_sentence(state)]
         if realized != sent.forms() or state.arcs != cp.gold_arcs(sent, args.variant):
-            failures.append(i)
+            failures.append(sent.number)
     print(f"pass {len(sentences) - len(failures)}/{len(sentences)} skip {skipped}")
     if failures:
         raise DataError(f"oracle round-trip failed for sentences {failures}")

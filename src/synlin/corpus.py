@@ -70,10 +70,13 @@ class DepSentence:
     """A sentence whose heads form a single projective tree.
 
     Construction validates the tree; TreeError / NonProjectiveError are
-    raised for anything the transition system cannot rebuild.
+    raised for anything the transition system cannot rebuild.  `number` is
+    the 1-based CoNLL block the sentence was read from (0 when it was not
+    read from a file); errors about the sentence name it.
     """
 
     tokens: tuple[Token, ...]
+    number: int = field(default=0, compare=False)
 
     def __post_init__(self):
         _validate_tree(self.tokens)
@@ -277,7 +280,7 @@ def _blocks(lines: Iterable[str]) -> Iterator[list[tuple[int, str]]]:
         yield block
 
 
-def _parse_block(block: list[tuple[int, str]]) -> DepSentence:
+def _parse_block(block: list[tuple[int, str]], number: int) -> DepSentence:
     tokens = []
     for position, (no, line) in enumerate(block, start=1):
         cols = line.split("\t") if "\t" in line else line.split()
@@ -291,7 +294,7 @@ def _parse_block(block: list[tuple[int, str]]) -> DepSentence:
         if idx != position:
             raise ConllError(f"line {no}: token id {idx}, expected {position}")
         tokens.append(Token(index=idx, form=cols[1], pos=cols[4], head=head, label=cols[7]))
-    return DepSentence(tokens=tuple(tokens))
+    return DepSentence(tuple(tokens), number)
 
 
 def parse_conll_lenient(text) -> tuple[list[DepSentence], list[str]]:
@@ -306,7 +309,7 @@ def parse_conll_lenient(text) -> tuple[list[DepSentence], list[str]]:
     skipped = []
     for sent_no, block in enumerate(_blocks(lines), start=1):
         try:
-            sentences.append(_parse_block(block))
+            sentences.append(_parse_block(block, sent_no))
         except TreeError as exc:
             skipped.append(f"sentence {sent_no}: {exc}")
     return sentences, skipped

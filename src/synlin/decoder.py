@@ -37,10 +37,10 @@ import numpy as np
 from synlin.corpus import WordBag
 from synlin.errors import ConfigError, DataError, SearchSpaceError
 from synlin.features import FEATURE_BLOCKS
-from synlin.ffnn import Linearizer, SlotTables, forward, slot_tables
+from synlin.ffnn import Linearizer, SlotTables, code_rows, forward, nonshift_rows, slot_tables
 from synlin.lstm_lm import LanguageModel, LmStates, lm_step, next_word_logprobs, start_state
 from synlin.optim import log_softmax, pad_rows
-from synlin.transition import LIGHT, Action, ActionSpace, State, apply, derivation_length
+from synlin.transition import LIGHT, Action, State, apply, derivation_length
 from synlin.transition import initial_state, legal_actions, realized_sentence
 
 MODE_SYN = "syn"
@@ -84,10 +84,8 @@ class Models:
     def scorer_constants(self) -> tuple[SlotTables, np.ndarray]:
         """The slot tables of all blocks but the word block, and the non-Shift code rows."""
         lin = self.linearizer
-        idx = lin.indexers
-        others = ActionSpace((), lin.variant, idx.content_pos_tags, idx.content_labels).actions
         blocks = [block for block in FEATURE_BLOCKS[lin.variant] if block != "word"]
-        return slot_tables(lin, (), blocks), np.array([lin.inventory.row(a) for a in others])
+        return slot_tables(lin, (), blocks), nonshift_rows(lin)
 
     @cached_property
     def lm_start(self) -> LmStates:
@@ -280,9 +278,9 @@ def _start(state: State, models: Models, config: DecodeConfig) -> Beam:
     space, n = state.space, len(state.space.forms)
     tables = rows = lm_ids = lm_state = None
     if config.mode != MODE_LSTM:
-        fixed, other_rows = models.scorer_constants
+        fixed, nonshift = models.scorer_constants
         tables = {**fixed, **slot_tables(lin, map(lin.indexers.word_id, space.forms), ["word"])}
-        rows = np.concatenate([[lin.inventory.row(a) for a in space.actions[:n]], other_rows])
+        rows = code_rows(lin, space, nonshift)
     if config.mode != MODE_SYN:
         lm_state = models.lm_start
         lm_ids = np.zeros(len(space.actions), dtype=np.int64)

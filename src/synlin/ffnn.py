@@ -3,11 +3,14 @@
 The hidden layer is h = tanh(W1w xw + W1t xt + W1l xl [+ W1lm f] + b1) over
 concatenated feature embeddings; action scores are W2 h with no output bias,
 and the softmax is computed only over the rows of the actions that are legal
-at the state, so illegal actions have no probability at all.  Training is
-cross-entropy plus an L2 term over every trainable tensor, optimized with
-Adagrad; dropout on the hidden layer is inverted so inference needs no
-rescaling.  Everything is float64 numpy with hand-written gradients, checked
-against central finite differences.
+at the state, so illegal actions have no probability at all.  Decoding and
+training find those rows through one map from a bag's action codes to output
+rows, `code_rows`.  Training examples are arrays from the start
+(`TrainingExamples`), filled in while the oracle derivation is walked.
+Training is cross-entropy plus an L2 term over every trainable tensor,
+optimized with Adagrad; dropout on the hidden layer is inverted so inference
+needs no rescaling.  Everything is float64 numpy with hand-written
+gradients, checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.features import FEATURE_BLOCKS, extract, extract_light
 from synlin.optim import Adagrad, check_rates, max_grad_error, row_sums
 from synlin.optim import masked_log_softmax, pad_rows
-from synlin.transition import END, FULL, LEFT_ARC, POS, RIGHT_ARC, SHIFT, Action, legal_actions
+from synlin.transition import END, FULL, LEFT_ARC, POS, RIGHT_ARC, SHIFT, Action, ActionSpace
 
 INIT_SCALE = 0.01
 
@@ -120,16 +123,6 @@ class Linearizer:
         return extract_light(state, self.indexers)
 
 
-@dataclass
-class TrainExample:
-    """One oracle decision: features, the legal actions, the gold one."""
-
-    features: dict[str, tuple[int, ...]]
-    feasible: tuple[Action, ...]
-    gold: Action
-    lm_feat: np.ndarray | None = None
-
-
 def param_shapes(
     indexers: Indexers,
     inventory: ActionInventory,
@@ -184,46 +177,81 @@ def init_linearizer(
     )
 
 
-def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=None) -> list[TrainExample]:
-    """One example per gold action, read off each sentence's oracle derivation.
-
-    When `lm` is given (a trained LanguageModel), each example carries the
-    LM's top hidden vector for the words shifted so far, and the LM advances
-    whenever the oracle shifts; its parameters are never touched.
-    """
-    from synlin import lstm_lm  # local import: lstm_lm is independent of this module
-
-    examples = []
-    for k, sent in enumerate(sentences):
-        try:
-            final = derive_oracle(sent, model.variant, model.indexers)
-        except DataError as exc:
-            raise DataError(f"sentence {k + 1}: {exc}") from None
-        lm_state = lstm_lm.start_state(lm) if lm is not None else None
-        for node in final.nodes():
-            state, act = node.parent, node.space.actions[node.code]
-            examples.append(
-                TrainExample(
-                    features=model.extract_features(state),
-                    feasible=tuple(map(state.space.actions.__getitem__, legal_actions(state))),
-                    gold=act,
-                    lm_feat=None if lm_state is None else lm_state[-1][0][0],
-                )
-            )
-            if lm is not None and act.kind == SHIFT:
-                lm_state = lstm_lm.lm_step(lm, lm_state, [lm.word_id(act.arg)])
-    return examples
-
-
 @dataclass
-class _Packed:
-    """Training examples as dense arrays (feasible sets padded + masked)."""
+class TrainingExamples:
+    """Oracle decisions as arrays, one row each: feature ids per block, LM
+    feature rows (None without an LM block), the output rows of the legal
+    actions in legal order (zero-padded; `valid` marks the real ones) and the
+    gold action's column.  An int array or a slice selects: `examples[:6]`."""
 
     ids: dict[str, np.ndarray]  # feature block -> (examples x slots) ids
     lm_feats: np.ndarray | None
     rows: np.ndarray
     valid: np.ndarray
     gold_col: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gold_col)
+
+    def __getitem__(self, at) -> "TrainingExamples":
+        lm_feats = None if self.lm_feats is None else self.lm_feats[at]
+        ids = {block: x[at] for block, x in self.ids.items()}
+        return TrainingExamples(ids, lm_feats, self.rows[at], self.valid[at], self.gold_col[at])
+
+
+def nonshift_rows(model: Linearizer) -> np.ndarray:
+    """The output rows of the non-Shift codes, alike in every action space
+    over the model's POS and label inventories."""
+    idx = model.indexers
+    others = ActionSpace((), model.variant, idx.content_pos_tags, idx.content_labels).actions
+    return np.array([model.inventory.row(a) for a in others])
+
+
+def code_rows(model: Linearizer, space: ActionSpace, nonshift: np.ndarray) -> np.ndarray:
+    """The output row of each action code of `space`, given `nonshift_rows`;
+    out-of-vocabulary Shifts share the UNK row."""
+    shifts = [model.inventory.row(Action(SHIFT, form)) for form in space.forms]
+    return np.concatenate([np.array(shifts, dtype=np.int64), nonshift])
+
+
+def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=None) -> TrainingExamples:
+    """The arrays `train` learns from, one example per gold action, filled in
+    while each sentence's oracle derivation is walked.
+
+    `lm` (a trained LanguageModel) is required exactly when the model has an
+    LM feature block, and must match its width.  Each example's LM row is
+    then the LM's top hidden vector for the words shifted so far; the LM's
+    parameters are never touched.  An underivable sentence is a DataError
+    naming its `number`, or its position in `sentences` when it has none.
+    """
+    from synlin import lstm_lm  # local import: lstm_lm is independent of this module
+
+    width = None if lm is None else lm.config.hidden_size
+    if width != model.lm_feat_dim:
+        takes = model.lm_feat_dim or "no"
+        raise ConfigError(f"model takes {takes} LM features, LM gives {width or 'none'}")
+    nonshift = nonshift_rows(model)
+    features, legal_rows, gold_col, lm_feats = [], [], [], []
+    for k, sent in enumerate(sentences, start=1):
+        try:
+            final = derive_oracle(sent, model.variant, model.indexers)
+        except DataError as exc:
+            raise DataError(f"sentence {sent.number or k}: {exc}") from None
+        forms, row = final.space.forms, code_rows(model, final.space, nonshift).tolist()
+        lm_state = None if lm is None else lstm_lm.start_state(lm)
+        for node in final.nodes():
+            legal = node.parent.legal
+            features.append(model.extract_features(node.parent))
+            legal_rows.append([row[c] for c in legal])
+            gold_col.append(legal.index(node.code))
+            if lm is not None:
+                lm_feats.append(lm_state[-1][0][0])
+                if node.code < len(forms):
+                    lm_state = lstm_lm.lm_step(lm, lm_state, [lm.word_id(forms[node.code])])
+    rows, valid = pad_rows(legal_rows)
+    lm_rows = None if lm is None else np.reshape(lm_feats, (len(gold_col), width))
+    gold_col = np.array(gold_col, dtype=np.int64)
+    return TrainingExamples(_block_ids(model, features), lm_rows, rows, valid, gold_col)
 
 
 def _block_ids(model: Linearizer, features: list[dict]) -> dict[str, np.ndarray]:
@@ -234,31 +262,9 @@ def _block_ids(model: Linearizer, features: list[dict]) -> dict[str, np.ndarray]
     }
 
 
-def _pack(model: Linearizer, examples: list[TrainExample]) -> _Packed:
-    n = len(examples)
-    rows, valid = pad_rows([list(map(model.inventory.row, ex.feasible)) for ex in examples])
-    gold_col = np.zeros(n, dtype=np.int64)
-    lm_feats = None
-    if model.lm_feat_dim is not None:
-        lm_feats = np.zeros((n, model.lm_feat_dim))
-    for i, ex in enumerate(examples):
-        try:
-            gold_col[i] = ex.feasible.index(ex.gold)
-        except ValueError:
-            raise DataError(
-                f"example {i}: gold action {ex.gold.name()} not in its feasible set"
-            ) from None
-        if lm_feats is not None:
-            if ex.lm_feat is None:
-                raise ConfigError(f"example {i}: model expects an LM feature block")
-            lm_feats[i] = ex.lm_feat
-    ids = _block_ids(model, [ex.features for ex in examples])
-    return _Packed(ids, lm_feats, rows, valid, gold_col)
-
-
 def _batch_pass(
     model: Linearizer,
-    packed: _Packed,
+    examples: TrainingExamples,
     idx: np.ndarray,
     l2_lambda: float,
     dropout: float = 0.0,
@@ -268,11 +274,11 @@ def _batch_pass(
     """Objective and (optionally) gradients for the examples at `idx`."""
     p = model.params
     b = len(idx)
-    ids = {block: block_ids[idx] for block, block_ids in packed.ids.items()}
+    batch = examples[idx]
     # one (b x slots*d) @ (slots*d x h) product per block, the LM block last
-    inputs = {block: p[f"emb_{block}"][x].reshape(b, -1) for block, x in ids.items()}
-    if packed.lm_feats is not None:
-        inputs["lm"] = packed.lm_feats[idx]
+    inputs = {block: p[f"emb_{block}"][x].reshape(b, -1) for block, x in batch.ids.items()}
+    if batch.lm_feats is not None:
+        inputs["lm"] = batch.lm_feats
     first, *rest = (x @ p[f"w1_{block}"].T for block, x in inputs.items())
     a = np.tanh(sum(rest, first) + p["b1"])
     if dropout > 0.0:
@@ -281,9 +287,8 @@ def _batch_pass(
     else:
         mask = None
         h = a
-    rows = packed.rows[idx]
-    gold = np.arange(b), packed.gold_col[idx]
-    logp = masked_log_softmax(np.take_along_axis(h @ p["w2"].T, rows, axis=1), packed.valid[idx])
+    gold = np.arange(b), batch.gold_col
+    logp = _output_layer(model, h, batch.rows, batch.valid)
     objective = -float(np.sum(logp[gold]))
     if l2_lambda > 0.0:
         objective += 0.5 * l2_lambda * sum(float(np.vdot(t, t)) for t in p.values())
@@ -294,7 +299,7 @@ def _batch_pass(
     dlogits[gold] -= 1.0
     # dlogits as dense (b x |A|) rows, summed: OOV Shifts share the UNK row
     n_actions = len(p["w2"])
-    flat = rows + n_actions * np.arange(b)[:, None]
+    flat = batch.rows + n_actions * np.arange(b)[:, None]
     ddense = row_sums(flat, dlogits[..., None], b * n_actions).reshape(b, n_actions)
     grads = {"w2": ddense.T @ h}
     dh = ddense @ p["w2"]
@@ -303,9 +308,9 @@ def _batch_pass(
     grads["b1"] = dpre.sum(axis=0)
     for block, x in inputs.items():
         grads[f"w1_{block}"] = dpre.T @ x
-        if block in ids:
+        if block in batch.ids:
             dx = (dpre @ p[f"w1_{block}"]).reshape(b, -1, model.config.embed_dim)
-            grads[f"emb_{block}"] = row_sums(ids[block], dx, len(p[f"emb_{block}"]))
+            grads[f"emb_{block}"] = row_sums(batch.ids[block], dx, len(p[f"emb_{block}"]))
     if l2_lambda > 0.0:
         for name, t in p.items():
             grads[name] += l2_lambda * t
@@ -356,15 +361,10 @@ def forward(
     if not valid.any(axis=-1).all():
         raise DataError("feasible set is empty")
     p = model.params
-    if "w1_lm" in p:
-        if lm_feats is None:
-            raise ConfigError("model expects an LM feature block")
-        lm_feats = np.asarray(lm_feats)
-        width = p["w1_lm"].shape[1]
-        if lm_feats.shape != (len(features), width):
-            raise ConfigError(f"LM feature rows {lm_feats.shape} != ({len(features)}, {width})")
-    elif lm_feats is not None:
-        raise ConfigError("model has no LM feature block but one was supplied")
+    shape = None if lm_feats is None else np.shape(lm_feats)
+    want = None if model.lm_feat_dim is None else (len(features), model.lm_feat_dim)
+    if shape != want:
+        raise ConfigError(f"LM feature rows of shape {shape}, model takes {want}")
     pre = 0.0
     for block, block_ids in _block_ids(model, features).items():
         table_ids, table = tables[block]
@@ -373,27 +373,31 @@ def forward(
         pre = pre + table[np.arange(len(table)), block_ids].sum(axis=1)
     if lm_feats is not None:
         pre += lm_feats @ p["w1_lm"].T
-    h = np.tanh(pre + p["b1"])
-    return masked_log_softmax((h @ p["w2"].T)[np.arange(len(rows))[:, None], rows], valid)
+    return _output_layer(model, np.tanh(pre + p["b1"]), rows, valid)
 
 
-def loss(model: Linearizer, batch: list[TrainExample], l2_lambda: float | None = None) -> float:
-    """Cross-entropy over the batch plus the L2 term over all tensors."""
+def _output_layer(model: Linearizer, h: np.ndarray, rows: np.ndarray, valid: np.ndarray):
+    """Log-probabilities of the output rows `rows[i][valid[i]]` of each hidden
+    vector `h[i]`, padded with -inf: what decoding and training both score."""
+    logits = h @ model.params["w2"].T
+    return masked_log_softmax(logits[np.arange(len(rows))[:, None], rows], valid)
+
+
+def loss(model: Linearizer, batch: TrainingExamples, l2_lambda: float | None = None) -> float:
+    """Cross-entropy over the batch's examples plus the L2 term over all tensors."""
     if l2_lambda is None:
         l2_lambda = model.config.l2_lambda
-    packed = _pack(model, batch)
-    objective, _ = _batch_pass(
-        model, packed, np.arange(len(batch)), l2_lambda, want_grads=False
-    )
+    objective, _ = _batch_pass(model, batch, np.arange(len(batch)), l2_lambda, want_grads=False)
     return objective
 
 
 def train(
     model: Linearizer,
-    examples: list[TrainExample],
+    examples: TrainingExamples,
     config: TrainConfig | None = None,
 ) -> list[float]:
-    """Adagrad training over oracle examples; returns the per-epoch loss log.
+    """Adagrad training over `make_training_examples` arrays; returns the
+    per-epoch loss log.
 
     Deterministic under a fixed config seed.  The logged value per epoch is
     the sum of the per-batch objectives as seen during the pass (dropout
@@ -401,10 +405,9 @@ def train(
     """
     if config is None:
         config = model.config
-    if not examples:
+    if not len(examples):
         raise DataError("no training examples")
     rng = np.random.default_rng(config.seed)
-    packed = _pack(model, examples)
     opt = Adagrad(model.params, config.learning_rate)
     log = []
     n = len(examples)
@@ -414,13 +417,7 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             objective, grads = _batch_pass(
-                model,
-                packed,
-                idx,
-                config.l2_lambda,
-                dropout=config.dropout,
-                rng=rng,
-                want_grads=True,
+                model, examples, idx, config.l2_lambda, dropout=config.dropout, rng=rng
             )
             if not np.isfinite(objective):
                 raise TrainingError(
@@ -435,24 +432,24 @@ def train(
 
 def grad_check(
     model: Linearizer,
-    batch: list[TrainExample],
+    batch: TrainingExamples,
     epsilon: float = 1e-5,
     samples_per_tensor: int = 120,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Max relative error between analytic gradients and central differences.
+    """Max relative error between analytic gradients and central differences
+    of the objective over the batch's examples.
 
     Dropout is off; see `optim.max_grad_error` for the error measure.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    packed = _pack(model, batch)
     idx = np.arange(len(batch))
     l2 = model.config.l2_lambda
-    _, grads = _batch_pass(model, packed, idx, l2, want_grads=True)
+    _, grads = _batch_pass(model, batch, idx, l2, want_grads=True)
 
     def objective() -> float:
-        val, _ = _batch_pass(model, packed, idx, l2, want_grads=False)
+        val, _ = _batch_pass(model, batch, idx, l2, want_grads=False)
         return val
 
     return max_grad_error(model.params, grads, objective, epsilon, samples_per_tensor, rng)

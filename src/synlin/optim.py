@@ -48,7 +48,7 @@ def masked_log_softmax(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
 def pad_rows(seqs) -> tuple[np.ndarray, np.ndarray]:
     """Integer sequences as one zero-padded (n x longest) array, and the mask of real entries."""
     lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
-    valid = np.arange(lengths.max()) < lengths[:, None]
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
     padded = np.zeros(valid.shape, dtype=np.int64)
     padded[valid] = [x for seq in seqs for x in seq]
     return padded, valid

@@ -99,12 +99,12 @@ def lm_sentence_grads(model, inputs, targets, dropout=0.0, rng=None):
     return ce, grads
 
 
-def batch_pass(model, packed, idx, l2_lambda, dropout=0.0, rng=None):
+def batch_pass(model, examples, idx, l2_lambda, dropout=0.0, rng=None):
     """(objective, gradients) of the scorer on the examples at `idx`."""
     p = model.params
     b = len(idx)
-    ids = {block: block_ids[idx] for block, block_ids in packed.ids.items()}
-    lm = packed.lm_feats[idx] if packed.lm_feats is not None else None
+    ids = {block: block_ids[idx] for block, block_ids in examples.ids.items()}
+    lm = examples.lm_feats[idx] if examples.lm_feats is not None else None
     a, inputs = hidden(model, ids, lm)
     if dropout > 0.0:
         mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
@@ -112,22 +112,22 @@ def batch_pass(model, packed, idx, l2_lambda, dropout=0.0, rng=None):
     else:
         mask = None
         h = a
-    rows = packed.rows[idx]
-    valid = packed.valid[idx]
+    rows = examples.rows[idx]
+    valid = examples.valid[idx]
     logits = np.einsum("bfh,bh->bf", p["w2"][rows], h)
     logits[~valid] = -np.inf
     m = logits.max(axis=1, keepdims=True)
     exp = np.exp(logits - m)
     z = exp.sum(axis=1, keepdims=True)
     logz = (m + np.log(z)).ravel()
-    gold_logits = logits[np.arange(b), packed.gold_col[idx]]
+    gold_logits = logits[np.arange(b), examples.gold_col[idx]]
     objective = float(np.sum(logz - gold_logits))
     if l2_lambda > 0.0:
         objective += 0.5 * l2_lambda * sum(float(np.sum(t * t)) for t in p.values())
 
     grads = {name: np.zeros_like(t) for name, t in p.items()}
     dlogits = exp / z
-    dlogits[np.arange(b), packed.gold_col[idx]] -= 1.0
+    dlogits[np.arange(b), examples.gold_col[idx]] -= 1.0
     np.add.at(
         grads["w2"],
         rows.reshape(-1),

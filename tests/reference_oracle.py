@@ -1,21 +1,27 @@
-"""Test-only references for the gold oracle.
+"""Test-only references for the gold oracle and its training examples.
 
 `derive_oracle` is the oracle before it walked `transition.State`: its own
 integer stack of gold indices, an `attached` counter per head and a check
 that the derivation has 3n (full) or 2n (light) actions.  It returns the
 action list, which `make_training_examples` replays through a second
 `initial_state`/`apply` walk, checking each gold action against the legal
-set before taking its example.  `synlin.corpus.derive_oracle` must give the
-same actions and `synlin.ffnn.make_training_examples` the same examples
-(`test_oracle_equivalence.py`).
+set before taking its example as a `TrainExample` of `Action`s.  `pack`
+turns those into arrays, one inventory lookup per feasible action and one
+search for the gold one per example.  `synlin.corpus.derive_oracle` must
+give the same actions, and `synlin.ffnn.make_training_examples` the arrays
+that `pack` makes of the reference examples (`test_oracle_equivalence.py`).
 """
 
 from collections import Counter
+from dataclasses import dataclass
+
+import numpy as np
 
 from synlin.corpus import to_bag
-from synlin.errors import DataError
-from synlin.ffnn import TrainExample
+from synlin.errors import ConfigError, DataError
+from synlin.ffnn import TrainingExamples, _block_ids
 from synlin.lstm_lm import lm_step, start_state
+from synlin.optim import pad_rows
 from synlin.transition import (
     END,
     FULL,
@@ -109,3 +115,36 @@ def make_training_examples(sentences, model, lm=None):
             if lm is not None and act.kind == SHIFT:
                 lm_state = lm_step(lm, lm_state, [lm.word_id(act.arg)])
     return examples
+
+
+@dataclass
+class TrainExample:
+    """One oracle decision: features, the legal actions, the gold one."""
+
+    features: dict[str, tuple[int, ...]]
+    feasible: tuple[Action, ...]
+    gold: Action
+    lm_feat: np.ndarray | None = None
+
+
+def pack(model, examples) -> TrainingExamples:
+    """The examples as the arrays `synlin.ffnn.train` learns from."""
+    n = len(examples)
+    rows, valid = pad_rows([list(map(model.inventory.row, ex.feasible)) for ex in examples])
+    gold_col = np.zeros(n, dtype=np.int64)
+    lm_feats = None
+    if model.lm_feat_dim is not None:
+        lm_feats = np.zeros((n, model.lm_feat_dim))
+    for i, ex in enumerate(examples):
+        try:
+            gold_col[i] = ex.feasible.index(ex.gold)
+        except ValueError:
+            raise DataError(
+                f"example {i}: gold action {ex.gold.name()} not in its feasible set"
+            ) from None
+        if lm_feats is not None:
+            if ex.lm_feat is None:
+                raise ConfigError(f"example {i}: model expects an LM feature block")
+            lm_feats[i] = ex.lm_feat
+    ids = _block_ids(model, [ex.features for ex in examples])
+    return TrainingExamples(ids, lm_feats, rows, valid, gold_col)

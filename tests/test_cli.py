@@ -426,3 +426,20 @@ class TestEvaluateInspectOracle:
         assert main([command, "--corpus", str(conll), "--variant", "full", *argv[command]]) == 1
         err = assert_one_error(capsys, "data").err
         assert err.startswith("error: data: sentence 2: gold action Pos-_ not feasible at ")
+
+    @pytest.mark.parametrize("command", ["train", "oracle-check"])
+    def test_sentences_are_numbered_by_conll_block(self, tmp_path, command, capsys):
+        # block 2 has no root and is skipped; block 3 has a "_" POS tag
+        conll = tmp_path / "blocks.conll"
+        conll.write_text(
+            "1\tGo\t_\t_\tVB\t_\t0\troot\n\n"
+            "1\ta\t_\t_\tX\t_\t2\tl\n2\tb\t_\t_\tX\t_\t1\tl\n\n"
+            "1\tdogs\t_\t_\t_\t_\t2\tnsubj\n2\tbark\t_\t_\tVBP\t_\t0\troot\n"
+        )
+        argv = {"train": ["--out", str(tmp_path / "m.slm"), *FAST_TRAIN], "oracle-check": []}
+        assert main([command, "--corpus", str(conll), "--variant", "full", *argv[command]]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "skipped 1 sentence(s) with unusable trees:"
+        assert lines[1].startswith("  sentence 2: ")
+        assert lines[2].startswith("error: data: sentence 3: gold action Pos-_ not feasible at ")
+        assert len(lines) == 3

@@ -1,17 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import randomize_params, score, small_linearizer, small_lm
 from synlin import ffnn, lstm_lm
-from synlin.corpus import build_indexers, to_bag
+from synlin.corpus import DepSentence, Token, build_indexers, to_bag
 from synlin.errors import ConfigError, DataError
 from synlin.ffnn import (
     ActionInventory,
     TrainConfig,
-    TrainExample,
+    code_rows,
     grad_check,
     loss,
     make_training_examples,
+    nonshift_rows,
     train,
 )
 from synlin.optim import pad_rows
@@ -164,18 +167,16 @@ class TestSharedHiddenLayer:
             idx, variant, seed=21, lm_feat_dim=lm_feat_dim, embed_dim=16, hidden_dim=64
         )
         lm = small_lm(idx, seed=22, hidden_size=8) if lm_feat_dim else None
-        examples = make_training_examples(corpus[:4], model, lm=lm)
-        feats = np.stack([e.lm_feat for e in examples]) if lm else None
-        fvs = [e.features for e in examples]
-        feasibles = [e.feasible for e in examples]
-        batched = score(model, fvs, *feasible_rows(model, feasibles), feats)
-        packed = ffnn._pack(model, examples)
-        for i, ex in enumerate(examples):
-            ce, _ = ffnn._batch_pass(model, packed, np.array([i]), 0.0, want_grads=False)
-            assert abs(ce + batched[i][ex.feasible.index(ex.gold)]) <= 1e-12
+        ex = make_training_examples(corpus[:4], model, lm=lm)
+        feats = ex.lm_feats
+        fvs = [{block: tuple(x[i]) for block, x in ex.ids.items()} for i in range(len(ex))]
+        batched = score(model, fvs, ex.rows, ex.valid, feats)
+        for i in range(len(ex)):
+            ce, _ = ffnn._batch_pass(model, ex, np.array([i]), 0.0, want_grads=False)
+            assert abs(ce + batched[i][ex.gold_col[i]]) <= 1e-12
             row = None if feats is None else feats[i : i + 1]
-            [alone] = score(model, fvs[i : i + 1], *feasible_rows(model, feasibles[i : i + 1]), row)
-            m = len(ex.feasible)
+            m = int(ex.valid[i].sum())
+            [alone] = score(model, fvs[i : i + 1], ex.rows[i : i + 1, :m], ex.valid[i : i + 1, :m], row)
             assert np.max(np.abs(batched[i, :m] - alone)) <= 1e-12
             assert np.all(batched[i, m:] == -np.inf)
 
@@ -191,36 +192,28 @@ class TestLoss:
         model = small_linearizer(idx, "full", scale=None)
         for t in model.params.values():
             t[...] = 0.0
-        ex = make_training_examples(corpus[:1], model)[0]
-        assert abs(loss(model, [ex], l2_lambda=0.0) - np.log(len(ex.feasible))) < 1e-12
+        ex = make_training_examples(corpus[:1], model)[:1]
+        assert abs(loss(model, ex, l2_lambda=0.0) - np.log(ex.valid.sum())) < 1e-12
 
     def test_additivity(self, idx, corpus):
         model = small_linearizer(idx, "full", seed=8)
         exs = make_training_examples(corpus[:1], model)[:4]
         total = loss(model, exs, l2_lambda=0.0)
-        parts = sum(loss(model, [e], l2_lambda=0.0) for e in exs)
+        parts = sum(loss(model, exs[i : i + 1], l2_lambda=0.0) for i in range(len(exs)))
         assert abs(total - parts) < 1e-9
 
     def test_perfect_prediction_limit(self, idx, corpus):
         model = small_linearizer(idx, "full", scale=None)
         for t in model.params.values():
             t[...] = 0.0
-        ex = make_training_examples(corpus[:1], model)[0]
-        gold_row = model.inventory.row(ex.gold)
+        ex = make_training_examples(corpus[:1], model)[:1]
+        legal = ex.rows[0][ex.valid[0]]
+        gold_row = legal[ex.gold_col[0]]
         # push the gold action's logit far above every other feasible one
         model.params["b1"][...] = 100.0  # h = tanh(100) ~ 1
         model.params["w2"][gold_row] = 1.0
-        model.params["w2"][[model.inventory.row(a) for a in ex.feasible if a != ex.gold]] = -1.0
-        assert loss(model, [ex], l2_lambda=0.0) < 1e-9
-
-    def test_gold_not_feasible(self, idx, corpus):
-        model = small_linearizer(idx, "full")
-        ex = make_training_examples(corpus[:1], model)[0]
-        bogus = TrainExample(ex.features, ex.feasible, Action("End"))
-        if Action("End") in ex.feasible:
-            bogus = TrainExample(ex.features, ex.feasible, Action("Pos", "ZZZ"))
-        with pytest.raises(DataError):
-            loss(model, [bogus])
+        model.params["w2"][legal[legal != gold_row]] = -1.0
+        assert loss(model, ex, l2_lambda=0.0) < 1e-9
 
 
 class TestGradients:
@@ -249,9 +242,8 @@ class TestGradients:
     def test_unused_embedding_rows_have_zero_gradient(self, idx, corpus):
         model = small_linearizer(idx, "full", seed=14)
         exs = make_training_examples(corpus[:1], model)[:3]
-        packed = ffnn._pack(model, exs)
-        _, grads = ffnn._batch_pass(model, packed, np.arange(len(exs)), l2_lambda=0.0)
-        used = set(packed.ids["word"].ravel().tolist())
+        _, grads = ffnn._batch_pass(model, exs, np.arange(len(exs)), l2_lambda=0.0)
+        used = set(exs.ids["word"].ravel().tolist())
         unused = [i for i in range(model.indexers.n_words) if i not in used]
         assert unused, "test needs at least one unused word"
         assert np.all(grads["emb_word"][unused] == 0.0)
@@ -313,11 +305,70 @@ class TestTraining:
 
     def test_empty_examples_rejected(self, idx):
         model = small_linearizer(idx, "full")
-        with pytest.raises(DataError):
-            train(model, [])
+        examples = make_training_examples([], model)
+        assert len(examples) == 0
+        with pytest.raises(DataError, match="^no training examples$"):
+            train(model, examples)
 
     def test_oracle_feasibility_enforced(self, idx, corpus):
         model = small_linearizer(idx, "full")
         examples = make_training_examples(corpus, model)
-        for ex in examples:
-            assert ex.gold in ex.feasible
+        assert examples.valid[np.arange(len(examples)), examples.gold_col].all()
+
+
+class TestTrainingExamples:
+    @pytest.mark.parametrize("variant", ["full", "light"])
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_code_rows_are_inventory_rows(self, corpus, variant, min_count):
+        indexers = build_indexers(corpus, min_count=min_count)
+        model = small_linearizer(indexers, variant)
+        unk_row = model.inventory.row(Action("Shift", indexers.words[0]))
+        nonshift = nonshift_rows(model)
+        oov = 0
+        for sent in corpus:
+            state = initial_state(
+                to_bag(sent), variant, indexers.content_pos_tags, indexers.content_labels
+            )
+            space = state.space
+            rows = code_rows(model, space, nonshift)
+            assert rows.dtype == np.int64 and len(rows) == len(space.actions)
+            for code, action in enumerate(space.actions):
+                assert rows[code] == model.inventory.row(action)
+                if action.kind == "Shift" and action not in model.inventory:
+                    assert rows[code] == unk_row
+                    oov += 1
+        assert oov > 0 if min_count == 2 else oov == 0
+
+    def test_selection(self, idx, corpus):
+        model = small_linearizer(idx, "light")
+        examples = make_training_examples(corpus[:2], model)
+        head, picked = examples[:6], examples[np.array([4, 1])]
+        assert len(head) == 6 and len(picked) == 2
+        assert np.array_equal(head.rows, examples.rows[:6])
+        assert np.array_equal(picked.ids["word"], examples.ids["word"][[4, 1]])
+        assert np.array_equal(picked.gold_col, examples.gold_col[[4, 1]])
+
+    def test_lm_without_an_lm_block(self, idx, corpus):
+        model = small_linearizer(idx, "light")
+        with pytest.raises(ConfigError, match="^model takes no LM features, LM gives 6$"):
+            make_training_examples(corpus[:2], model, lm=small_lm(idx, hidden_size=6))
+
+    def test_lm_block_without_an_lm(self, idx, corpus):
+        model = small_linearizer(idx, "light", lm_feat_dim=6)
+        with pytest.raises(ConfigError, match="^model takes 6 LM features, LM gives none$"):
+            make_training_examples(corpus[:2], model)
+
+    def test_lm_of_the_wrong_width(self, idx, corpus):
+        model = small_linearizer(idx, "light", lm_feat_dim=6)
+        with pytest.raises(ConfigError, match="^model takes 6 LM features, LM gives 8$"):
+            make_training_examples(corpus[:2], model, lm=small_lm(idx, hidden_size=8))
+
+    def test_underivable_sentence_named_by_number(self, idx, corpus):
+        bad = DepSentence(
+            (Token(1, "dogs", "_", 2, "nsubj"), Token(2, "bark", "VBP", 0, "root")), number=7
+        )
+        model = small_linearizer(build_indexers([corpus[0]]), "full")
+        with pytest.raises(DataError, match="^sentence 7: gold action Pos-_ not feasible"):
+            make_training_examples([corpus[0], bad], model)
+        with pytest.raises(DataError, match="^sentence 2: gold action Pos-_ not feasible"):
+            make_training_examples([corpus[0], replace(bad, number=0)], model)

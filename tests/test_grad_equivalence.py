@@ -47,16 +47,15 @@ def test_lm_sentence_with_dropout(corpus, gate_bias):
 
 
 def scorer_case(model, examples, l2_lambda, dropout):
-    packed = ffnn._pack(model, examples)
     idx = np.random.default_rng(3).permutation(len(examples))[:32]
     got = ffnn._batch_pass(
-        model, packed, idx, l2_lambda, dropout=dropout, rng=np.random.default_rng(9)
+        model, examples, idx, l2_lambda, dropout=dropout, rng=np.random.default_rng(9)
     )
     want = reference_grads.batch_pass(
-        model, packed, idx, l2_lambda, dropout=dropout, rng=np.random.default_rng(9)
+        model, examples, idx, l2_lambda, dropout=dropout, rng=np.random.default_rng(9)
     )
     assert_same(*got, *want)
-    return packed, idx
+    return idx
 
 
 @pytest.mark.parametrize("variant", ["full", "light"])
@@ -74,9 +73,10 @@ def test_scorer_batch_with_lm_block(corpus):
 
 def test_scorer_batch_with_shifts_sharing_the_unk_row(corpus):
     model = small_linearizer(build_indexers(corpus, min_count=2), "full", seed=35)
-    packed, idx = scorer_case(model, ffnn.make_training_examples(corpus, model), 1e-3, 0.3)
+    examples = ffnn.make_training_examples(corpus, model)
+    idx = scorer_case(model, examples, 1e-3, 0.3)
     unk_row = model.inventory.row(Action("Shift", model.indexers.words[0]))
     shared = [
-        np.count_nonzero(packed.rows[i][packed.valid[i]] == unk_row) for i in idx
+        np.count_nonzero(examples.rows[i][examples.valid[i]] == unk_row) for i in idx
     ]
     assert max(shared) >= 2, "the batch needs two feasible Shifts on the UNK row"
