@@ -20,7 +20,7 @@ from synlin import ffnn, lstm_lm
 from synlin.corpus import Indexers
 from synlin.errors import ConfigError, ModelFormatError
 from synlin.features import FEATURE_BLOCKS
-from synlin.ffnn import ActionInventory, Linearizer, TrainConfig
+from synlin.ffnn import Linearizer, TrainConfig
 from synlin.lstm_lm import LanguageModel, LmConfig
 from synlin.transition import FULL, VARIANTS
 
@@ -166,16 +166,24 @@ def container_from_lm(lm: LanguageModel) -> ModelContainer:
 
 
 def _section(container: ModelContainer, section: str, prefix: str, config_cls):
-    """Indexers, config and prefix-stripped tensors of one component."""
+    """Indexers, config and prefix-stripped tensors of one component, whose
+    tables must be as `build_indexers` writes them (output rows follow them):
+    each word once, POS tags and labels strictly increasing after padding."""
     try:
         indexers = _indexers_from_payload(container.indexers[section])
         config = config_cls(**container.config[section])
+        tables = {"POS": indexers.content_pos_tags, "label": indexers.content_labels}
+        unsorted = [name for name, table in tables.items() if table != tuple(sorted(set(table)))]
     except (KeyError, TypeError, ConfigError) as exc:
         raise ModelFormatError(
             f"unusable {section} section in the model header ({type(exc).__name__}: {exc})"
         ) from None
     if indexers.n_words < 2:
         raise ModelFormatError(f"{section} word table lacks the unknown and padding entries")
+    if len(set(indexers.words)) < indexers.n_words:
+        raise ModelFormatError(f"{section} word table lists a word twice")
+    if unsorted:
+        raise ModelFormatError(f"{section} {unsorted[0]} table is not strictly increasing")
     tensors = {k[len(prefix) :]: v for k, v in container.tensors.items() if k.startswith(prefix)}
     return indexers, config, tensors
 
@@ -213,15 +221,13 @@ def linearizer_from_container(container: ModelContainer) -> Linearizer:
     indexers, config, tensors = _section(container, "linearizer", "lin.", TrainConfig)
     if variant == FULL and (indexers.n_pos < 1 or indexers.n_labels < 1):
         raise ModelFormatError("POS or label table lacks its padding entry")
-    inventory = ActionInventory.from_indexers(indexers, variant)
     lm_feat_dim = None
     if container.component == COMPONENT_COMBINED:
         lm_feat_dim = _section(container, "lm", "lm.", LmConfig)[1].hidden_size
-    shapes = ffnn.param_shapes(indexers, inventory, variant, config, lm_feat_dim)
+    shapes = ffnn.param_shapes(indexers, variant, config, lm_feat_dim)
     return Linearizer(
         params=_check_shapes("linearizer", tensors, shapes),
         indexers=indexers,
-        inventory=inventory,
         variant=variant,
         config=config,
         lm_feat_dim=lm_feat_dim,

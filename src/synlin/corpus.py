@@ -14,14 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from synlin.errors import (
-    ConfigError,
-    ConllError,
-    DataError,
-    IllegalActionError,
-    NonProjectiveError,
-    TreeError,
-)
+from synlin.errors import ConfigError, ConllError, DataError, NonProjectiveError, TreeError
 from synlin.transition import (
     END,
     FULL,
@@ -191,6 +184,8 @@ class Indexers:
 
 def build_indexers(corpus: Iterable[DepSentence], min_count: int = 1) -> Indexers:
     """Symbol tables from a corpus; words rarer than `min_count` map to UNK.
+    Forms spelled like the unknown-word or padding entry take its id, so no
+    word is listed twice.
 
     All POS tags and labels are retained (the root token's label and "_"
     placeholders excluded from the label inventory, "_" from the POS one).
@@ -211,7 +206,7 @@ def build_indexers(corpus: Iterable[DepSentence], min_count: int = 1) -> Indexer
                 label_set.add(t.label)
     if empty:
         raise DataError("cannot build indexers from an empty corpus")
-    kept = [w for w, c in counts.items() if c >= min_count]
+    kept = [w for w, c in counts.items() if c >= min_count and w not in (UNK_WORD, NULL_WORD)]
     kept.sort(key=lambda w: (-counts[w], w))
     return Indexers(
         words=(UNK_WORD, NULL_WORD, *kept),
@@ -240,11 +235,7 @@ class WordBag:
 
 def to_bag(sentence: DepSentence) -> WordBag:
     """Strip the order from a sentence, keeping gold indices as token ids."""
-    refs = sorted(
-        (TokenRef(t.index, t.form) for t in sentence.tokens),
-        key=lambda r: (r.form, r.tid),
-    )
-    return WordBag(token_ids=tuple(refs))
+    return bag_from_forms(sentence.forms())
 
 
 def bag_from_forms(forms: Iterable[str]) -> WordBag:
@@ -407,10 +398,8 @@ def derive_oracle(sentence: DepSentence, variant: str, indexers: Indexers) -> St
             action = Action(SHIFT, gold[nxt].form)
         else:
             action = Action(END)
-        try:
-            state = apply(state, action)
-        except IllegalActionError:
-            raise DataError(
-                f"gold action {action.name()} not feasible at {state.summary()}"
-            ) from None
+        code = state.space.codes.get(action)
+        if code not in state.legal:
+            raise DataError(f"gold action {action.name()} not feasible at {state.summary()}")
+        state = apply(state, code)
     return state

@@ -19,9 +19,9 @@ Ties in accumulated score break deterministically on the lexicographic
 action history, actions ordered by (kind, argument).
 
 A decode works on its bag's integer action codes; per bag, code arrays give
-each action's scorer row (OOV shifts share the UNK row) and LM word id.  A
-step's candidates are one (items x widest) score array, each item's columns
-in legal order.  Beam histories are distinct and of equal length, so one
+each action's scorer row (`ffnn.code_rows`: OOV shifts share the UNK row)
+and LM word id.  A step's candidates are one (items x widest) score array,
+each item's columns in legal order.  Beam histories are distinct and of equal length, so one
 `np.lexsort` of (-score, parent's history rank, code) keeps the best.  LM
 states are (items x n) arrays per layer, gathered by parent index each step.
 """
@@ -37,7 +37,7 @@ import numpy as np
 from synlin.corpus import WordBag
 from synlin.errors import ConfigError, DataError, SearchSpaceError
 from synlin.features import FEATURE_BLOCKS
-from synlin.ffnn import Linearizer, SlotTables, code_rows, forward, nonshift_rows, slot_tables
+from synlin.ffnn import Linearizer, SlotTables, code_rows, forward, slot_tables
 from synlin.lstm_lm import LanguageModel, LmStates, lm_step, next_word_logprobs, start_state
 from synlin.optim import log_softmax, pad_rows
 from synlin.transition import LIGHT, Action, State, apply, derivation_length
@@ -74,18 +74,18 @@ class DecodeConfig:
 class Models:
     """The models of a decode session, fixed when it is built, and the decode
     constants that depend only on them, each built at its first use and kept:
-    the POS/label slot tables and non-Shift rows of `linearizer`, the start
-    state of `lm`.  After editing weights in place, build a new `Models`."""
+    the POS/label slot tables of `linearizer`, the start state of `lm`.  After
+    editing weights in place, build a new `Models`."""
 
     linearizer: Linearizer | None = None
     lm: LanguageModel | None = None
 
     @cached_property
-    def scorer_constants(self) -> tuple[SlotTables, np.ndarray]:
-        """The slot tables of all blocks but the word block, and the non-Shift code rows."""
+    def scorer_tables(self) -> SlotTables:
+        """The slot tables of all blocks but the word block."""
         lin = self.linearizer
         blocks = [block for block in FEATURE_BLOCKS[lin.variant] if block != "word"]
-        return slot_tables(lin, (), blocks), nonshift_rows(lin)
+        return slot_tables(lin, (), blocks)
 
     @cached_property
     def lm_start(self) -> LmStates:
@@ -278,9 +278,9 @@ def _start(state: State, models: Models, config: DecodeConfig) -> Beam:
     space, n = state.space, len(state.space.forms)
     tables = rows = lm_ids = lm_state = None
     if config.mode != MODE_LSTM:
-        fixed, nonshift = models.scorer_constants
-        tables = {**fixed, **slot_tables(lin, map(lin.indexers.word_id, space.forms), ["word"])}
-        rows = code_rows(lin, space, nonshift)
+        word_tables = slot_tables(lin, map(lin.indexers.word_id, space.forms), ["word"])
+        tables = {**models.scorer_tables, **word_tables}
+        rows = code_rows(lin, space)
     if config.mode != MODE_SYN:
         lm_state = models.lm_start
         lm_ids = np.zeros(len(space.actions), dtype=np.int64)

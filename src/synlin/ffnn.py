@@ -3,14 +3,14 @@
 The hidden layer is h = tanh(W1w xw + W1t xt + W1l xl [+ W1lm f] + b1) over
 concatenated feature embeddings; action scores are W2 h with no output bias,
 and the softmax is computed only over the rows of the actions that are legal
-at the state, so illegal actions have no probability at all.  Decoding and
-training find those rows through one map from a bag's action codes to output
-rows, `code_rows`.  Training examples are arrays from the start
-(`TrainingExamples`), filled in while the oracle derivation is walked.
-Training is cross-entropy plus an L2 term over every trainable tensor,
-optimized with Adagrad; dropout on the hidden layer is inverted so inference
-needs no rescaling.  Everything is float64 numpy with hand-written
-gradients, checked against central finite differences.
+at the state, so illegal actions have no probability at all.  Row r scores
+action r of `output_actions`, and decoding and training find a bag's rows
+by code through one offset rule, `code_rows`.  Training examples are
+arrays from the start (`TrainingExamples`), filled in while the oracle
+derivation is walked.  Training is cross-entropy plus an L2 term over
+every trainable tensor, optimized with Adagrad; dropout on the hidden layer
+is inverted so inference needs no rescaling.  Everything is float64 numpy
+with hand-written gradients, checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from synlin.corpus import DepSentence, Indexers, UNK_WORD, derive_oracle
+from synlin.corpus import DepSentence, Indexers, derive_oracle
 from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.features import FEATURE_BLOCKS, extract, extract_light
 from synlin.optim import Adagrad, check_rates, max_grad_error, row_sums
 from synlin.optim import masked_log_softmax, pad_rows
-from synlin.transition import END, FULL, LEFT_ARC, POS, RIGHT_ARC, SHIFT, Action, ActionSpace
+from synlin.transition import FULL, SHIFT, Action, ActionSpace
 
 INIT_SCALE = 0.01
 
@@ -54,53 +54,6 @@ class TrainConfig:
         check_rates(self.learning_rate, self.l2_lambda)
 
 
-class ActionInventory:
-    """The global action set; row i of the output matrix scores action i.
-
-    Shift rows cover the whole word vocabulary (including the unknown-word
-    token, to which out-of-vocabulary shifts are mapped); the padding tokens
-    have no rows.
-    """
-
-    def __init__(self, actions: tuple[Action, ...]):
-        self.actions = actions
-        self._rows = {a: i for i, a in enumerate(actions)}
-        self._unk_shift = self._rows.get(Action(SHIFT, UNK_WORD))
-
-    @classmethod
-    def from_indexers(cls, indexers: Indexers, variant: str) -> "ActionInventory":
-        acts = [
-            Action(SHIFT, w) for w in indexers.words if w != indexers.words[1]
-        ]  # every vocabulary word except the padding token
-        if variant == FULL:
-            acts.extend(Action(POS, p) for p in indexers.content_pos_tags)
-            acts.extend(Action(LEFT_ARC, l) for l in indexers.content_labels)
-            acts.extend(Action(RIGHT_ARC, l) for l in indexers.content_labels)
-        else:
-            acts.append(Action(LEFT_ARC))
-            acts.append(Action(RIGHT_ARC))
-        acts.append(Action(END))
-        return cls(tuple(acts))
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __contains__(self, action: Action) -> bool:
-        return action in self._rows
-
-    def row(self, action: Action) -> int:
-        """Row index of an action; unknown shift forms map to the UNK row."""
-        r = self._rows.get(action)
-        if r is not None:
-            return r
-        if action.kind == SHIFT and self._unk_shift is not None:
-            return self._unk_shift
-        raise DataError(f"action {action.name()} not in the inventory")
-
-    def action(self, row: int) -> Action:
-        return self.actions[row]
-
-
 @dataclass
 class Linearizer:
     """A trained (or initialized) scorer plus everything needed to use it.
@@ -112,7 +65,6 @@ class Linearizer:
 
     params: dict[str, np.ndarray]
     indexers: Indexers
-    inventory: ActionInventory
     variant: str
     config: TrainConfig
     lm_feat_dim: int | None = None
@@ -123,17 +75,24 @@ class Linearizer:
         return extract_light(state, self.indexers)
 
 
+def output_actions(indexers: Indexers, variant: str) -> tuple[Action, ...]:
+    """The action each output row scores: a Shift of every word but the
+    padding entry (id 1), then the non-Shift actions of an `ActionSpace` over
+    the POS and label tables.  So code c of a bag's space scores with row
+    `code_rows(model, space)[c]`."""
+    words = (indexers.words[0], *indexers.words[2:])
+    others = ActionSpace((), variant, indexers.content_pos_tags, indexers.content_labels).actions
+    return (*(Action(SHIFT, word) for word in words), *others)
+
+
 def param_shapes(
-    indexers: Indexers,
-    inventory: ActionInventory,
-    variant: str,
-    config: TrainConfig,
-    lm_feat_dim: int | None = None,
+    indexers: Indexers, variant: str, config: TrainConfig, lm_feat_dim: int | None = None
 ) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every tensor, in `Linearizer.params` order.
 
     Each feature block has an embedding table `emb_<block>` and a hidden
-    weight block `w1_<block>`; an LM feature block has only `w1_lm`.
+    weight block `w1_<block>`; an LM feature block has only `w1_lm`.  `w2`
+    has one row per `output_actions` entry.
     """
     d, h = config.embed_dim, config.hidden_dim
     vocab = {"word": indexers.n_words, "pos": indexers.n_pos, "label": indexers.n_labels}
@@ -142,7 +101,7 @@ def param_shapes(
     shapes += [(f"w1_{block}", (h, len(slots) * d)) for block, slots in blocks.items()]
     if lm_feat_dim is not None:
         shapes.append(("w1_lm", (h, lm_feat_dim)))
-    return shapes + [("b1", (h,)), ("w2", (len(inventory), h))]
+    return shapes + [("b1", (h,)), ("w2", (len(output_actions(indexers, variant)), h))]
 
 
 # `init_linearizer` draws these first, then the rest in `param_shapes` order.
@@ -159,8 +118,7 @@ def init_linearizer(
     """Fresh parameters: uniform(-0.01, 0.01) everywhere except the zero b1."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    inventory = ActionInventory.from_indexers(indexers, variant)
-    shapes = dict(param_shapes(indexers, inventory, variant, config, lm_feat_dim))
+    shapes = dict(param_shapes(indexers, variant, config, lm_feat_dim))
     drawn = {
         name: np.zeros(shapes[name])
         if name == "b1"
@@ -170,7 +128,6 @@ def init_linearizer(
     return Linearizer(
         params={name: drawn[name] for name in shapes},
         indexers=indexers,
-        inventory=inventory,
         variant=variant,
         config=config,
         lm_feat_dim=lm_feat_dim,
@@ -199,19 +156,15 @@ class TrainingExamples:
         return TrainingExamples(ids, lm_feats, self.rows[at], self.valid[at], self.gold_col[at])
 
 
-def nonshift_rows(model: Linearizer) -> np.ndarray:
-    """The output rows of the non-Shift codes, alike in every action space
-    over the model's POS and label inventories."""
-    idx = model.indexers
-    others = ActionSpace((), model.variant, idx.content_pos_tags, idx.content_labels).actions
-    return np.array([model.inventory.row(a) for a in others])
-
-
-def code_rows(model: Linearizer, space: ActionSpace, nonshift: np.ndarray) -> np.ndarray:
-    """The output row of each action code of `space`, given `nonshift_rows`;
-    out-of-vocabulary Shifts share the UNK row."""
-    shifts = [model.inventory.row(Action(SHIFT, form)) for form in space.forms]
-    return np.concatenate([np.array(shifts, dtype=np.int64), nonshift])
+def code_rows(model: Linearizer, space: ActionSpace) -> np.ndarray:
+    """The output row of each action code of `space`, by offset: Shift code c
+    takes row `max(word_id(forms[c]) - 1, 0)`, so out-of-vocabulary forms and
+    the padding entry's spelling share the UNK row, and every later code c
+    takes row `n_words - 1 + (c - len(forms))`."""
+    n, idx = len(space.forms), model.indexers
+    rows = np.arange(len(space.actions)) + (idx.n_words - 1 - n)
+    rows[:n] = [max(idx.word_id(form) - 1, 0) for form in space.forms]
+    return rows
 
 
 def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=None) -> TrainingExamples:
@@ -230,14 +183,13 @@ def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=N
     if width != model.lm_feat_dim:
         takes = model.lm_feat_dim or "no"
         raise ConfigError(f"model takes {takes} LM features, LM gives {width or 'none'}")
-    nonshift = nonshift_rows(model)
     features, legal_rows, gold_col, lm_feats = [], [], [], []
     for k, sent in enumerate(sentences, start=1):
         try:
             final = derive_oracle(sent, model.variant, model.indexers)
         except DataError as exc:
             raise DataError(f"sentence {sent.number or k}: {exc}") from None
-        forms, row = final.space.forms, code_rows(model, final.space, nonshift).tolist()
+        forms, row = final.space.forms, code_rows(model, final.space).tolist()
         lm_state = None if lm is None else lstm_lm.start_state(lm)
         for node in final.nodes():
             legal = node.parent.legal
@@ -383,8 +335,28 @@ def _output_layer(model: Linearizer, h: np.ndarray, rows: np.ndarray, valid: np.
     return masked_log_softmax(logits[np.arange(len(rows))[:, None], rows], valid)
 
 
+def _check_examples(model: Linearizer, examples: TrainingExamples):
+    """ConfigError unless `examples` fit `model`: its feature blocks, its LM
+    feature width, and ids and rows inside the tensors they index."""
+    blocks = list(FEATURE_BLOCKS[model.variant])
+    if list(examples.ids) != blocks:
+        raise ConfigError(f"model takes blocks {blocks}, examples give {list(examples.ids)}")
+    width = None if examples.lm_feats is None else examples.lm_feats.shape[-1]
+    if width != model.lm_feat_dim:
+        takes = model.lm_feat_dim or "no"
+        raise ConfigError(f"model takes {takes} LM features, examples give {width or 'none'}")
+    indexed = {f"emb_{block}": x for block, x in examples.ids.items()} | {"w2": examples.rows}
+    for name, x in indexed.items():
+        size = len(model.params[name])
+        if x.size and not 0 <= x.min() <= x.max() < size:
+            raise ConfigError(f"examples index {name} outside its {size} rows")
+
+
 def loss(model: Linearizer, batch: TrainingExamples, l2_lambda: float | None = None) -> float:
-    """Cross-entropy over the batch's examples plus the L2 term over all tensors."""
+    """Cross-entropy over the batch's examples plus the L2 term over all tensors.
+    Examples made for another model are a ConfigError, here and in `train`
+    and `grad_check`."""
+    _check_examples(model, batch)
     if l2_lambda is None:
         l2_lambda = model.config.l2_lambda
     objective, _ = _batch_pass(model, batch, np.arange(len(batch)), l2_lambda, want_grads=False)
@@ -403,6 +375,7 @@ def train(
     the sum of the per-batch objectives as seen during the pass (dropout
     included when configured).
     """
+    _check_examples(model, examples)
     if config is None:
         config = model.config
     if not len(examples):
@@ -442,6 +415,7 @@ def grad_check(
 
     Dropout is off; see `optim.max_grad_error` for the error measure.
     """
+    _check_examples(model, batch)
     if rng is None:
         rng = np.random.default_rng(0)
     idx = np.arange(len(batch))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from synlin.errors import ConfigError, DataError
+from synlin.ffnn import output_actions
 
 MAX_ORDER = 4
 
@@ -151,25 +152,22 @@ def corpus_bleu(refs, hyps) -> BleuReport:
 def action_neighbors(linearizer, action, k: int = 5) -> list[tuple]:
     """Top-k actions by cosine similarity of output-matrix rows, self excluded.
 
-    The output matrix has one row per action, so it doubles as an action
-    embedding table.  Returns (action, cosine) pairs, best first; ties break
-    on row order.
+    The output matrix has one row per action of `ffnn.output_actions`, so it
+    doubles as an action embedding table.  Returns (action, cosine) pairs,
+    best first; ties break on row order.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    inv = linearizer.inventory
-    if action not in inv:
+    actions = output_actions(linearizer.indexers, linearizer.variant)
+    if action not in actions:
         raise DataError(f"action {action.name()} not in the inventory")
     w2 = linearizer.params["w2"]
-    row = inv.row(action)
+    row = actions.index(action)
     target = w2[row]
     t_norm = float(np.linalg.norm(target))
     norms = np.linalg.norm(w2, axis=1)
     denom = norms * t_norm
     with np.errstate(invalid="ignore", divide="ignore"):
         cos = np.where(denom > 0, w2 @ target / np.where(denom > 0, denom, 1.0), 0.0)
-    order = sorted(
-        (i for i in range(len(inv)) if i != row),
-        key=lambda i: (-cos[i], i),
-    )
-    return [(inv.action(i), float(cos[i])) for i in order[:k]]
+    order = sorted((i for i in range(len(actions)) if i != row), key=lambda i: (-cos[i], i))
+    return [(actions[i], float(cos[i])) for i in order[:k]]

@@ -13,7 +13,7 @@ holding the rest of its stack, so beam search can branch and share prefixes
 freely; history, stack, remaining words and arcs are read back from the
 nodes.  The states from one initial state share an `ActionSpace` that
 numbers their actions in canonical order: `legal_actions` returns these
-codes, and `apply` takes an action or its code.
+codes, and `apply` takes one.
 """
 
 from __future__ import annotations
@@ -101,9 +101,11 @@ class ActionSpace:
     """The actions of every derivation from one initial state, by code.
 
     Code c is `actions[c]`, in canonical order (`codes` inverts it): Shifts
-    first, code k shifting `forms[k]`.  Bit i of a state's `left` mask is
-    `tokens[i]`, the bag sorted by (form, tid).  `pos_codes` and `arc_codes`
-    are the Pos and arc blocks in legal order.
+    first, code k shifting `forms[k]`, then contiguous Pos, LArc and RArc
+    blocks (`pos_codes`, `arc_codes`) in the order of the tags and labels
+    given, strictly increasing in the full variant (the light variant ignores
+    them), then End.  Bit i of a state's `left` mask is `tokens[i]`, the bag
+    sorted by (form, tid).
     """
 
     def __init__(self, tokens, variant: str, pos_tags: tuple, arc_labels: tuple):
@@ -115,19 +117,19 @@ class ActionSpace:
         self.forms, self.form_bits = tuple(bits), tuple(bits.values())
         if variant != FULL:
             pos_tags, arc_labels = (), (None,)
-        tags, labels = sorted(set(pos_tags)), sorted(set(arc_labels))
+        for kind, names in (("POS tag", pos_tags), ("arc label", arc_labels)):
+            bad = next(((a, b) for a, b in zip(names, names[1:]) if a >= b), None)
+            if bad:
+                raise StateError(f"{kind}s not strictly increasing: {bad[0]!r} before {bad[1]!r}")
         self.actions = (
             *(Action(SHIFT, form) for form in self.forms),
-            *(Action(POS, tag) for tag in tags),
-            *(Action(kind, label) for kind in (LEFT_ARC, RIGHT_ARC) for label in labels),
+            *(Action(POS, tag) for tag in pos_tags),
+            *(Action(kind, label) for kind in (LEFT_ARC, RIGHT_ARC) for label in arc_labels),
             Action(END),
         )
-        tag_code = {tag: len(bits) + i for i, tag in enumerate(tags)}
-        label_code = {label: len(bits) + len(tags) + i for i, label in enumerate(labels)}
-        self.pos_codes = tuple(tag_code[tag] for tag in pos_tags)
-        left = tuple(label_code[label] for label in arc_labels)
-        self.arc_codes = left + tuple(code + len(labels) for code in left)
         self.end_code = len(self.actions) - 1
+        self.pos_codes = tuple(range(len(bits), len(bits) + len(pos_tags)))
+        self.arc_codes = tuple(range(len(bits) + len(pos_tags), self.end_code))
         self.codes = {a: c for c, a in enumerate(self.actions)}
 
 
@@ -219,7 +221,7 @@ def initial_state(bag, variant: str, pos_tags: Iterable[str] = (), arc_labels: I
 
     `bag` is a WordBag or any iterable of TokenRef.  For the full variant,
     `pos_tags` and `arc_labels` supply the action inventories used by
-    `legal_actions`.
+    `legal_actions`, each strictly increasing (a StateError otherwise).
     """
     if variant not in VARIANTS:
         raise StateError(f"unknown variant {variant!r}")
@@ -233,10 +235,10 @@ def initial_state(bag, variant: str, pos_tags: Iterable[str] = (), arc_labels: I
 
 def legal_actions(state: State) -> tuple[int, ...]:
     """Codes of the actions applicable at `state` (`state.space.actions[c]` is
-    code c's action): Shifts by form, the Pos or arc block in the order
-    `initial_state` got its tags and labels, then End.  Terminal states have
-    none; right after a full-variant Shift only Pos is legal; End needs an
-    empty word set and one stack item.  Cached, so scoring and `apply` share it.
+    code c's action), ascending: Shifts by form, the Pos or arc block, then
+    End.  Terminal states have none; right after a full-variant Shift only
+    Pos is legal; End needs an empty word set and one stack item.  Cached, so
+    scoring and `apply` share it.
     """
     return state.legal
 
@@ -255,18 +257,19 @@ def _legal_codes(state: State) -> tuple[int, ...]:
     return codes
 
 
-def apply(state: State, action: Action | int) -> State:
-    """Deterministic successor of `state` under `action` (an Action or its code).
+def apply(state: State, code: int) -> State:
+    """Deterministic successor of `state` under the action of code `code`.
 
-    Raises IllegalActionError when the action is outside `legal_actions`.
-    LArc pops the top two items i (top) and j, makes j a dependent of i and
-    prepends j's span; RArc symmetrically roots the combined item at j, so
-    the second item always ends up left of the top one in surface order.
+    Raises IllegalActionError, naming the action of an in-range code, when
+    the code is outside `legal_actions`.  LArc pops the top two items i (top)
+    and j, makes j a dependent of i and prepends j's span; RArc symmetrically
+    roots the combined item at j, so the second item always ends up left of
+    the top one in surface order.
     """
     space = state.space
-    code = space.codes.get(action) if isinstance(action, Action) else action
     if code not in state.legal:
-        name = action.name() if isinstance(action, Action) else f"action code {action}"
+        known = code in range(len(space.actions))
+        name = space.actions[code].name() if known else f"action code {code!r}"
         raise IllegalActionError(f"illegal {name} at {state.summary()}")
     kind, arg = space.actions[code].kind, space.actions[code].arg
     if kind == SHIFT:

@@ -2,7 +2,7 @@
 
 The object beam, `beam_decode`, is the decoder before its beam was held in
 arrays: one `BeamItem` per hypothesis with its own LM state vectors, feasible
-sets of `Action`s mapped to scorer rows by `ActionInventory.row` and to LM
+sets of `Action`s mapped to scorer rows by `reference_rows` and to LM
 ids by `lm.word_id`, candidates as (score, item, action) tuples kept by a
 Python sort on (-score, history, action), and one `lm_step` over the
 stacked states of the kept Shifts.  It feeds `ffnn.forward`, `lm_step` and
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from reference_grads import hidden
+from reference_rows import inventory
 from synlin.decoder import (
     MODE_FEATURE,
     MODE_JOINT,
@@ -99,7 +100,7 @@ def items_of(beam):
 def forward(model, features, feasibles, lm_feats=None):
     """One array of feasible log-probabilities per item."""
     hiddens, _ = hidden(model, _block_ids(model, features), lm_feats)
-    row_of = model.inventory.row
+    row_of = inventory(model).row
     return [
         log_softmax(model.params["w2"][[row_of(a) for a in feasible]] @ h)
         for h, feasible in zip(hiddens, feasibles)
@@ -170,7 +171,7 @@ def batched_step_scores(items, models, config, tables):
         if mode == MODE_FEATURE:
             lm_feats = np.stack([top_h(item.lm_state) for item in items])
         features = [lin.extract_features(item.state) for item in items]
-        rows = pad_rows([[lin.inventory.row(a) for a in feasible] for feasible in feasibles])
+        rows = pad_rows([[inventory(lin).row(a) for a in feasible] for feasible in feasibles])
         increments = table_forward(lin, features, *rows, lm_feats, tables)
         if mode == MODE_JOINT:
             increments = batched_joint(lm, items, feasibles, increments, config)
@@ -207,7 +208,9 @@ def advance_all(candidates, models):
         for j, k in enumerate(shifts):
             lm_states[k] = row(stepped, j)
     return [
-        BeamItem(apply(item.state, action), score, item.history + (action,), lm_state)
+        BeamItem(
+            apply(item.state, item.state.space.codes[action]), score, item.history + (action,), lm_state
+        )
         for (score, item, action), lm_state in zip(candidates, lm_states)
     ]
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from reference_rows import inventory
 from synlin.corpus import to_bag
 from synlin.errors import ConfigError, DataError
 from synlin.ffnn import TrainingExamples, _block_ids
@@ -111,7 +112,7 @@ def make_training_examples(sentences, model, lm=None):
                     lm_feat=None if lm_state is None else lm_state[-1][0][0],
                 )
             )
-            state = apply(state, act)
+            state = apply(state, state.space.codes[act])
             if lm is not None and act.kind == SHIFT:
                 lm_state = lm_step(lm, lm_state, [lm.word_id(act.arg)])
     return examples
@@ -130,7 +131,7 @@ class TrainExample:
 def pack(model, examples) -> TrainingExamples:
     """The examples as the arrays `synlin.ffnn.train` learns from."""
     n = len(examples)
-    rows, valid = pad_rows([list(map(model.inventory.row, ex.feasible)) for ex in examples])
+    rows, valid = pad_rows([list(map(inventory(model).row, ex.feasible)) for ex in examples])
     gold_col = np.zeros(n, dtype=np.int64)
     lm_feats = None
     if model.lm_feat_dim is not None:

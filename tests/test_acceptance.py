@@ -16,6 +16,7 @@ import pytest
 
 import conftest
 from conftest import count_derivations, score, small_linearizer, small_lm
+from reference_rows import inventory
 from test_metrics import naive_corpus_bleu
 from synlin import decoder, ffnn, lstm_lm, metrics
 from synlin.cli import main as cli_main
@@ -163,7 +164,7 @@ def test_distribution_laws(synth220):
         if not feasible:
             continue
         fv = lin.extract_features(state)
-        rows = pad_rows([[lin.inventory.row(a) for a in feasible]])
+        rows = pad_rows([[inventory(lin).row(a) for a in feasible]])
         logp = dict(zip(feasible, score(lin, [fv], *rows)[0]))
         worst_softmax = max(worst_softmax, abs(sum(np.exp(v) for v in logp.values()) - 1.0))
         if state.remaining:

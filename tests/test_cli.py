@@ -223,6 +223,26 @@ class TestTraining:
         assert code == 1
         assert "error: config:" in capsys.readouterr().err
 
+    def test_reserved_spellings_train_models_that_load(self, tmp_path, capsys):
+        # corpus forms spelled like the unknown-word and padding entries take
+        # those entries' ids, so the word table lists each word once
+        corpus = tmp_path / "reserved.conll"
+        corpus.write_text(
+            "1\t<unk>\t_\t_\tNN\t_\t2\tnsubj\n2\tgo\t_\t_\tVB\t_\t0\troot\n"
+            "3\t<null_w>\t_\t_\tNN\t_\t2\tdobj\n"
+        )
+        bags = tmp_path / "bags.txt"
+        bags.write_text("<null_w> go <unk>\n")
+        model, lm = tmp_path / "m.slm", tmp_path / "lm.slm"
+        assert main(["train", "--corpus", str(corpus), "--out", str(model), *FAST_TRAIN]) == 0
+        assert main(["train-lm", "--corpus", str(corpus), "--out", str(lm), *FAST_LM]) == 0
+        assert load(model).indexers["linearizer"]["words"] == ["<unk>", "<null_w>", "go"]
+        capsys.readouterr()
+        assert main(["decode", "--model", str(model), "--lm", str(lm), "--mode", "syn+lstm",
+                     "--input", str(bags), "--input-format", "bags"]) == 0
+        assert sorted(capsys.readouterr().out.split("\t")[0].split()) == ["<null_w>", "<unk>", "go"]
+        assert main(["inspect", "--model", str(model), "--action", "Shift-<unk>"]) == 0
+
     def test_config_file_and_override(self, data_dir, tmp_path):
         corpus = str(data_dir / "train.conll")
         cfg = tmp_path / "run.cfg"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import small_linearizer, small_lm
+from reference_rows import inventory
 from synlin import container as cont
 from synlin import ffnn, lstm_lm
 from synlin.cli import main
@@ -45,9 +46,10 @@ def _set(section, key, value):
     return edit
 
 
-def _set_indexer(section, key, value):
+def _edit_indexer(section, key, edit_table):
     def edit(header):
-        header["indexers"][section][key] = value
+        table = header["indexers"][section][key]
+        header["indexers"][section][key] = edit_table(table)
         return header
 
     return edit
@@ -93,7 +95,23 @@ MALFORMED_HEADERS = {
     # same payload size, dimensions swapped: only a shape check catches these
     "transposed-w1-word": ("linearizer", _reshape_tensor("lin.w1_word", lambda s: s[::-1])),
     "transposed-lm-cell": ("lm", _reshape_tensor("lm.cell0", lambda s: s[::-1])),
-    "word-table-without-padding": ("linearizer", _set_indexer("linearizer", "words", [UNK_WORD])),
+    "word-table-without-padding": (
+        "linearizer",
+        _edit_indexer("linearizer", "words", lambda _: [UNK_WORD]),
+    ),
+    # same table sizes: only the table rules catch these
+    "unsorted-pos-table": (
+        "linearizer",
+        _edit_indexer("linearizer", "pos_tags", lambda tags: [tags[0], *tags[:0:-1]]),
+    ),
+    "repeated-label": (
+        "linearizer",
+        _edit_indexer("linearizer", "labels", lambda labels: [*labels[:-1], labels[-2]]),
+    ),
+    "repeated-word": (
+        "linearizer",
+        _edit_indexer("linearizer", "words", lambda words: [*words[:-1], words[-2]]),
+    ),
     # 800 TB declared: rejected before anything is read
     "huge-shape": ("linearizer", _reshape_tensor("lin.w1_word", lambda s: [10**7, 10**7])),
 }
@@ -216,7 +234,7 @@ class TestRoundTrip:
         for name, t in model.params.items():
             assert np.array_equal(again.params[name], t)
         assert again.indexers == model.indexers
-        assert again.inventory.actions == model.inventory.actions
+        assert ffnn.output_actions(again.indexers, again.variant) == inventory(model).actions
         assert again.variant == model.variant
         assert again.config == model.config
 
@@ -331,10 +349,14 @@ class TestFormatErrors:
         bags = tmp_path / "bags.txt"
         bags.write_text("the dog ran\n")
         capsys.readouterr()
-        assert main(["decode", *decode, "--input", str(bags), "--input-format", "bags"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: model: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        for argv in (
+            ["decode", *decode, "--input", str(bags), "--input-format", "bags"],
+            ["inspect", "--model", str(path), "--action", "End"],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: model: ") and err.count("\n") == 1
+            assert "Traceback" not in err
 
 
 # sha256 of freshly initialized model files as `container.save` writes them.

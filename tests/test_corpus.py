@@ -145,6 +145,16 @@ class TestIndexers:
         idx = build_indexers(parse_valid(text), min_count=2)
         assert idx.words[2:] == ("love",)
 
+    def test_reserved_spellings_take_the_reserved_ids(self):
+        text = (
+            "1\t<unk>\t_\t_\tNN\t_\t2\tnsubj\n2\tgo\t_\t_\tVB\t_\t0\troot\n"
+            "3\t<null_w>\t_\t_\tNN\t_\t2\tdobj\n"
+        )
+        idx = build_indexers(parse_valid(text))
+        assert idx.words == (UNK_WORD, NULL_WORD, "go")
+        assert idx.word_id(UNK_WORD) == idx.unk_id and idx.word_id(NULL_WORD) == idx.null_word_id
+        assert idx.counts[UNK_WORD] == idx.counts[NULL_WORD] == 1
+
     def test_bijectivity(self, synth220_indexers):
         idx = synth220_indexers
         for i, w in enumerate(idx.words):
@@ -179,6 +189,12 @@ class TestWordBag:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             bag_from_forms([])
+
+    def test_a_sentence_bag_numbers_tokens_by_position(self, synth220):
+        for sent in synth220:
+            assert to_bag(sent).token_ids == tuple(
+                sorted(((t.index, t.form) for t in sent.tokens), key=lambda r: (r[1], r[0]))
+            )
 
 
 def oracle(sent, variant):

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 import reference_decode
 from conftest import small_linearizer, small_lm
+from reference_rows import inventory
 from synlin import decoder, ffnn
 from synlin.corpus import UNK_WORD, bag_from_forms, build_indexers, to_bag
 from synlin.decoder import DecodeConfig, Models, beam_decode, step_scores
@@ -149,9 +150,9 @@ def test_action_codes_sort_and_map_as_their_actions(forms, variant):
     assert all(space.codes[a] == c for c, a in enumerate(space.actions))
     assert len(space.codes) == len(space.actions)
     arrays = decoder._start(state, Models(linearizer=lin, lm=lm), DecodeConfig(mode="syn+lstm"))
-    unk_row = lin.inventory.row(Action(SHIFT, UNK_WORD))
+    unk_row = inventory(lin).row(Action(SHIFT, UNK_WORD))
     for code, action in enumerate(space.actions):
-        assert arrays.rows[code] == lin.inventory.row(action)
+        assert arrays.rows[code] == inventory(lin).row(action)
         if action.kind == SHIFT:
             assert code < len(space.forms)
             assert arrays.lm_ids[code] == lm.word_id(action.arg)
@@ -205,7 +206,7 @@ def test_word_table_covers_only_the_bag(idx):
 def held(models, mode):
     """The decode constants a `Models` holds for `mode`."""
     return [
-        *([models.scorer_constants] if mode != "lstm" else []),
+        *([models.scorer_tables] if mode != "lstm" else []),
         *([models.lm_start] if mode != "syn" else []),
     ]
 
@@ -227,7 +228,7 @@ def test_held_constants_are_fresh_and_never_written(idx, lm, bags, mode, variant
     beam_decode(bags[0], models, DecodeConfig(mode=mode))
     lin = models.linearizer
     if lin is not None:
-        tables, _ = models.scorer_constants
+        tables = models.scorer_tables
         word_ids = [lin.indexers.word_id(f) for f in bags[0].forms()]
         fresh = ffnn.slot_tables(lin, word_ids, FEATURE_BLOCKS[lin.variant])
         assert sorted(tables) == sorted(fresh.keys() - {"word"})

@@ -15,6 +15,7 @@ from conftest import (
     small_linearizer,
     small_lm,
 )
+from reference_rows import inventory
 from synlin import decoder, ffnn
 from synlin.corpus import bag_from_forms, build_indexers, to_bag
 from synlin.decoder import (
@@ -181,7 +182,7 @@ class TestStepScores:
         combined = scores(item, models, cfg)
         state = item.states[0]
         feasible = tuple(state.space.actions[c] for c in legal_actions(state))
-        rows = pad_rows([[lin_full.inventory.row(a) for a in feasible]])
+        rows = pad_rows([[inventory(lin_full).row(a) for a in feasible]])
         syn_lp = dict(zip(feasible, score(lin_full, [lin_full.extract_features(state)], *rows)[0]))
         forms = [state.space.forms[k] for k in state.shifts]
         ids = pad_rows([[lm.word_id(f) for f in forms]])

@@ -33,7 +33,7 @@ def start(forms, idx, variant="full"):
 
 def run(state, *action_names):
     for name in action_names:
-        state = apply(state, Action.parse(name))
+        state = apply(state, state.space.codes[Action.parse(name)])
     return state
 
 

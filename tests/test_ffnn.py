@@ -2,19 +2,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import randomize_params, score, small_linearizer, small_lm
+from reference_rows import ActionInventory, inventory
 from synlin import ffnn, lstm_lm
-from synlin.corpus import DepSentence, Token, build_indexers, to_bag
+from synlin.corpus import NULL_WORD, UNK_WORD, DepSentence, Token, bag_from_forms, build_indexers
+from synlin.corpus import to_bag
 from synlin.errors import ConfigError, DataError
 from synlin.ffnn import (
-    ActionInventory,
     TrainConfig,
     code_rows,
     grad_check,
     loss,
     make_training_examples,
-    nonshift_rows,
+    output_actions,
     train,
 )
 from synlin.optim import pad_rows
@@ -37,32 +40,39 @@ def params_bytes(model):
 
 
 class TestInventory:
+    """`output_actions` against the reference row map."""
+
     def test_rows_cover_all_actions(self, idx):
-        inv = ActionInventory.from_indexers(idx, "full")
-        assert len(inv) == (idx.n_words - 1) + idx.n_pos - 1 + 2 * (idx.n_labels - 1) + 1
-        for i, a in enumerate(inv.actions):
-            assert inv.row(a) == i and inv.action(i) == a
+        actions = output_actions(idx, "full")
+        assert len(actions) == (idx.n_words - 1) + idx.n_pos - 1 + 2 * (idx.n_labels - 1) + 1
+        assert len(set(actions)) == len(actions)
+        assert actions == ActionInventory.from_indexers(idx, "full").actions
 
     def test_light_inventory(self, idx):
-        inv = ActionInventory.from_indexers(idx, "light")
-        kinds = {a.kind for a in inv.actions}
+        actions = output_actions(idx, "light")
+        kinds = {a.kind for a in actions}
         assert kinds == {"Shift", "LArc", "RArc", "End"}
-        assert Action("LArc") in inv and Action("LArc", "det") not in inv
+        assert Action("LArc") in actions and Action("LArc", "det") not in actions
+        assert actions == ActionInventory.from_indexers(idx, "light").actions
 
     def test_oov_shift_maps_to_unk_row(self, idx):
-        inv = ActionInventory.from_indexers(idx, "full")
-        unk_row = inv.row(Action("Shift", idx.words[0]))
-        assert inv.row(Action("Shift", "zzz-not-a-word")) == unk_row
+        model, actions = small_linearizer(idx, "full"), output_actions(idx, "full")
+        bag = bag_from_forms([idx.words[2], "zzz-not-a-word"])
+        space = initial_state(bag, "full", idx.content_pos_tags, idx.content_labels).space
+        rows = code_rows(model, space)
+        assert space.forms[1] == "zzz-not-a-word"
+        assert actions[rows[0]] == Action("Shift", idx.words[2])
+        assert actions[rows[1]] == Action("Shift", UNK_WORD)
 
     def test_unknown_nonshift_rejected(self, idx):
-        inv = ActionInventory.from_indexers(idx, "full")
+        assert Action("Pos", "ZZZ") not in output_actions(idx, "full")
         with pytest.raises(DataError):
-            inv.row(Action("Pos", "ZZZ"))
+            ActionInventory.from_indexers(idx, "full").row(Action("Pos", "ZZZ"))
 
 
 def feasible_rows(model, feasibles):
     """`ffnn.forward`'s rows and mask for sequences of feasible actions."""
-    return pad_rows([[model.inventory.row(a) for a in feasible] for feasible in feasibles])
+    return pad_rows([[inventory(model).row(a) for a in feasible] for feasible in feasibles])
 
 
 def actions_at(state):
@@ -105,7 +115,7 @@ class TestForward:
         model = small_linearizer(idx, "full", seed=4)
         state = self.feasible_state(model, corpus)
         fv = model.extract_features(state)
-        full_set = model.inventory.actions
+        full_set = output_actions(model.indexers, model.variant)
         full_lp = logprobs(model, fv, full_set)
         subset = tuple(actions_at(state))
         sub_lp = logprobs(model, fv, subset)
@@ -322,19 +332,19 @@ class TestTrainingExamples:
     def test_code_rows_are_inventory_rows(self, corpus, variant, min_count):
         indexers = build_indexers(corpus, min_count=min_count)
         model = small_linearizer(indexers, variant)
-        unk_row = model.inventory.row(Action("Shift", indexers.words[0]))
-        nonshift = nonshift_rows(model)
+        inv = inventory(model)
+        unk_row = inv.row(Action("Shift", indexers.words[0]))
         oov = 0
         for sent in corpus:
             state = initial_state(
                 to_bag(sent), variant, indexers.content_pos_tags, indexers.content_labels
             )
             space = state.space
-            rows = code_rows(model, space, nonshift)
+            rows = code_rows(model, space)
             assert rows.dtype == np.int64 and len(rows) == len(space.actions)
             for code, action in enumerate(space.actions):
-                assert rows[code] == model.inventory.row(action)
-                if action.kind == "Shift" and action not in model.inventory:
+                assert rows[code] == inv.row(action)
+                if action.kind == "Shift" and action not in inv:
                     assert rows[code] == unk_row
                     oov += 1
         assert oov > 0 if min_count == 2 else oov == 0
@@ -372,3 +382,87 @@ class TestTrainingExamples:
             make_training_examples([corpus[0], bad], model)
         with pytest.raises(DataError, match="^sentence 2: gold action Pos-_ not feasible"):
             make_training_examples([corpus[0], replace(bad, number=0)], model)
+
+
+# Forms of the random vocabularies: the reserved spellings among them, and
+# one form ("oov") that only bags hold.
+FORMS = [UNK_WORD, NULL_WORD, "a", "b", "cc", "d"]
+
+
+def chain(tokens) -> DepSentence:
+    """Token i heads token i - 1; the last token is the root."""
+    n = len(tokens)
+    return DepSentence(
+        tuple(
+            Token(i, form, pos, 0 if i == n else i + 1, label)
+            for i, (form, pos, label) in enumerate(tokens, start=1)
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    sentences=st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from(FORMS),
+                st.sampled_from(["NN", "VB", "DT", "_"]),
+                st.sampled_from(["amod", "det", "nsubj", "_"]),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    bag=st.lists(st.sampled_from([*FORMS, "oov"]), min_size=1, max_size=6),
+    variant=st.sampled_from(["full", "light"]),
+    min_count=st.sampled_from([1, 2]),
+)
+def test_code_rows_are_the_reference_rows(sentences, bag, variant, min_count):
+    indexers = build_indexers([chain(tokens) for tokens in sentences], min_count)
+    model = small_linearizer(indexers, variant, scale=None, embed_dim=1, hidden_dim=1)
+    inv = ActionInventory.from_indexers(indexers, variant)
+    assert output_actions(indexers, variant) == inv.actions
+    tags, labels = indexers.content_pos_tags, indexers.content_labels
+    space = initial_state(bag_from_forms(bag), variant, tags, labels).space
+    assert code_rows(model, space).tolist() == [inv.row(a) for a in space.actions]
+
+
+class TestExamplesFitTheModel:
+    """`loss`, `train` and `grad_check` refuse arrays made for another model."""
+
+    @staticmethod
+    def refused(model, examples, match):
+        for call in (loss, train, grad_check):
+            with pytest.raises(ConfigError, match=match):
+                call(model, examples)
+
+    def test_feature_blocks(self, idx, corpus):
+        light = make_training_examples(corpus[:2], small_linearizer(idx, "light"))
+        blocks = r"\['word', 'pos', 'label'\], examples give \['word'\]"
+        self.refused(small_linearizer(idx, "full"), light, f"^model takes blocks {blocks}$")
+
+    def test_lm_feature_width(self, idx, corpus):
+        model = small_linearizer(idx, "light", lm_feat_dim=6)
+        examples = make_training_examples(corpus[:2], model, lm=small_lm(idx, hidden_size=6))
+        wider = small_linearizer(idx, "light", lm_feat_dim=8)
+        self.refused(wider, examples, "^model takes 8 LM features, examples give 6$")
+        plain_model = small_linearizer(idx, "light")
+        self.refused(plain_model, examples, "^model takes no LM features, examples give 6$")
+        plain = make_training_examples(corpus[:2], small_linearizer(idx, "light"))
+        self.refused(model, plain, "^model takes 6 LM features, examples give none$")
+
+    def test_ids_and_rows_inside_their_tensors(self, idx, corpus):
+        examples = make_training_examples(corpus, small_linearizer(idx, "light"))
+        smaller = build_indexers(corpus[:1])
+        assert smaller.n_words < examples.ids["word"].max() + 1
+        match = f"^examples index emb_word outside its {smaller.n_words} rows$"
+        self.refused(small_linearizer(smaller, "light"), examples, match)
+        model = small_linearizer(idx, "light")
+        n_rows = len(model.params["w2"])
+        for bad in (n_rows, -1):
+            rows = examples.rows.copy()
+            rows[0, 0] = bad
+            match = f"^examples index w2 outside its {n_rows} rows$"
+            self.refused(model, replace(examples, rows=rows), match)

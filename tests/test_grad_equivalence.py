@@ -10,6 +10,7 @@ import pytest
 
 import reference_grads
 from conftest import small_linearizer, small_lm
+from reference_rows import inventory
 from synlin import ffnn, lstm_lm
 from synlin.corpus import build_indexers
 from synlin.synth import toy_corpus
@@ -75,7 +76,7 @@ def test_scorer_batch_with_shifts_sharing_the_unk_row(corpus):
     model = small_linearizer(build_indexers(corpus, min_count=2), "full", seed=35)
     examples = ffnn.make_training_examples(corpus, model)
     idx = scorer_case(model, examples, 1e-3, 0.3)
-    unk_row = model.inventory.row(Action("Shift", model.indexers.words[0]))
+    unk_row = inventory(model).row(Action("Shift", model.indexers.words[0]))
     shared = [
         np.count_nonzero(examples.rows[i][examples.valid[i]] == unk_row) for i in idx
     ]

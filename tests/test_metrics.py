@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import small_linearizer
+from reference_rows import ActionInventory
 from synlin.corpus import build_indexers
 from synlin.errors import DataError
 from synlin.metrics import action_neighbors, corpus_bleu
@@ -146,41 +147,47 @@ def model():
     return small_linearizer(idx, "light", seed=10, scale=None, embed_dim=4, hidden_dim=2)
 
 
+@pytest.fixture(scope="module")
+def inventory(model):
+    """The reference row map that `action_neighbors` must agree with."""
+    return ActionInventory.from_indexers(model.indexers, model.variant)
+
+
 class TestActionNeighbors:
-    def test_identical_rows_cosine_one(self, model):
+    def test_identical_rows_cosine_one(self, model, inventory):
         w2 = model.params["w2"]
         w2[...] = 0.0
-        a = model.inventory.actions[0]
-        b = model.inventory.actions[1]
-        w2[model.inventory.row(a)] = [1.0, 0.0]
-        w2[model.inventory.row(b)] = [1.0, 0.0]
+        a = inventory.actions[0]
+        b = inventory.actions[1]
+        w2[inventory.row(a)] = [1.0, 0.0]
+        w2[inventory.row(b)] = [1.0, 0.0]
         top = action_neighbors(model, a, k=1)
         assert top[0][0] == b and top[0][1] == pytest.approx(1.0)
 
-    def test_hand_computed_ranking(self, model):
+    def test_hand_computed_ranking(self, model, inventory):
         w2 = model.params["w2"]
         w2[...] = 0.0
-        a, b, c = model.inventory.actions[:3]
-        w2[model.inventory.row(a)] = [2.0, 1.0]
-        w2[model.inventory.row(b)] = [1.0, 2.0]
-        w2[model.inventory.row(c)] = [-1.0, 2.0]  # orthogonal to a
+        a, b, c = inventory.actions[:3]
+        w2[inventory.row(a)] = [2.0, 1.0]
+        w2[inventory.row(b)] = [1.0, 2.0]
+        w2[inventory.row(c)] = [-1.0, 2.0]  # orthogonal to a
         ranked = action_neighbors(model, a, k=2)
         assert ranked[0][0] == b
         assert ranked[0][1] == pytest.approx(4 / 5)
         assert ranked[1][1] == pytest.approx(0.0)
 
-    def test_ranking_scale_invariance(self, model):
+    def test_ranking_scale_invariance(self, model, inventory):
         rng = np.random.default_rng(11)
         model.params["w2"][...] = rng.normal(size=model.params["w2"].shape)
-        a = model.inventory.actions[0]
+        a = inventory.actions[0]
         before = [x[0] for x in action_neighbors(model, a, k=8)]
         model.params["w2"] *= 3.7
         after = [x[0] for x in action_neighbors(model, a, k=8)]
         assert before == after
 
-    def test_self_excluded(self, model):
-        a = model.inventory.actions[0]
-        assert a not in [x[0] for x in action_neighbors(model, a, k=len(model.inventory))]
+    def test_self_excluded(self, model, inventory):
+        a = inventory.actions[0]
+        assert a not in [x[0] for x in action_neighbors(model, a, k=len(inventory))]
 
     def test_unknown_action(self, model):
         with pytest.raises(DataError):

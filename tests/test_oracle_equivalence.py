@@ -11,6 +11,7 @@ import pytest
 
 import reference_oracle
 from conftest import random_projective_sentence, small_linearizer, small_lm
+from reference_rows import inventory
 from synlin import ffnn
 from synlin.corpus import UNK_WORD, build_indexers, derive_oracle
 from synlin.synth import toy_corpus
@@ -68,6 +69,6 @@ def test_training_examples_equal_with_rare_words(variant):
     got = ffnn.make_training_examples(corpus, model)
     want = reference_oracle.pack(model, reference_oracle.make_training_examples(corpus, model))
     assert_same_arrays(got, want)
-    unk_row = model.inventory.row(Action("Shift", UNK_WORD))
+    unk_row = inventory(model).row(Action("Shift", UNK_WORD))
     shared = (got.rows == unk_row) & got.valid
     assert shared.sum(axis=1).max() >= 2, "needs two legal Shifts on the UNK row"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,14 @@ def actions_at(state):
     return tuple(state.space.actions[c] for c in legal_actions(state))
 
 
+def code(state, name):
+    """The code of the action called `name` in `state`'s action space."""
+    return state.space.codes[Action.parse(name)]
+
+
 def run(state, *action_names):
     for name in action_names:
-        state = apply(state, Action.parse(name))
+        state = apply(state, code(state, name))
     return state
 
 
@@ -49,6 +56,32 @@ class TestInitialState:
     def test_unknown_variant(self):
         with pytest.raises(StateError):
             initial_state(bag_from_forms(["a"]), "medium")
+
+    @pytest.mark.parametrize(
+        "tags,labels,message",
+        [
+            (("VBP", "NNP"), LABELS, "POS tags not strictly increasing: 'VBP' before 'NNP'"),
+            (("NNP", "NNP"), LABELS, "POS tags not strictly increasing: 'NNP' before 'NNP'"),
+            (POS_TAGS, ("nsubj", "dobj"), "arc labels not strictly increasing: 'nsubj' before 'dobj'"),
+            (POS_TAGS, ("dobj", "dobj"), "arc labels not strictly increasing: 'dobj' before 'dobj'"),
+        ],
+    )
+    def test_full_variant_needs_increasing_tags_and_labels(self, tags, labels, message):
+        bag = bag_from_forms(["I", "love"])
+        with pytest.raises(StateError, match=f"^{re.escape(message)}$"):
+            initial_state(bag, "full", tags, labels)
+        light = initial_state(bag, "light", tags, labels)
+        names = [a.name() for a in light.space.actions]
+        assert names == ["Shift-I", "Shift-love", "LArc", "RArc", "End"]
+
+    def test_codes_number_the_blocks_contiguously(self):
+        space = start(["I", "love", "I"], variant="full").space
+        assert [a.name() for a in space.actions] == [
+            "Shift-I", "Shift-love", "Pos-NNP", "Pos-PRP", "Pos-VBP",
+            "LArc-dobj", "LArc-nsubj", "RArc-dobj", "RArc-nsubj", "End",
+        ]
+        assert space.pos_codes == (2, 3, 4) and space.arc_codes == (5, 6, 7, 8)
+        assert space.end_code == 9
 
 
 class TestLegalActions:
@@ -100,13 +133,13 @@ class TestApply:
             "Pos-NNP",
         )
         assert [it.root.form for it in st.stack] == ["I", "love", "NLP"]
-        st = apply(st, Action.parse("RArc-dobj"))
+        st = run(st, "RArc-dobj")
         assert [it.root.form for it in st.stack] == ["I", "love"]
         assert (2, 3, "dobj") in st.arcs
-        st = apply(st, Action.parse("LArc-nsubj"))
+        st = run(st, "LArc-nsubj")
         assert [it.root.form for it in st.stack] == ["love"]
         assert (2, 1, "nsubj") in st.arcs
-        st = apply(st, Action.parse("End"))
+        st = run(st, "End")
         assert [t.form for t in realized_sentence(st)] == ["I", "love", "NLP"]
 
     def test_in_order_traversal(self):
@@ -129,13 +162,21 @@ class TestApply:
 
     def test_illegal_action(self):
         st = start(["Go"])
-        with pytest.raises(IllegalActionError, match="LArc"):
-            apply(st, Action.parse("LArc"))
+        with pytest.raises(IllegalActionError, match="^illegal LArc at "):
+            apply(st, code(st, "LArc"))
 
     def test_shift_not_in_bag(self):
         st = start(["Go"])
-        with pytest.raises(IllegalActionError):
-            apply(st, Action.parse("Shift-stop"))
+        assert Action.parse("Shift-stop") not in st.space.codes
+
+    @pytest.mark.parametrize("bad", [-1, 4, 10**6, Action("End")])
+    def test_only_codes_of_the_space_apply(self, bad):
+        # codes only: an Action, or a number outside the space, names no action
+        st = start(["Go"])
+        assert len(st.space.actions) == 4
+        message = f"^illegal action code {re.escape(repr(bad))} at "
+        with pytest.raises(IllegalActionError, match=message):
+            apply(st, bad)
 
     @pytest.mark.parametrize("variant", ["full", "light"])
     def test_every_illegal_kind_rejected_after_legal_set_is_used(self, variant):
@@ -144,40 +185,42 @@ class TestApply:
         full = variant == "full"
         st = run(start(["I", "love", "NLP"], variant), "Shift-I", *(["Pos-PRP"] if full else []))
         arc = "nsubj" if full else None
-        legal = actions_at(st)
-        for action in legal:
-            apply(st, action)
+        legal = legal_actions(st)
+        for c in legal:
+            apply(st, c)
         illegal = [
             Action("Shift", "I"),  # already shifted
-            Action("Shift", "dog"),  # never in the bag
-            Action("Pos", "PRP"),  # no Pos pending
             Action("LArc", arc),  # one stack item
             Action("RArc", arc),
             Action("End"),  # words remain
-            Action("Jump"),  # no such kind
+            *([Action("Pos", "PRP")] if full else []),  # no Pos pending
         ]
         for action in illegal:
-            assert action not in legal
-            with pytest.raises(IllegalActionError):
-                apply(st, action)
+            c = st.space.codes[action]
+            assert c not in legal
+            with pytest.raises(IllegalActionError, match=f"^illegal {action.name()} at "):
+                apply(st, c)
+        # never in the bag, no such kind, no Pos in the light variant: no code at all
+        outside = [Action("Shift", "dog"), Action("Jump"), *([] if full else [Action("Pos", "PRP")])]
+        assert not set(outside) & set(st.space.codes)
         two = run(st, "Shift-love", *(["Pos-VBP"] if full else []))
         assert actions_at(two)
-        with pytest.raises(IllegalActionError):
-            apply(two, Action("LArc", "amod" if full else "nsubj"))  # label outside the set
+        # a label outside the set has no code
+        assert Action("LArc", "amod" if full else "nsubj") not in two.space.codes
 
     def test_determinism_and_immutability(self):
         st = start(["a", "b"])
         before = (st.stack, st.remaining, st.arcs, st.history)
-        s1 = apply(st, Action.parse("Shift-a"))
-        s2 = apply(st, Action.parse("Shift-a"))
+        s1 = run(st, "Shift-a")
+        s2 = run(st, "Shift-a")
         assert s1 == s2
         assert (st.stack, st.remaining, st.arcs, st.history) == before
 
     def test_duplicate_shift_consumes_lowest_tid(self):
         st = start(["the", "x", "the"])  # tids: the=1, x=2, the=3
-        st = apply(st, Action.parse("Shift-the"))
+        st = run(st, "Shift-the")
         assert st.stack[-1].root.tid == 1
-        st = apply(st, Action.parse("Shift-the"))
+        st = run(st, "Shift-the")
         assert st.stack[-1].root.tid == 3
 
 
@@ -190,7 +233,7 @@ class TestDerivationProperties:
             forms = [f"w{rng.integers(0, 4)}" for _ in range(n)]
             st = start(forms, variant=variant)
             while True:
-                acts = actions_at(st)
+                acts = legal_actions(st)
                 if not acts:
                     break
                 st = apply(st, acts[rng.integers(0, len(acts))])
@@ -207,7 +250,7 @@ class TestDerivationProperties:
 
         n = n_tokens(st)
         while True:
-            acts = actions_at(st)
+            acts = legal_actions(st)
             if not acts:
                 break
             st = apply(st, acts[rng.integers(0, len(acts))])
