@@ -21,9 +21,12 @@ action history, actions ordered by (kind, argument).
 A decode works on its bag's integer action codes; per bag, code arrays give
 each action's scorer row (`ffnn.code_rows`: OOV shifts share the UNK row)
 and LM word id.  A step's candidates are one (items x widest) score array,
-each item's columns in legal order.  Beam histories are distinct and of equal length, so one
-`np.lexsort` of (-score, parent's history rank, code) keeps the best.  LM
-states are (items x n) arrays per layer, gathered by parent index each step.
+each item's columns in legal order.  Beam histories are distinct and of equal
+length, so one `np.lexsort` of (-score, parent's history rank, code) keeps the
+best.  A decode's LM states are rows of one table (`LmRows`), one per
+derivation node whose state was read: an item holds a row index, and a kept
+Shift holds its parent's row and its word until something reads its state,
+so a Shift pruned before then is never stepped.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from synlin.corpus import WordBag
 from synlin.errors import ConfigError, DataError, SearchSpaceError
 from synlin.features import FEATURE_BLOCKS
 from synlin.ffnn import Linearizer, SlotTables, code_rows, forward, slot_tables
-from synlin.lstm_lm import LanguageModel, LmStates, lm_step, next_word_logprobs, start_state
+from synlin.lstm_lm import LanguageModel, LmStates, StepWeights, input_rows, lm_step
+from synlin.lstm_lm import next_word_logprobs, start_state, step_weights
 from synlin.optim import log_softmax, pad_rows
 from synlin.transition import LIGHT, Action, State, apply, derivation_length
 from synlin.transition import initial_state, legal_actions, realized_sentence
@@ -53,6 +57,10 @@ MODES = (MODE_SYN, MODE_LSTM, MODE_JOINT, MODE_FEATURE)
 EXHAUSTIVE_MAX_TREE = 6
 EXHAUSTIVE_MAX_LSTM = 8
 
+# The widest beam a config accepts: a step's scorer gathers one (items x
+# slots x hidden) temporary, about 98 MB at this width with the default sizes.
+MAX_BEAM = 4096
+
 
 @dataclass
 class DecodeConfig:
@@ -64,8 +72,8 @@ class DecodeConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.beam_size < 1:
-            raise ConfigError(f"beam_size must be >= 1, got {self.beam_size}")
+        if not 1 <= self.beam_size <= MAX_BEAM:
+            raise ConfigError(f"beam_size must be in [1, {MAX_BEAM}], got {self.beam_size}")
         if not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
 
@@ -74,8 +82,8 @@ class DecodeConfig:
 class Models:
     """The models of a decode session, fixed when it is built, and the decode
     constants that depend only on them, each built at its first use and kept:
-    the POS/label slot tables of `linearizer`, the start state of `lm`.  After
-    editing weights in place, build a new `Models`."""
+    the POS/label slot tables of `linearizer`, the `step_weights` and the start
+    state of `lm`.  After editing weights in place, build a new `Models`."""
 
     linearizer: Linearizer | None = None
     lm: LanguageModel | None = None
@@ -88,27 +96,73 @@ class Models:
         return slot_tables(lin, (), blocks)
 
     @cached_property
+    def lm_weights(self) -> StepWeights:
+        return step_weights(self.lm)
+
+    @cached_property
     def lm_start(self) -> LmStates:
-        return start_state(self.lm)
+        return start_state(self.lm, self.lm_weights)
+
+
+@dataclass
+class LmRows:
+    """One decode's LM states, one row per derivation node that was stepped,
+    row 0 the start state: per layer, (h, c) arrays of which `count` rows are
+    in use; `inputs` holds the `input_rows` of the bag's Shift codes.  The
+    arrays start with room for the 1 + n rows of a greedy decode of n words
+    and double when full, so nothing is allocated by the beam size.
+    """
+
+    layers: list[tuple[np.ndarray, np.ndarray]]
+    count: int
+    inputs: np.ndarray
+
+    def step(self, weights: StepWeights, parents: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Rows for the Shifts of `codes` from the rows `parents`: one `lm_step`."""
+        states = tuple((h[parents], c[parents]) for h, c in self.layers)
+        stepped = lm_step(weights, states, self.inputs[codes])
+        start, end = self.count, self.count + len(parents)
+        if end > len(self.layers[0][0]):
+            size = max(end, 2 * len(self.layers[0][0]))
+            self.layers = [(_resized(h, size), _resized(c, size)) for h, c in self.layers]
+        for (h, c), (h_new, c_new) in zip(self.layers, stepped):
+            h[start:end], c[start:end] = h_new, c_new
+        self.count = end
+        return np.arange(start, end)
+
+    def top(self, rows: np.ndarray) -> np.ndarray:
+        """The top layer's outputs at `rows`."""
+        return self.layers[-1][0][rows]
+
+
+def _resized(a: np.ndarray, rows: int) -> np.ndarray:
+    out = np.empty((rows, *a.shape[1:]))
+    out[: len(a)] = a
+    return out
 
 
 @dataclass
 class Beam:
     """One step's items as parallel arrays, and the per-bag arrays they are scored with.
 
-    Item k is `states[k]`, with accumulated score `scores[k]`, its history's
-    rank `ranks[k]` among the items', and row k of each (h, c) array of `lm`.
-    By action code, `rows` holds the scorer's output row and `lm_ids` the
-    LM's word id (0 for non-Shifts); `tables` are the scorer's slot tables.
+    Item k is `states[k]`, with accumulated score `scores[k]` and its
+    history's rank `ranks[k]` among the items'.  Its LM state is row
+    `lm_rows[k]` of the decode's `lm` table or, while `lm_shifts[k]` is a
+    Shift code and not -1, that Shift from row `lm_rows[k]`, stepped when
+    `_lm_top` first reads it.  By action code, `rows` holds the scorer's
+    output row and `lm_ids` the LM's word id (0 for non-Shifts); `tables`
+    are the scorer's slot tables.
     """
 
     states: list[State]
     scores: np.ndarray
     ranks: np.ndarray
-    lm: LmStates | None
     tables: SlotTables | None
     rows: np.ndarray | None
     lm_ids: np.ndarray | None
+    lm: LmRows | None
+    lm_rows: np.ndarray | None
+    lm_shifts: np.ndarray | None
 
 
 @dataclass
@@ -189,24 +243,38 @@ def step_scores(beam: Beam, models: Models, config: DecodeConfig) -> Candidates:
         if not feasible:
             raise DataError(f"no legal actions at {state.summary()}")
     codes, valid = pad_rows(feasibles)
+    every = np.arange(len(beam.states))
     if mode == MODE_LSTM:
-        increments = next_word_logprobs(models.lm, beam.lm[-1][0], beam.lm_ids[codes], valid)
+        top = _lm_top(beam, every, models)
+        increments = next_word_logprobs(models.lm, top, beam.lm_ids[codes], valid)
     else:
         lin = models.linearizer
-        lm_feats = beam.lm[-1][0] if mode == MODE_FEATURE else None
+        lm_feats = _lm_top(beam, every, models) if mode == MODE_FEATURE else None
         features = [lin.extract_features(state) for state in beam.states]
         increments = forward(lin, features, beam.rows[codes], valid, lm_feats, beam.tables)
         if mode == MODE_JOINT:
-            increments = _joint(models.lm, beam, codes, valid, increments, config)
+            increments = _joint(models, beam, codes, valid, increments, config)
     count = sum(map(len, feasibles))
     return Candidates(beam.scores[:, None] + increments, codes, valid, count)
 
 
-def _joint(lm: LanguageModel, beam: Beam, codes, valid, base: np.ndarray, config: DecodeConfig):
+def _lm_top(beam: Beam, items: np.ndarray, models: Models) -> np.ndarray:
+    """The top-layer LM outputs of `items`, after one `lm_step` for the
+    pending Shifts among them."""
+    pending = items[beam.lm_shifts[items] >= 0]
+    if len(pending):
+        parents, codes = beam.lm_rows[pending], beam.lm_shifts[pending]
+        beam.lm_rows[pending] = beam.lm.step(models.lm_weights, parents, codes)
+        beam.lm_shifts[pending] = -1
+    return beam.lm.top(beam.lm_rows[items])
+
+
+def _joint(models: Models, beam: Beam, codes, valid, base: np.ndarray, config: DecodeConfig):
     """Scorer log-probs `base` plus alpha times the LM log-prob of each shifted word.
 
     Adds in place.  Shifts come first in a feasible set, so the LM row of an
     item that can shift lines up with the first columns of its scorer row.
+    Only the LM states of items that can shift are read.
     """
     shift = valid & (codes < len(beam.states[0].space.forms))
     shifting = np.flatnonzero(shift[:, 0])
@@ -214,7 +282,7 @@ def _joint(lm: LanguageModel, beam: Beam, codes, valid, base: np.ndarray, config
         width = shift.sum(axis=1).max()
         shift = shift[shifting, :width]
         ids = beam.lm_ids[codes[shifting, :width]]
-        lm_logp = next_word_logprobs(lm, beam.lm[-1][0][shifting], ids, shift)
+        lm_logp = next_word_logprobs(models.lm, _lm_top(beam, shifting, models), ids, shift)
         lm_logp[~shift] = 0.0  # the other actions get no LM term
         base[shifting, :width] += config.alpha * lm_logp
     return log_softmax(base) if config.renormalize_joint else base
@@ -233,36 +301,47 @@ def _advance(state: State, code: int) -> State:
     return apply(state, code)
 
 
-def _advance_all(beam: Beam, candidates: Candidates, kept: np.ndarray, models: Models) -> Beam:
+def _advance_all(beam: Beam, candidates: Candidates, kept: np.ndarray) -> Beam:
     """The beam of the `kept` candidates (flat indices, in the new beam's order).
 
-    A new item's history ranks as (its parent's rank, its code); one LM step
-    covers every Shift among the kept candidates.
+    A new item's history ranks as (its parent's rank, its code).  A kept
+    Shift's LM state is left pending on its parent's row, which `step_scores`
+    read: an item that can shift has its LM state read.
     """
     parents = kept // candidates.codes.shape[1]
     codes = candidates.codes.ravel()[kept]
     states = [_advance(beam.states[k], c) for k, c in zip(parents.tolist(), codes.tolist())]
     ranks = np.empty(len(kept), dtype=np.int64)
     ranks[np.lexsort((codes, beam.ranks[parents]))] = np.arange(len(kept))
-    lm = beam.lm
-    if lm is not None:
-        lm = tuple((h[parents], c[parents]) for h, c in lm)
-        shifts = np.flatnonzero(codes < len(beam.states[0].space.forms))
-        if len(shifts):
-            ids = beam.lm_ids[codes[shifts]]
-            stepped = lm_step(models.lm, [(h[shifts], c[shifts]) for h, c in lm], ids)
-            for (h, c), (h_new, c_new) in zip(lm, stepped):
-                h[shifts], c[shifts] = h_new, c_new
+    lm_rows = lm_shifts = None
+    if beam.lm is not None:
+        lm_rows = beam.lm_rows[parents]
+        shift = codes < len(beam.states[0].space.forms)
+        lm_shifts = np.where(shift, codes, beam.lm_shifts[parents])
     scores = candidates.scores.ravel()[kept]
-    return Beam(states, scores, ranks, lm, beam.tables, beam.rows, beam.lm_ids)
+    return Beam(
+        states, scores, ranks, beam.tables, beam.rows, beam.lm_ids, beam.lm, lm_rows, lm_shifts
+    )
 
 
 def _item(beam: Beam, k: int) -> Beam:
-    """The one-item beam of item k."""
+    """The one-item beam of item k, with an LM table of its own that starts
+    from the item's row: an enumeration holds only the rows of its path."""
     at = [k]
-    lm = None if beam.lm is None else tuple((h[at], c[at]) for h, c in beam.lm)
-    states, scores, ranks = [beam.states[k]], beam.scores[at], beam.ranks[at]
-    return replace(beam, states=states, scores=scores, ranks=ranks, lm=lm)
+    lm = lm_rows = lm_shifts = None
+    if beam.lm is not None:
+        row = beam.lm_rows[at]
+        lm = LmRows([(h[row], c[row]) for h, c in beam.lm.layers], 1, beam.lm.inputs)
+        lm_rows, lm_shifts = np.zeros(1, dtype=np.int64), beam.lm_shifts[at]
+    return replace(
+        beam,
+        states=[beam.states[k]],
+        scores=beam.scores[at],
+        ranks=beam.ranks[at],
+        lm=lm,
+        lm_rows=lm_rows,
+        lm_shifts=lm_shifts,
+    )
 
 
 def _result(state: State, score: float, mode: str) -> DecodeResult:
@@ -276,16 +355,19 @@ def _start(state: State, models: Models, config: DecodeConfig) -> Beam:
     """The one-item beam at `state`: score 0 and the LM at its start state."""
     lin, lm = models.linearizer, models.lm
     space, n = state.space, len(state.space.forms)
-    tables = rows = lm_ids = lm_state = None
+    tables = rows = lm_ids = lm_table = lm_rows = lm_shifts = None
     if config.mode != MODE_LSTM:
         word_tables = slot_tables(lin, map(lin.indexers.word_id, space.forms), ["word"])
         tables = {**models.scorer_tables, **word_tables}
         rows = code_rows(lin, space)
     if config.mode != MODE_SYN:
-        lm_state = models.lm_start
         lm_ids = np.zeros(len(space.actions), dtype=np.int64)
         lm_ids[:n] = [lm.word_id(form) for form in space.forms]
-    return Beam([state], np.zeros(1), np.zeros(1, dtype=np.int64), lm_state, tables, rows, lm_ids)
+        layers = [(_resized(h, 1 + n), _resized(c, 1 + n)) for h, c in models.lm_start]
+        lm_table = LmRows(layers, 1, input_rows(models.lm_weights, lm_ids[:n]))
+        lm_rows, lm_shifts = np.zeros(1, dtype=np.int64), np.full(1, -1)
+    scores, ranks = np.zeros(1), np.zeros(1, dtype=np.int64)
+    return Beam([state], scores, ranks, tables, rows, lm_ids, lm_table, lm_rows, lm_shifts)
 
 
 def _root(bag: WordBag, models: Models, config: DecodeConfig) -> Beam:
@@ -309,7 +391,7 @@ def beam_decode(bag: WordBag, models: Models, config: DecodeConfig) -> DecodeRes
         cands = step_scores(beam, models, config)
         if not np.isfinite(cands.scores[cands.valid]).all():
             raise SearchSpaceError(f"non-finite score at step {step + 1}: are the weights finite?")
-        beam = _advance_all(beam, cands, _kept(beam, cands, config.beam_size), models)
+        beam = _advance_all(beam, cands, _kept(beam, cands, config.beam_size))
     best = beam.states[0]
     if not _is_terminal(best, config.mode):
         raise SearchSpaceError(f"unfinished after {n_steps} steps: {best.summary()}")
@@ -334,7 +416,7 @@ def exhaustive_decode(bag: WordBag, models: Models, config: DecodeConfig) -> Dec
                 best = (-score, state.history), state, score
             return
         cands = step_scores(beam, models, config)
-        children = _advance_all(beam, cands, np.flatnonzero(cands.valid), models)
+        children = _advance_all(beam, cands, np.flatnonzero(cands.valid))
         for k in range(len(children.states)):
             walk(_item(children, k))
 

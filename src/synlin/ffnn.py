@@ -173,9 +173,11 @@ def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=N
 
     `lm` (a trained LanguageModel) is required exactly when the model has an
     LM feature block, and must match its width.  Each example's LM row is
-    then the LM's top hidden vector for the words shifted so far; the LM's
-    parameters are never touched.  An underivable sentence is a DataError
-    naming its `number`, or its position in `sentences` when it has none.
+    then the LM's top hidden vector for the words shifted so far, stepped
+    with the `input_rows` and `lm_step` that a decode of its bag uses; the
+    LM's parameters are never touched.  An underivable sentence is a
+    DataError naming its `number`, or its position in `sentences` when it
+    has none.
     """
     from synlin import lstm_lm  # local import: lstm_lm is independent of this module
 
@@ -184,13 +186,17 @@ def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=N
         takes = model.lm_feat_dim or "no"
         raise ConfigError(f"model takes {takes} LM features, LM gives {width or 'none'}")
     features, legal_rows, gold_col, lm_feats = [], [], [], []
+    if lm is not None:
+        weights = lstm_lm.step_weights(lm)
+        start = lstm_lm.start_state(lm, weights)
     for k, sent in enumerate(sentences, start=1):
         try:
             final = derive_oracle(sent, model.variant, model.indexers)
         except DataError as exc:
             raise DataError(f"sentence {sent.number or k}: {exc}") from None
         forms, row = final.space.forms, code_rows(model, final.space).tolist()
-        lm_state = None if lm is None else lstm_lm.start_state(lm)
+        if lm is not None:
+            lm_state, inputs = start, lstm_lm.input_rows(weights, [lm.word_id(f) for f in forms])
         for node in final.nodes():
             legal = node.parent.legal
             features.append(model.extract_features(node.parent))
@@ -199,7 +205,7 @@ def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=N
             if lm is not None:
                 lm_feats.append(lm_state[-1][0][0])
                 if node.code < len(forms):
-                    lm_state = lstm_lm.lm_step(lm, lm_state, [lm.word_id(forms[node.code])])
+                    lm_state = lstm_lm.lm_step(weights, lm_state, inputs[[node.code]])
     rows, valid = pad_rows(legal_rows)
     lm_rows = None if lm is None else np.reshape(lm_feats, (len(gold_col), width))
     gold_col = np.array(gold_col, dtype=np.int64)

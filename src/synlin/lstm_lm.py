@@ -16,6 +16,11 @@ decode time the allowed set is the remaining input bag.  Training is
 plain next-word cross entropy over gold-order sentences with a start symbol
 prepended and an end symbol as the final target, backpropagated through the
 full sentence and optimized with Adagrad.
+
+Training runs each cell as one whole-block product (`_cell`).  Decoding
+steps with `lm_step`, which takes layer 0's input term from a table built
+once per bag (`input_rows`) and multiplies by weights held transposed
+(`step_weights`); both share the gate math, `_gates`.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ import numpy as np
 
 from synlin.corpus import DepSentence, Indexers
 from synlin.errors import ConfigError, DataError, TrainingError
-from synlin.optim import Adagrad, check_rates, log_softmax, max_grad_error, row_sums
-from synlin.optim import masked_log_softmax
+from synlin.optim import Adagrad, check_rates, log_softmax, log_sum_exp, max_grad_error, row_sums
 
 START_SYMBOL = "<s>"
 EOS_SYMBOL = "</s>"
@@ -114,23 +118,29 @@ _CACHED = ("u", "i", "f", "o", "g", "c_prev", "tc")
 
 
 def _cell(weights, h_below, h_prev, c_prev, bias):
-    """The cell math: (h, c, cache), the cache holding the `_CACHED` values.
+    """The training cell: (h, c, cache), the cache holding the `_CACHED` values.
 
     Inputs are vectors of width n or (b, n) batches with one row per
     sequence; a batch costs one (b x 2n) @ (2n x 4n) product.
     """
-    n = h_prev.shape[-1]
     u = np.concatenate([h_below, h_prev], axis=-1)
     z = u @ weights.T
     if bias is not None:
         z = z + bias
+    h, c, (i, f, o, g, tc) = _gates(z, c_prev)
+    return h, c, (u, i, f, o, g, c_prev, tc)
+
+
+def _gates(z, c_prev):
+    """The gate math shared by `_cell` and `lm_step`: (h, c, (i, f, o, g, tc))
+    from the pre-activations z = [i, f, o, g] and the previous cell state."""
+    n = c_prev.shape[-1]
     gates = _sigmoid(z[..., : 3 * n])
     i, f, o = gates[..., :n], gates[..., n : 2 * n], gates[..., 2 * n :]
     g = np.tanh(z[..., 3 * n :])
     c = f * c_prev + i * g
     tc = np.tanh(c)
-    h = o * tc
-    return h, c, (u, i, f, o, g, c_prev, tc)
+    return o * tc, c, (i, f, o, g, tc)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -145,24 +155,80 @@ def initial_lm_state(model: LanguageModel) -> LmStates:
     return tuple((np.zeros((1, n)), np.zeros((1, n))) for _ in range(model.config.num_layers))
 
 
-def lm_step(model: LanguageModel, states: LmStates, word_ids) -> LmStates:
-    """Feed word_ids[k] to row k of `states`; returns the new states.
-
-    All rows advance together: one batched `_cell` per layer.
+@dataclass(frozen=True)
+class StepWeights:
+    """The weights of `lm_step` and `input_rows`.  Layer 0's block is split:
+    `inputs` (n x 4n) is its input half transposed, a view that `input_rows`
+    applies to a bag's embeddings once, and `rec0` (n x 4n) its recurrent
+    half transposed.  Each layer above has its (2n x 4n) transposed block and
+    its gate bias (None without) in `upper`.  What `lm_step` multiplies by is
+    held contiguous, in the layout its products read: for a few rows, a
+    product through a transposed view takes about twice as long.
     """
-    p = model.params
-    below = p["emb"][np.asarray(word_ids, dtype=np.int64)]
-    layers = []
-    for layer, (h_prev, c_prev) in enumerate(states):
-        h, c, _ = _cell(p[f"cell{layer}"], below, h_prev, c_prev, p.get(f"cell{layer}_bias"))
+
+    emb: np.ndarray
+    inputs: np.ndarray
+    bias0: np.ndarray | None
+    rec0: np.ndarray
+    upper: tuple[tuple[np.ndarray, np.ndarray | None], ...]
+
+
+def step_weights(model: LanguageModel) -> StepWeights:
+    """The model's `StepWeights`; the contiguous ones are copies, built once per decode session."""
+    p, n = model.params, model.config.hidden_size
+    upper = tuple(
+        (np.ascontiguousarray(p[f"cell{layer}"].T), p.get(f"cell{layer}_bias"))
+        for layer in range(1, model.config.num_layers)
+    )
+    cell0 = p["cell0"]
+    return StepWeights(
+        p["emb"],
+        cell0[:, :n].T,
+        p.get("cell0_bias"),
+        np.ascontiguousarray(cell0[:, n:].T),
+        upper,
+    )
+
+
+def input_rows(weights: StepWeights, word_ids) -> np.ndarray:
+    """Layer 0's input term, with its gate bias, of each word in `word_ids`:
+    one product over the distinct ids, the input GEMM that Appleyard et al.
+    2016 take out of the recurrence, so equal ids get equal rows bit for bit.
+    A decode builds it once per bag.  (Not `np.unique`: under numpy 2.4 its
+    first call imports `numpy.ma`, about 3 MB of resident memory.)"""
+    word_ids = np.asarray(word_ids, dtype=np.int64)
+    ids = np.array(sorted(set(word_ids.tolist())), dtype=np.int64)
+    rows = weights.emb[ids] @ weights.inputs
+    if weights.bias0 is not None:
+        rows += weights.bias0
+    return rows[np.searchsorted(ids, word_ids)]
+
+
+def lm_step(weights: StepWeights, states: LmStates, inputs: np.ndarray) -> LmStates:
+    """Feed the word whose `input_rows` row is `inputs[k]` to row k of
+    `states`; returns the new states.
+
+    All rows advance together: layer 0 adds one (k x n) @ (n x 4n) recurrent
+    product to its input rows, each layer above takes one (k x 2n) @ (2n x 4n)
+    product, and every layer runs `_gates`.
+    """
+    (h_prev, c_prev), *above = states
+    h, c, _ = _gates(inputs + h_prev @ weights.rec0, c_prev)
+    layers = [(h, c)]
+    for (block, bias), (h_prev, c_prev) in zip(weights.upper, above):
+        z = np.concatenate([h, h_prev], axis=1) @ block
+        if bias is not None:
+            z += bias
+        h, c, _ = _gates(z, c_prev)
         layers.append((h, c))
-        below = h
     return tuple(layers)
 
 
-def start_state(model: LanguageModel) -> LmStates:
-    """State after consuming the start symbol; the decode-time origin."""
-    return lm_step(model, initial_lm_state(model), [model.start_id])
+def start_state(model: LanguageModel, weights: StepWeights) -> LmStates:
+    """The one-row state after consuming the start symbol, the origin of every
+    decode and of every sentence's LM features; `weights` are the model's
+    `step_weights`."""
+    return lm_step(weights, initial_lm_state(model), input_rows(weights, [model.start_id]))
 
 
 def next_word_logprobs(model: LanguageModel, top: np.ndarray, ids, valid) -> np.ndarray:
@@ -172,15 +238,22 @@ def next_word_logprobs(model: LanguageModel, top: np.ndarray, ids, valid) -> np.
     normalized over the ids `ids[k]` marks `valid` (order kept; `optim.pad_rows`
     builds both from id sequences) and padded with -inf.  Duplicate ids each
     count as an outcome, which is what decoding over distinct surface forms
-    wants when several map to the unknown word.  All rows come from one
-    batched product of the gathered output embeddings.
+    wants when several map to the unknown word.
+
+    A state's scores do not depend on its row or on the order of its set: each
+    logit is one `einsum` sum of products over the layer width (a batched
+    matrix product may round a row by its position), and the normalizer sums
+    the sorted logits.  So states equal bit for bit score an equal word
+    equally, and derivations that differ only in which out-of-vocabulary
+    form they shifted tie exactly, which the action history then breaks.
     """
     if len(top) != len(ids):
         raise DataError(f"{len(top)} LM states for {len(ids)} allowed sets")
     if not len(ids) or not valid.any(axis=-1).all():
         raise DataError("empty allowed set")
-    logits = np.matmul(model.params["out_emb"][ids], top[:, :, None])[..., 0]
-    return masked_log_softmax(logits, valid)
+    logits = np.einsum("kjn,kn->kj", model.params["out_emb"][ids], top)
+    logits[~valid] = -np.inf
+    return logits - log_sum_exp(np.sort(logits, axis=-1))
 
 
 def sentence_ids(model: LanguageModel, forms) -> tuple[list[int], list[int]]:

@@ -35,8 +35,13 @@ class Adagrad:
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities along the last axis, shifted by the max for stability."""
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - (m + np.log(np.sum(np.exp(logits - m), axis=-1, keepdims=True)))
+    return logits - log_sum_exp(logits)
+
+
+def log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) along the last axis, kept as a length-1 axis."""
+    m = x.max(axis=-1, keepdims=True)
+    return m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True))
 
 
 def masked_log_softmax(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -3,11 +3,19 @@
 The object beam, `beam_decode`, is the decoder before its beam was held in
 arrays: one `BeamItem` per hypothesis with its own LM state vectors, feasible
 sets of `Action`s mapped to scorer rows by `reference_rows` and to LM
-ids by `lm.word_id`, candidates as (score, item, action) tuples kept by a
-Python sort on (-score, history, action), and one `lm_step` over the
-stacked states of the kept Shifts.  It feeds `ffnn.forward`, `lm_step` and
-`next_word_logprobs` the same matrices as `synlin.decoder`, so the two must
-agree bit for bit (`test_decode_equivalence.py`).
+ids by `lm.word_id`, and candidates as (score, item, action) tuples kept by
+a Python sort on (-score, history, action).  A kept Shift's LM state waits
+on its parent's until the item is read (every item in lstm and synxlstm
+mode, the items that can shift in syn+lstm mode), and one `lstm_lm.lm_step`
+over the stacked states covers the waiting items a step reads.  It feeds
+`ffnn.forward`, `lstm_lm.lm_step` and `next_word_logprobs` the same
+matrices as `synlin.decoder`, so the two must agree bit for bit
+(`test_decode_equivalence.py`).
+
+`lm_step` is the decode-time LM step that came before `lstm_lm.lm_step`:
+each layer's whole (4n x 2n) block times the concatenated input and
+previous output, through a transposed view, with the word's embedding as
+layer 0's input.  `lstm_lm.lm_step` must match it within 1e-12.
 
 `step_scores` is the per-item scoring that came before per-bag slot tables:
 `forward` builds the hidden layer with training's product form
@@ -32,7 +40,8 @@ from synlin.decoder import (
 )
 from synlin.features import FEATURE_BLOCKS
 from synlin.ffnn import _block_ids, forward as table_forward, slot_tables
-from synlin.lstm_lm import lm_step, next_word_logprobs as batch_next_word_logprobs, start_state
+from synlin.lstm_lm import _cell, initial_lm_state, input_rows, lm_step as table_lm_step
+from synlin.lstm_lm import next_word_logprobs as batch_next_word_logprobs, start_state, step_weights
 from synlin.optim import log_softmax, pad_rows
 from synlin.transition import (
     LIGHT,
@@ -46,15 +55,41 @@ from synlin.transition import (
 )
 
 
+def lm_step(model, states, word_ids):
+    """Feed word_ids[k] to row k of `states`; returns the new states.
+
+    All rows advance together: one batched `_cell` per layer.
+    """
+    p = model.params
+    below = p["emb"][np.asarray(word_ids, dtype=np.int64)]
+    layers = []
+    for layer, (h_prev, c_prev) in enumerate(states):
+        h, c, _ = _cell(p[f"cell{layer}"], below, h_prev, c_prev, p.get(f"cell{layer}_bias"))
+        layers.append((h, c))
+        below = h
+    return tuple(layers)
+
+
+def lm_prefix_state(model, forms):
+    """The state after the start symbol and `forms`, one `lm_step` at a time."""
+    state = lm_step(model, initial_lm_state(model), [model.start_id])
+    for form in forms:
+        state = lm_step(model, state, [model.word_id(form)])
+    return state
+
+
 @dataclass
 class BeamItem:
     """One hypothesis: its state, accumulated score, action history and LM
-    state (per layer an (h, c) pair of vectors, or None in syn mode)."""
+    state (per layer an (h, c) pair of vectors, or None in syn mode).  While
+    `shift` is a Shift code, the LM state is the one that Shift leaves from
+    `lm_state`, not yet stepped."""
 
     state: object
     score: float
     history: tuple
     lm_state: tuple | None
+    shift: int | None = None
 
 
 def successors(state, mode):
@@ -81,15 +116,18 @@ def row(lm_states, k):
     return tuple((h[k], c[k]) for h, c in lm_states)
 
 
+def lm_row(beam, k):
+    """Item k's LM state read from the rows of a `synlin.decoder.Beam`, or
+    None in syn mode and while its Shift is pending (nothing has read it)."""
+    if beam.lm is None or beam.lm_shifts[k] >= 0:
+        return None
+    return tuple((h[beam.lm_rows[k]], c[beam.lm_rows[k]]) for h, c in beam.lm.layers)
+
+
 def items_of(beam):
     """The items of a `synlin.decoder.Beam`."""
     return [
-        BeamItem(
-            state,
-            float(score),
-            state.history,
-            None if beam.lm is None else row(beam.lm, k),
-        )
+        BeamItem(state, float(score), state.history, lm_row(beam, k))
         for k, (state, score) in enumerate(zip(beam.states, beam.scores))
     ]
 
@@ -156,11 +194,26 @@ def step_scores(items, models, config):
 # -- the object beam ----------------------------------------------------------
 
 
-def batched_step_scores(items, models, config, tables):
-    """(accumulated score, item, action) candidates, one scorer and one LM call per step."""
+def read_lm(items, weights, inputs):
+    """Step the pending Shifts of `items`, all in one `lm_step`."""
+    pending = [item for item in items if item.shift is not None]
+    if pending:
+        states = stacked([item.lm_state for item in pending])
+        stepped = table_lm_step(weights, states, inputs[[item.shift for item in pending]])
+        for j, item in enumerate(pending):
+            item.lm_state, item.shift = row(stepped, j), None
+
+
+def batched_step_scores(items, models, config, tables, lm_tables):
+    """(accumulated score, item, action) candidates, one scorer and one LM call
+    per step; `lm_tables` are the LM's `step_weights` and the bag's `input_rows`."""
     mode = config.mode
     feasibles = [successors(item.state, mode) for item in items]
     lm = models.lm
+    if mode in (MODE_LSTM, MODE_FEATURE):
+        read_lm(items, *lm_tables)
+    elif mode == MODE_JOINT:
+        read_lm([item for item, f in zip(items, feasibles) if f[0].kind == SHIFT], *lm_tables)
     if mode == MODE_LSTM:
         ids = [[lm.word_id(a.arg) for a in feasible] for feasible in feasibles]
         top = np.stack([top_h(item.lm_state) for item in items])
@@ -194,31 +247,22 @@ def batched_joint(lm, items, feasibles, base, config):
     return log_softmax(base) if config.renormalize_joint else base
 
 
-def advance_all(candidates, models):
-    """The items the candidates lead to; one LM step covers every Shift among them."""
-    lm_states = [item.lm_state for _, item, _ in candidates]
-    shifts = [
-        k
-        for k, (_, item, action) in enumerate(candidates)
-        if item.lm_state is not None and action.kind == SHIFT
-    ]
-    if shifts:
-        ids = [models.lm.word_id(candidates[k][2].arg) for k in shifts]
-        stepped = lm_step(models.lm, stacked([lm_states[k] for k in shifts]), ids)
-        for j, k in enumerate(shifts):
-            lm_states[k] = row(stepped, j)
-    return [
-        BeamItem(
-            apply(item.state, item.state.space.codes[action]), score, item.history + (action,), lm_state
+def advance_all(candidates):
+    """The items the candidates lead to; a Shift's LM step waits until the item is read."""
+    items = []
+    for score, item, action in candidates:
+        code = item.state.space.codes[action]
+        shift = code if item.lm_state is not None and action.kind == SHIFT else item.shift
+        items.append(
+            BeamItem(apply(item.state, code), score, item.history + (action,), item.lm_state, shift)
         )
-        for (score, item, action), lm_state in zip(candidates, lm_states)
-    ]
+    return items
 
 
 def beam_decode(bag, models, config):
     """Best derivation under a breadth-synchronous beam, as `synlin.decoder.beam_decode`."""
     variant = _validate(models, config)
-    mode, lin = config.mode, models.linearizer
+    mode, lin, lm = config.mode, models.linearizer, models.lm
     if mode == MODE_LSTM:
         state, tables = initial_state(bag, LIGHT), None
         n_steps = len(bag)
@@ -228,12 +272,16 @@ def beam_decode(bag, models, config):
         word_ids = [indexers.word_id(form) for form in bag.forms()]
         tables = slot_tables(lin, word_ids, FEATURE_BLOCKS[variant])
         n_steps = derivation_length(variant, len(bag))
-    lm_state = None if mode == MODE_SYN else row(start_state(models.lm), 0)
+    lm_state = lm_tables = None
+    if mode != MODE_SYN:
+        weights = step_weights(lm)
+        lm_state = row(start_state(lm, weights), 0)
+        lm_tables = weights, input_rows(weights, [lm.word_id(form) for form in state.space.forms])
     items = [BeamItem(state, 0.0, (), lm_state)]
     for _ in range(n_steps):
-        candidates = batched_step_scores(items, models, config, tables)
+        candidates = batched_step_scores(items, models, config, tables, lm_tables)
         candidates.sort(key=lambda c: (-c[0], c[1].history, c[2]))
-        items = advance_all(candidates[: config.beam_size], models)
+        items = advance_all(candidates[: config.beam_size])
     best = items[0]
     if mode == MODE_LSTM:
         refs, arcs = tuple(it.root for it in best.state.stack), None

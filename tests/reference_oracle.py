@@ -10,6 +10,7 @@ turns those into arrays, one inventory lookup per feasible action and one
 search for the gold one per example.  `synlin.corpus.derive_oracle` must
 give the same actions, and `synlin.ffnn.make_training_examples` the arrays
 that `pack` makes of the reference examples (`test_oracle_equivalence.py`).
+The replay steps the LM as a decode does, from the sentence's `input_rows`.
 """
 
 from collections import Counter
@@ -21,7 +22,7 @@ from reference_rows import inventory
 from synlin.corpus import to_bag
 from synlin.errors import ConfigError, DataError
 from synlin.ffnn import TrainingExamples, _block_ids
-from synlin.lstm_lm import lm_step, start_state
+from synlin.lstm_lm import input_rows, lm_step, start_state, step_weights
 from synlin.optim import pad_rows
 from synlin.transition import (
     END,
@@ -95,11 +96,15 @@ def derive_oracle(sentence, variant):
 def make_training_examples(sentences, model, lm=None):
     """Replay the reference oracle over each sentence, one example per action."""
     examples = []
+    weights = None if lm is None else step_weights(lm)
     for k, sent in enumerate(sentences):
         actions = derive_oracle(sent, model.variant)
         tags, labels = model.indexers.content_pos_tags, model.indexers.content_labels
         state = initial_state(to_bag(sent), model.variant, tags, labels)
-        lm_state = start_state(lm) if lm is not None else None
+        lm_state = None
+        if lm is not None:
+            lm_state = start_state(lm, weights)
+            inputs = input_rows(weights, [lm.word_id(f) for f in state.space.forms])
         for act in actions:
             feasible = tuple(map(state.space.actions.__getitem__, legal_actions(state)))
             if act not in feasible:
@@ -112,9 +117,10 @@ def make_training_examples(sentences, model, lm=None):
                     lm_feat=None if lm_state is None else lm_state[-1][0][0],
                 )
             )
-            state = apply(state, state.space.codes[act])
+            code = state.space.codes[act]
+            state = apply(state, code)
             if lm is not None and act.kind == SHIFT:
-                lm_state = lm_step(lm, lm_state, [lm.word_id(act.arg)])
+                lm_state = lm_step(weights, lm_state, inputs[[code]])
     return examples
 
 

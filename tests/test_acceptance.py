@@ -28,7 +28,7 @@ from synlin.corpus import (
     to_conll,
 )
 from synlin.decoder import DecodeConfig, Models, beam_decode, exhaustive_decode
-from synlin.lstm_lm import next_word_logprobs, start_state
+from synlin.lstm_lm import next_word_logprobs, start_state, step_weights
 from synlin.optim import pad_rows
 from synlin.synth import toy_corpus
 from synlin.transition import apply, initial_state, legal_actions, realized_sentence
@@ -169,7 +169,8 @@ def test_distribution_laws(synth220):
         worst_softmax = max(worst_softmax, abs(sum(np.exp(v) for v in logp.values()) - 1.0))
         if state.remaining:
             allowed = pad_rows([[idx.word_id(state.space.forms[k]) for k in state.shifts]])
-            dist = np.exp(next_word_logprobs(lm, start_state(lm)[-1][0], *allowed)[0])
+            start = start_state(lm, step_weights(lm))
+            dist = np.exp(next_word_logprobs(lm, start[-1][0], *allowed)[0])
             worst_lm = max(worst_lm, abs(sum(dist) - 1.0))
         models = Models(linearizer=lin, lm=lm)
         config = DecodeConfig(mode="syn+lstm", alpha=0.4)

@@ -115,6 +115,7 @@ class TestConfigFlags:
             ["train-lm", "--seed", "-1"],
             ["train", "--min-count", "0"],
             ["train-lm", "--min-count", "0"],
+            ["decode", "--beam", "1000000"],
         ],
         ids=[
             "train-batch-size-0", "train-epochs-negative", "train-lm-epochs-negative",
@@ -122,7 +123,7 @@ class TestConfigFlags:
             "train-lr-nan", "train-lr-negative", "train-l2-inf", "train-l2-negative",
             "train-lm-lr-negative", "train-lm-lr-inf", "train-lm-l2-negative", "train-lm-l2-nan",
             "train-seed-negative", "train-lm-seed-negative", "train-min-count-0",
-            "train-lm-min-count-0",
+            "train-lm-min-count-0", "decode-beam-over-max",
         ],
     )
     def test_out_of_range_values_are_config_errors(
@@ -138,6 +139,16 @@ class TestConfigFlags:
         assert main([*argv, *files]) == 1
         assert_one_error(capsys, "config")
         assert not out.exists()
+
+    def test_beam_is_checked_before_any_file_is_read(self, tmp_path, capsys):
+        # the model and input files do not exist: the bound on --beam is
+        # checked before anything is loaded, so no decode is attempted
+        missing = [str(tmp_path / name) for name in ("syn.slm", "lm.slm", "dev.conll")]
+        argv = ["decode", "--mode", "syn+lstm", "--beam", "1000000", "--model", missing[0],
+                "--lm", missing[1], "--input", missing[2]]
+        assert main(argv) == 1
+        message = assert_one_error(capsys, "config").err
+        assert "beam_size must be in [1, 4096], got 1000000" in message
 
 
 def test_readme_lists_every_error_code():

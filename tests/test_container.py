@@ -239,15 +239,17 @@ class TestRoundTrip:
         assert again.config == model.config
 
     def test_lm_reload_behaves_identically(self, idx, tmp_path):
-        from synlin.lstm_lm import next_word_logprobs, start_state
+        from synlin.lstm_lm import next_word_logprobs, start_state, step_weights
         from synlin.optim import pad_rows
 
         lm = small_lm(idx, seed=6)
         path = tmp_path / "m.slm"
         cont.save(cont.container_from_lm(lm), path)
         again = cont.lm_from_container(cont.load(path))
-        d1 = next_word_logprobs(lm, start_state(lm)[-1][0], *pad_rows([[2, 3, 4]]))
-        d2 = next_word_logprobs(again, start_state(again)[-1][0], *pad_rows([[2, 3, 4]]))
+        d1, d2 = (
+            next_word_logprobs(m, start_state(m, step_weights(m))[-1][0], *pad_rows([[2, 3, 4]]))
+            for m in (lm, again)
+        )
         assert np.array_equal(d1, d2)
 
     def test_combined_loads_both(self, idx, tmp_path):
@@ -428,7 +430,7 @@ class TestFreshModelBytes:
 TRAINED_MODEL_SHA256 = {
     "full": "d44a4989a673e92c82fc4cdbc36d3dbec4b037be21ca168f660c1079d3537dbe",
     "light": "c91a86180a32486089ebde3e796fe18fb15e04805c7ce17d0b4c02eb79f6941b",
-    "combined": "7bc753127ab7c1c93f726ccb075b54a2f53d3bcc5677250b3f53353f66cca7c8",
+    "combined": "8f9930ffc461cdcb45f6a28d5b522ca1ed7d8be73f0a71e61d9dbe33f28d5a40",
     "lm": "7240b0d1ec66b4a35f730e769a55c9cd91d6b50880dd9edeffaf9597043dabd1",
     "lm-gate-bias-l2": "f8c39e7afaafc0489d3f5b4b373ab395659c05e1ae13ccaca86b33d535b1e5ca",
 }

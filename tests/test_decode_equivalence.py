@@ -14,7 +14,11 @@ same order.  The word block's table must be built per bag, so it never grows
 with the vocabulary; the POS and label tables, the non-Shift code rows and
 the LM start state once per `Models`, which must see a rebound model and
 never a stale one.  The action codes of a bag must sort as its actions do
-and map to the scorer rows and LM ids of those actions.
+and map to the scorer rows and LM ids of those actions.  The LM steps a
+state when it is first read: every row of a decode's table must hold the
+state of its item's shifted words within 1e-12 of the whole-block reference
+step, syn mode steps none, and a Shift pruned before it is read is never
+stepped.
 """
 
 import dataclasses
@@ -32,7 +36,7 @@ from synlin import decoder, ffnn
 from synlin.corpus import UNK_WORD, bag_from_forms, build_indexers, to_bag
 from synlin.decoder import DecodeConfig, Models, beam_decode, step_scores
 from synlin.features import FEATURE_BLOCKS
-from synlin.lstm_lm import start_state
+from synlin.lstm_lm import start_state, step_weights
 from synlin.synth import toy_corpus
 from synlin.transition import SHIFT, Action, initial_state
 
@@ -129,7 +133,7 @@ def test_every_candidate_matches_the_reference(idx, lm, bags, mode, variant, ren
             ]
             assert len(fast) == len(slow)
             assert max(abs(f - s[0]) for f, s in zip(fast.scores[k, i], slow)) <= TOL
-            items = decoder._advance_all(items, fast, decoder._kept(items, fast, beam), models)
+            items = decoder._advance_all(items, fast, decoder._kept(items, fast, beam))
             widest = max(widest, len(items.states))
     assert widest == beam
 
@@ -207,7 +211,7 @@ def held(models, mode):
     """The decode constants a `Models` holds for `mode`."""
     return [
         *([models.scorer_tables] if mode != "lstm" else []),
-        *([models.lm_start] if mode != "syn" else []),
+        *([models.lm_weights, models.lm_start] if mode != "syn" else []),
     ]
 
 
@@ -215,8 +219,12 @@ def held_bytes(models, mode):
     """The bytes of every array a `Models` holds for `mode`, in order."""
 
     def arrays(value):
+        if value is None:
+            return []
         if isinstance(value, np.ndarray):
             return [value.tobytes()]
+        if dataclasses.is_dataclass(value):
+            value = [getattr(value, field.name) for field in dataclasses.fields(value)]
         return [a for v in (value.values() if isinstance(value, dict) else value) for a in arrays(v)]
 
     return arrays(held(models, mode))
@@ -237,7 +245,7 @@ def test_held_constants_are_fresh_and_never_written(idx, lm, bags, mode, variant
             assert table.tobytes() == fresh[block][1].tobytes()
     if mode != "syn":
         assert [a.tobytes() for layer in models.lm_start for a in layer] == [
-            a.tobytes() for layer in start_state(lm) for a in layer
+            a.tobytes() for layer in start_state(lm, step_weights(lm)) for a in layer
         ]
     before, kept = held_bytes(models, mode), held(models, mode)
     for beam in (1, 10):
@@ -267,3 +275,78 @@ def test_rebinding_a_model_rebuilds_its_constants(idx, lm, bags, mode):
     after = [beam_decode(bag, models, cfg) for bag in bags]
     assert after == [beam_decode(bag, fresh, cfg) for bag in bags]
     assert after != before
+
+
+def search(bag, models, cfg):
+    """Yield each beam of `beam_decode`'s search right after its step is scored."""
+    beam = decoder._root(bag, models, cfg)
+    while not decoder._is_terminal(beam.states[0], cfg.mode):
+        cands = step_scores(beam, models, cfg)
+        yield beam
+        beam = decoder._advance_all(beam, cands, decoder._kept(beam, cands, cfg.beam_size))
+
+
+@pytest.mark.parametrize(
+    "mode,variant", [("syn+lstm", "full"), ("synxlstm", "full"), ("lstm", None)]
+)
+def test_every_stepped_row_matches_its_prefix(idx, lm, bags, mode, variant):
+    # each LM row is the state of the shifted words of the item that read it,
+    # as the whole-block reference step computes it from the start symbol
+    models = models_for(idx, lm, mode, variant)
+    cfg = DecodeConfig(mode=mode, alpha=0.4, beam_size=10)
+    for bag in bags:
+        prefixes = {}
+        for beam in search(bag, models, cfg):
+            for k, state in enumerate(beam.states):
+                if beam.lm_shifts[k] < 0:
+                    shifted = tuple(a.arg for a in state.history if a.kind == SHIFT)
+                    assert prefixes.setdefault(int(beam.lm_rows[k]), shifted) == shifted
+        assert sorted(prefixes) == list(range(beam.lm.count))
+        for row, shifted in prefixes.items():
+            want = reference_decode.lm_prefix_state(lm, shifted)
+            for (h, c), (h1, c1) in zip(beam.lm.layers, want):
+                assert np.max(np.abs(h[row] - h1)) <= 1e-12 and np.max(np.abs(c[row] - c1)) <= 1e-12
+
+
+def test_syn_mode_steps_no_rows(idx, lm, bags):
+    models = models_for(idx, lm, "syn", "full")
+    cfg = DecodeConfig(mode="syn", beam_size=10)
+    with mock.patch.object(decoder, "lm_step") as lm_step:
+        for bag in bags:
+            assert all(beam.lm is None for beam in search(bag, models, cfg))
+            beam_decode(bag, models, cfg)
+    lm_step.assert_not_called()
+
+
+def test_a_shift_pruned_before_it_is_read_is_never_stepped(idx, lm, bags):
+    # in syn+lstm mode only the items that can shift read their LM state, and
+    # a full-variant Shift is always followed by a Pos action, so every kept
+    # Shift waits at least one step; the rows stepped must be exactly the
+    # reads of waiting Shifts, one row per read
+    models = models_for(idx, lm, "syn+lstm", "full")
+    cfg = DecodeConfig(mode="syn+lstm", alpha=0.4, beam_size=10)
+    kept_shifts = never_read = 0
+    for bag in bags:
+        beam = decoder._root(bag, models, cfg)
+        waits_on = [None]  # per item, the kept Shift its LM state waits on
+        reads = []  # per kept Shift, how many items read its state
+        while not beam.states[0].terminal:
+            cands = step_scores(beam, models, cfg)
+            for k, (state, shift) in enumerate(zip(beam.states, waits_on)):
+                can_shift = decoder._successors(state, cfg.mode)[0] < len(state.space.forms)
+                assert (beam.lm_shifts[k] >= 0) == (shift is not None and not can_shift)
+                if shift is not None and can_shift:
+                    reads[shift] += 1
+            kept = decoder._kept(beam, cands, cfg.beam_size)
+            waiting = beam.lm_shifts >= 0
+            parents = kept // cands.codes.shape[1]
+            beam = decoder._advance_all(beam, cands, kept)
+            waits_on = [waits_on[p] if waiting[p] else None for p in parents]
+            for k, state in enumerate(beam.states):
+                if state.history[-1].kind == SHIFT:
+                    waits_on[k] = len(reads)
+                    reads.append(0)
+        assert beam.lm.count - 1 == sum(reads)
+        kept_shifts += len(reads)
+        never_read += reads.count(0)
+    assert 0 < never_read < kept_shifts

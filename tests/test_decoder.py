@@ -27,7 +27,7 @@ from synlin.decoder import (
 )
 from synlin.errors import ConfigError, SearchSpaceError
 from synlin.ffnn import make_training_examples, train
-from synlin.lstm_lm import lm_step, next_word_logprobs, start_state
+from synlin.lstm_lm import input_rows, lm_step, next_word_logprobs, start_state, step_weights
 from synlin.optim import pad_rows
 from synlin.synth import toy_corpus
 from synlin.transition import Action, initial_state, legal_actions
@@ -96,7 +96,7 @@ def advance(beam, action, score, models, cfg):
     cands = step_scores(beam, models, cfg)
     code = beam.states[0].space.codes[action]
     kept = np.flatnonzero(cands.valid & (cands.codes == code))
-    child = decoder._advance_all(beam, cands, kept, models)
+    child = decoder._advance_all(beam, cands, kept)
     return dataclasses.replace(child, scores=np.array([score]))
 
 
@@ -138,6 +138,11 @@ class TestValidation:
             DecodeConfig(mode="magic")
         with pytest.raises(ConfigError):
             DecodeConfig(beam_size=0)
+
+    def test_beam_bound(self):
+        assert DecodeConfig(beam_size=decoder.MAX_BEAM).beam_size == decoder.MAX_BEAM
+        with pytest.raises(ConfigError, match=f"beam_size must be in \\[1, {decoder.MAX_BEAM}\\]"):
+            DecodeConfig(beam_size=decoder.MAX_BEAM + 1)
 
 
 class TestStepScores:
@@ -186,7 +191,7 @@ class TestStepScores:
         syn_lp = dict(zip(feasible, score(lin_full, [lin_full.extract_features(state)], *rows)[0]))
         forms = [state.space.forms[k] for k in state.shifts]
         ids = pad_rows([[lm.word_id(f) for f in forms]])
-        [lm_row] = next_word_logprobs(lm, item.lm[-1][0], *ids)
+        [lm_row] = next_word_logprobs(lm, item.lm.top(item.lm_rows), *ids)
         lm_lp = dict(zip(forms, lm_row))
         for action, value in combined.items():
             if action.kind == "Shift":
@@ -208,7 +213,8 @@ class TestStepScores:
         item = self.root_item(bag, models, cfg)
         base = scores(item, models, cfg)
         # a different LM state must change the scores
-        other = dataclasses.replace(item, lm=tuple((h + 1.0, c) for h, c in item.lm))
+        shifted = dataclasses.replace(item.lm, layers=[(h + 1.0, c) for h, c in item.lm.layers])
+        other = dataclasses.replace(item, lm=shifted)
         changed = scores(other, models, cfg)
         assert any(abs(base[a] - changed[a]) > 1e-9 for a in base)
 
@@ -218,7 +224,7 @@ def beam_after(bag, models, cfg, steps):
     beam = decoder._root(bag, models, cfg)
     for _ in range(steps):
         cands = step_scores(beam, models, cfg)
-        beam = decoder._advance_all(beam, cands, decoder._kept(beam, cands, cfg.beam_size), models)
+        beam = decoder._advance_all(beam, cands, decoder._kept(beam, cands, cfg.beam_size))
     return beam
 
 
@@ -318,16 +324,22 @@ class TestBeam:
         models = Models(linearizer=lin_full, lm=lm)
         cfg = DecodeConfig(mode="syn+lstm", alpha=0.4)
         item = decoder._root(bag, models, cfg)
-        prefix = start_state(lm)
+        weights = step_weights(lm)
+        prefix = start_state(lm, weights)
+        forms = item.states[0].space.forms
+        inputs = input_rows(weights, [lm.word_id(form) for form in forms])
         while not item.states[0].terminal:
             totals = scores(item, models, cfg)
             action = max(totals, key=lambda a: (totals[a], a.sort_key()))
             item = advance(item, action, 0.0, models, cfg)
             if action.kind == "Shift":
-                prefix = lm_step(lm, prefix, [lm.word_id(action.arg)])
-            # start symbol plus one step per shifted word
-            for (h, c), (h1, c1) in zip(item.lm, prefix):
-                assert np.array_equal(h, h1) and np.array_equal(c, c1)
+                prefix = lm_step(weights, prefix, inputs[[forms.index(action.arg)]])
+            # start symbol plus one step per shifted word, stepped when read
+            top = decoder._lm_top(item, np.arange(1), models)
+            for (h, c), (h1, c1) in zip(item.lm.layers, prefix):
+                at = item.lm_rows
+                assert np.array_equal(h[at], h1) and np.array_equal(c[at], c1)
+            assert np.array_equal(top, prefix[-1][0])
 
     def test_unfinished_derivation_is_a_search_error(self, corpus, lin_full, monkeypatch):
         # a coded error rather than an assert, so the check survives python -O
@@ -364,6 +376,21 @@ class TestExhaustive:
     def test_lstm_mode_counts_orders(self):
         assert count_derivations(bag_from_forms(["a", "b", "c"]), "lstm") == 6
 
+    def test_enumeration_holds_only_the_lm_rows_of_its_path(self, idx):
+        # 1,236 LM states are read over the 720 orders of six words; at
+        # 2 x 2 x 32 floats each, one table for all of them would take
+        # more than 1 MB
+        models = Models(lm=small_lm(idx, seed=46, hidden_size=32))
+        bag = bag_from_forms(["the", "dog", "saw", "a", "cat", "ran"])
+        assert models.lm_start is not None  # weights and start state built before the count
+        tracemalloc.start()
+        try:
+            exhaustive_decode(bag, models, DecodeConfig(mode="lstm"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_bound_enforced(self, lin_light):
         bag = bag_from_forms([f"w{i}" for i in range(7)])
         with pytest.raises(SearchSpaceError):
@@ -387,7 +414,7 @@ class TestExhaustive:
                 leaves.append((item.scores[0], item.states[0].history))
                 return
             cands = step_scores(item, models, cfg)
-            children = decoder._advance_all(item, cands, np.flatnonzero(cands.valid), models)
+            children = decoder._advance_all(item, cands, np.flatnonzero(cands.valid))
             for k in range(len(children.states)):
                 walk(decoder._item(children, k))
 
@@ -415,9 +442,11 @@ class TestExhaustive:
     @pytest.mark.parametrize("mode", ["syn", "syn+lstm", "synxlstm", "lstm"])
     def test_oversized_beams_equal_exhaustive(self, mode, lin_light, lin_feat, lm):
         # The kept slice must take any beam_size: a beam past the space, the
-        # space's size (the candidate count of the last step), and one short
-        # of it, which still keeps the argmax because the last step is forced
-        # and adds 0 to every score.  Nothing is allocated by beam_size.
+        # space's size (the candidate count of the last step), one short of
+        # it, which still keeps the argmax because the last step is forced
+        # and adds 0 to every score, the widest beam a config accepts, and
+        # 10**12, set past the config's check.  Nothing is allocated by
+        # beam_size.
         models = Models(
             linearizer={"syn": lin_light, "syn+lstm": lin_light, "synxlstm": lin_feat}.get(mode),
             lm=None if mode == "syn" else lm,
@@ -426,10 +455,12 @@ class TestExhaustive:
             bag = bag_from_forms(forms)
             space = count_derivations(bag, mode)
             exact = exhaustive_decode(bag, models, DecodeConfig(mode=mode, alpha=0.4))
-            for beam in sorted({max(1, space - 1), space, space + 1, 10**12}):
+            for beam in sorted({max(1, space - 1), space, space + 1, decoder.MAX_BEAM, 10**12}):
+                cfg = DecodeConfig(mode=mode, alpha=0.4, beam_size=min(beam, decoder.MAX_BEAM))
+                cfg.beam_size = beam
                 tracemalloc.start()
                 try:
-                    beamed = beam_decode(bag, models, DecodeConfig(mode=mode, alpha=0.4, beam_size=beam))
+                    beamed = beam_decode(bag, models, cfg)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()

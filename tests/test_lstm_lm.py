@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_decode
 from conftest import parse_valid, small_lm
 from synlin import lstm_lm
 from synlin.corpus import build_indexers
@@ -12,11 +13,13 @@ from synlin.lstm_lm import (
     _sigmoid,
     init_lm,
     initial_lm_state,
+    input_rows,
     lm_grad_check,
     lm_step,
     next_word_logprobs,
     sentence_ids,
     start_state,
+    step_weights,
     train_lm,
 )
 from synlin.synth import toy_corpus
@@ -46,9 +49,19 @@ def logprobs(model, states, ids):
     return next_word_logprobs(model, states[-1][0], *pad_rows(ids))
 
 
+def step(model, states, ids):
+    """`lm_step` of the words `ids` from `states`, through the model's step weights."""
+    weights = step_weights(model)
+    return lm_step(weights, states, input_rows(weights, ids))
+
+
+def start(model):
+    return start_state(model, step_weights(model))
+
+
 def starts(model, k):
     """k copies of the start state."""
-    return tuple((np.repeat(h, k, axis=0), np.repeat(c, k, axis=0)) for h, c in start_state(model))
+    return tuple((np.repeat(h, k, axis=0), np.repeat(c, k, axis=0)) for h, c in start(model))
 
 
 def rows(states, k):
@@ -86,7 +99,7 @@ class TestStep:
         model = small_lm(idx, scale=None)
         for t in model.params.values():
             t[...] = 0.0
-        state = lm_step(model, initial_lm_state(model), [model.start_id])
+        state = step(model, initial_lm_state(model), [model.start_id])
         assert np.all(state[-1][0] == 0.0)
         assert state[-1][0].shape == (1, model.config.hidden_size)
 
@@ -94,52 +107,88 @@ class TestStep:
         model = small_lm(idx, seed=4)
         st0 = initial_lm_state(model)
         snapshot = [(h.copy(), c.copy()) for h, c in st0]
-        s1 = lm_step(model, st0, [3])
-        s2 = lm_step(model, st0, [3])
+        s1 = step(model, st0, [3])
+        s2 = step(model, st0, [3])
         assert np.array_equal(s1[-1][0], s2[-1][0])
         for (h, c), (hs, cs) in zip(st0, snapshot):
             assert np.array_equal(h, hs) and np.array_equal(c, cs)
 
     def test_start_state_consumes_the_start_symbol(self, idx):
         model = small_lm(idx, seed=4)
-        st = start_state(model)
-        again = lm_step(model, initial_lm_state(model), [model.start_id])
+        st = start(model)
+        again = step(model, initial_lm_state(model), [model.start_id])
         for (h, c), (h1, c1) in zip(st, again):
             assert np.array_equal(h, h1) and np.array_equal(c, c1)
         assert any(np.any(h != 0.0) for h, _ in st)
 
+    @pytest.mark.parametrize("batch", [1, 3, 10])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("gate_bias", [False, True])
+    def test_step_matches_the_reference_step(self, idx, gate_bias, num_layers, batch):
+        # layer 0 split into an input row and a recurrent product, and the
+        # weights held transposed, change only the order of the sums
+        model = small_lm(idx, seed=8, hidden_size=16, num_layers=num_layers, gate_bias=gate_bias)
+        rng = np.random.default_rng(9)
+        n = model.config.hidden_size
+        states = tuple(
+            (rng.uniform(-1.0, 1.0, (batch, n)), rng.uniform(-2.0, 2.0, (batch, n)))
+            for _ in range(num_layers)
+        )
+        ids = rng.integers(0, len(model.params["emb"]), batch)
+        pairs = [
+            (step(model, states, ids), reference_decode.lm_step(model, states, ids)),
+            (start(model), reference_decode.lm_prefix_state(model, [])),
+        ]
+        for got, want in pairs:
+            assert len(got) == len(want) == num_layers
+            for (h, c), (h1, c1) in zip(got, want):
+                assert h.shape == h1.shape and c.shape == c1.shape
+                assert np.max(np.abs(h - h1)) <= 1e-12 and np.max(np.abs(c - c1)) <= 1e-12
 
     @pytest.mark.parametrize("gate_bias", [False, True])
     def test_batched_step_equals_single_steps(self, idx, gate_bias):
         model = small_lm(idx, seed=6, hidden_size=32, gate_bias=gate_bias)
         rng = np.random.default_rng(7)
-        states = [start_state(model)]  # ten different prefixes
+        states = [start(model)]  # ten different prefixes
         for _ in range(9):
-            states.append(lm_step(model, states[-1], [int(rng.integers(len(model.params["emb"])))]))
+            states.append(step(model, states[-1], [int(rng.integers(len(model.params["emb"])))]))
         batch = tuple(tuple(np.concatenate(x) for x in zip(*layer)) for layer in zip(*states))
         ids = [int(i) for i in rng.integers(0, len(model.params["emb"]), len(states))]
-        stepped = lm_step(model, batch, ids)
+        stepped = step(model, batch, ids)
         for k, (state, wid) in enumerate(zip(states, ids)):
-            got, want = rows(stepped, k), lm_step(model, state, [wid])
+            got, want = rows(stepped, k), step(model, state, [wid])
             for (h, c), (h1, c1) in zip(got, want):
                 assert np.max(np.abs(h - h1)) <= 1e-12 and np.max(np.abs(c - c1)) <= 1e-12
 
 
 class TestDistribution:
+    def test_equal_states_score_equal_words_equally(self, idx):
+        # bit for bit, whatever the row and the order of the allowed set: an
+        # exact tie between two derivations stays a tie
+        model = small_lm(idx, seed=7)
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            ids = [int(i) for i in rng.integers(2, len(model.params["emb"]), rng.integers(2, 9))]
+            allowed = [ids, [int(i) for i in rng.permutation(ids)]]
+            top = np.repeat(rng.uniform(-1.0, 1.0, (1, model.config.hidden_size)), 2, axis=0)
+            batch = logprobs(model, ((top, top),), allowed)
+            first = dict(zip(allowed[0], batch[0].tolist()))
+            assert [first[i] for i in allowed[1]] == batch[1].tolist()
+
     def test_singleton_probability_one(self, idx):
         model = small_lm(idx, seed=5)
-        assert probs(model, start_state(model), [3]).tolist() == [1.0]
+        assert probs(model, start(model), [3]).tolist() == [1.0]
 
     def test_zero_weights_uniform(self, idx):
         model = small_lm(idx, scale=None)
         for t in model.params.values():
             t[...] = 0.0
-        dist = probs(model, start_state(model), [2, 3, 4])
+        dist = probs(model, start(model), [2, 3, 4])
         assert all(abs(p - 1 / 3) < 1e-12 for p in dist)
 
     def test_sums_to_one(self, idx):
         model = small_lm(idx, seed=6)
-        st = start_state(model)
+        st = start(model)
         full = probs(model, st, range(len(model.params["emb"])))
         assert abs(sum(full) - 1.0) < 1e-9
         some = probs(model, st, [2, 5, 7, 7])
@@ -147,7 +196,7 @@ class TestDistribution:
 
     def test_restriction_identity(self, idx):
         model = small_lm(idx, seed=7)
-        st = start_state(model)
+        st = start(model)
         full = probs(model, st, range(len(model.params["emb"])))
         allowed = [2, 4, 9]
         restricted = probs(model, st, allowed)
@@ -158,7 +207,7 @@ class TestDistribution:
     def test_empty_allowed(self, idx):
         model = small_lm(idx, seed=7)
         with pytest.raises(DataError):
-            logprobs(model, start_state(model), [[]])
+            logprobs(model, start(model), [[]])
 
     def test_empty_allowed_set_in_a_batch(self, idx):
         model = small_lm(idx, seed=7)
@@ -174,7 +223,7 @@ class TestDistribution:
         # one product for the whole batch: each row, up to its -inf padding,
         # is the row the state gets alone (duplicate and shared ids included)
         model = small_lm(idx, seed=7)
-        states = lm_step(model, starts(model, 3), [2, 5, 9])
+        states = step(model, starts(model, 3), [2, 5, 9])
         allowed = [[4, 2, 2], [7], [9, 3, 4, 11]]
         batch = logprobs(model, states, allowed)
         assert batch.shape == (3, 4)
