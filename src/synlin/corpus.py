@@ -366,7 +366,7 @@ def derive_oracle(sentence: DepSentence, variant: str, indexers: Indexers) -> St
         return gold[item.root.tid].head
 
     def complete(item: StackItem) -> bool:
-        return len(item.left_children) + len(item.right_children) == n_children[item.root.tid]
+        return item.children == n_children[item.root.tid]
 
     def label(item: StackItem) -> str | None:
         return gold[item.root.tid].label if variant == FULL else None
@@ -383,7 +383,8 @@ def derive_oracle(sentence: DepSentence, variant: str, indexers: Indexers) -> St
     while not state.terminal:
         top, second = state.peek(2)
         nxt = n - state.left.bit_count() + 1  # tokens are shifted in gold order
-        if variant == FULL and top is not None and top.pos is None:  # a Pos follows each Shift
+        shifted = top is not None and state.code < len(state.space.forms)
+        if variant == FULL and shifted:  # a Pos follows each Shift
             action = Action(POS, gold[top.root.tid].pos)
         elif second is not None and head(top) == second.root.tid and complete(top):
             action = Action(RIGHT_ARC, label(top))

@@ -39,7 +39,7 @@ import numpy as np
 
 from synlin.corpus import WordBag
 from synlin.errors import ConfigError, DataError, SearchSpaceError
-from synlin.features import FEATURE_BLOCKS
+from synlin.features import FEATURE_BLOCKS, Lookup, lookup
 from synlin.ffnn import Linearizer, SlotTables, code_rows, forward, slot_tables
 from synlin.lstm_lm import LanguageModel, LmStates, StepWeights, input_rows, lm_step
 from synlin.lstm_lm import next_word_logprobs, start_state, step_weights
@@ -151,13 +151,15 @@ class Beam:
     Shift code and not -1, that Shift from row `lm_rows[k]`, stepped when
     `_lm_top` first reads it.  By action code, `rows` holds the scorer's
     output row and `lm_ids` the LM's word id (0 for non-Shifts); `tables`
-    are the scorer's slot tables.
+    are the scorer's slot tables, and `ids` turns feature groups into
+    their columns.
     """
 
     states: list[State]
     scores: np.ndarray
     ranks: np.ndarray
     tables: SlotTables | None
+    ids: Lookup | None
     rows: np.ndarray | None
     lm_ids: np.ndarray | None
     lm: LmRows | None
@@ -250,7 +252,7 @@ def step_scores(beam: Beam, models: Models, config: DecodeConfig) -> Candidates:
     else:
         lin = models.linearizer
         lm_feats = _lm_top(beam, every, models) if mode == MODE_FEATURE else None
-        features = [lin.extract_features(state) for state in beam.states]
+        features = lin.extract_features(beam.states, beam.ids)
         increments = forward(lin, features, beam.rows[codes], valid, lm_feats, beam.tables)
         if mode == MODE_JOINT:
             increments = _joint(models, beam, codes, valid, increments, config)
@@ -290,6 +292,9 @@ def _joint(models: Models, beam: Beam, codes, valid, base: np.ndarray, config: D
 
 def _kept(beam: Beam, candidates: Candidates, beam_size: int) -> np.ndarray:
     """Flat indices of the best `beam_size` candidates in (-score, history) order."""
+    if beam_size == 1:  # one item, whose columns ascend by code: its first best one
+        scores = candidates.scores[0, : candidates.count].tolist()
+        return np.array([max(range(len(scores)), key=scores.__getitem__)])
     neg = np.where(candidates.valid, -candidates.scores, np.inf).ravel()
     ranks = np.repeat(beam.ranks, candidates.codes.shape[1])
     order = np.lexsort((candidates.codes.ravel(), ranks, neg))
@@ -320,7 +325,8 @@ def _advance_all(beam: Beam, candidates: Candidates, kept: np.ndarray) -> Beam:
         lm_shifts = np.where(shift, codes, beam.lm_shifts[parents])
     scores = candidates.scores.ravel()[kept]
     return Beam(
-        states, scores, ranks, beam.tables, beam.rows, beam.lm_ids, beam.lm, lm_rows, lm_shifts
+        states, scores, ranks, beam.tables, beam.ids, beam.rows, beam.lm_ids, beam.lm, lm_rows,
+        lm_shifts,
     )
 
 
@@ -355,10 +361,12 @@ def _start(state: State, models: Models, config: DecodeConfig) -> Beam:
     """The one-item beam at `state`: score 0 and the LM at its start state."""
     lin, lm = models.linearizer, models.lm
     space, n = state.space, len(state.space.forms)
-    tables = rows = lm_ids = lm_table = lm_rows = lm_shifts = None
+    tables = ids = rows = lm_ids = lm_table = lm_rows = lm_shifts = None
     if config.mode != MODE_LSTM:
-        word_tables = slot_tables(lin, map(lin.indexers.word_id, space.forms), ["word"])
+        ids = lookup(space, lin.indexers)
+        word_tables = slot_tables(lin, ids.words.tolist(), ["word"])
         tables = {**models.scorer_tables, **word_tables}
+        ids = ids._replace(words=np.searchsorted(word_tables["word"][0], ids.words))
         rows = code_rows(lin, space)
     if config.mode != MODE_SYN:
         lm_ids = np.zeros(len(space.actions), dtype=np.int64)
@@ -367,7 +375,7 @@ def _start(state: State, models: Models, config: DecodeConfig) -> Beam:
         lm_table = LmRows(layers, 1, input_rows(models.lm_weights, lm_ids[:n]))
         lm_rows, lm_shifts = np.zeros(1, dtype=np.int64), np.full(1, -1)
     scores, ranks = np.zeros(1), np.zeros(1, dtype=np.int64)
-    return Beam([state], scores, ranks, tables, rows, lm_ids, lm_table, lm_rows, lm_shifts)
+    return Beam([state], scores, ranks, tables, ids, rows, lm_ids, lm_table, lm_rows, lm_shifts)
 
 
 def _root(bag: WordBag, models: Models, config: DecodeConfig) -> Beam:

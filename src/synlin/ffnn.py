@@ -21,7 +21,7 @@ import numpy as np
 
 from synlin.corpus import DepSentence, Indexers, derive_oracle
 from synlin.errors import ConfigError, DataError, TrainingError
-from synlin.features import FEATURE_BLOCKS, extract, extract_light
+from synlin.features import FEATURE_BLOCKS, Lookup, extract, extract_light, lookup
 from synlin.optim import Adagrad, check_rates, max_grad_error, row_sums
 from synlin.optim import masked_log_softmax, pad_rows
 from synlin.transition import FULL, SHIFT, Action, ActionSpace
@@ -69,10 +69,11 @@ class Linearizer:
     config: TrainConfig
     lm_feat_dim: int | None = None
 
-    def extract_features(self, state) -> dict[str, tuple[int, ...]]:
+    def extract_features(self, states, ids: Lookup) -> dict[str, np.ndarray]:
+        """The features of `states`, which share one bag and its `ids`."""
         if self.variant == FULL:
-            return extract(state, self.indexers)
-        return extract_light(state, self.indexers)
+            return extract(states, ids)
+        return extract_light(states, ids)
 
 
 def output_actions(indexers: Indexers, variant: str) -> tuple[Action, ...]:
@@ -197,9 +198,11 @@ def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=N
         forms, row = final.space.forms, code_rows(model, final.space).tolist()
         if lm is not None:
             lm_state, inputs = start, lstm_lm.input_rows(weights, [lm.word_id(f) for f in forms])
-        for node in final.nodes():
+        nodes = final.nodes()
+        states = [node.parent for node in nodes]
+        features.append(model.extract_features(states, lookup(final.space, model.indexers)))
+        for node in nodes:
             legal = node.parent.legal
-            features.append(model.extract_features(node.parent))
             legal_rows.append([row[c] for c in legal])
             gold_col.append(legal.index(node.code))
             if lm is not None:
@@ -209,15 +212,11 @@ def make_training_examples(sentences: list[DepSentence], model: Linearizer, lm=N
     rows, valid = pad_rows(legal_rows)
     lm_rows = None if lm is None else np.reshape(lm_feats, (len(gold_col), width))
     gold_col = np.array(gold_col, dtype=np.int64)
-    return TrainingExamples(_block_ids(model, features), lm_rows, rows, valid, gold_col)
-
-
-def _block_ids(model: Linearizer, features: list[dict]) -> dict[str, np.ndarray]:
-    """One (items x slots) id array per feature block of the model's variant."""
-    return {
-        block: np.array([f[block] for f in features], dtype=np.int64)
-        for block in FEATURE_BLOCKS[model.variant]
+    blocks = {  # (0 x slots) arrays when there are no sentences
+        block: np.concatenate([np.zeros((0, len(slots)), np.int64), *(f[block] for f in features)])
+        for block, slots in FEATURE_BLOCKS[model.variant].items()
     }
+    return TrainingExamples(blocks, lm_rows, rows, valid, gold_col)
 
 
 def _batch_pass(
@@ -228,8 +227,10 @@ def _batch_pass(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     want_grads: bool = True,
+    scratch: dict[str, np.ndarray] | None = None,
 ):
-    """Objective and (optionally) gradients for the examples at `idx`."""
+    """Objective and (optionally) gradients for the examples at `idx`, the w1
+    gradients and L2 terms written into `scratch` (`_scratch`, new if None)."""
     p = model.params
     b = len(idx)
     batch = examples[idx]
@@ -252,6 +253,8 @@ def _batch_pass(
         objective += 0.5 * l2_lambda * sum(float(np.vdot(t, t)) for t in p.values())
     if not want_grads:
         return objective, None
+    if scratch is None:
+        scratch = _scratch(p)
 
     dlogits = np.exp(logp)
     dlogits[gold] -= 1.0
@@ -265,14 +268,22 @@ def _batch_pass(
     dpre = da * (1.0 - a * a)
     grads["b1"] = dpre.sum(axis=0)
     for block, x in inputs.items():
-        grads[f"w1_{block}"] = dpre.T @ x
+        grads[f"w1_{block}"] = np.matmul(dpre.T, x, out=scratch[f"w1_{block}"])
         if block in batch.ids:
             dx = (dpre @ p[f"w1_{block}"]).reshape(b, -1, model.config.embed_dim)
             grads[f"emb_{block}"] = row_sums(batch.ids[block], dx, len(p[f"emb_{block}"]))
     if l2_lambda > 0.0:
         for name, t in p.items():
-            grads[name] += l2_lambda * t
+            grads[name] += np.multiply(l2_lambda, t, out=scratch["l2"][: t.size].reshape(t.shape))
     return objective, {name: grads[name] for name in p}
+
+
+def _scratch(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One array per w1 gradient and one as large as the largest tensor: held
+    across `train`'s batches, so that a batch allocates no w1-sized array."""
+    out = {name: np.empty_like(t) for name, t in params.items() if name.startswith("w1_")}
+    out["l2"] = np.empty(max(t.size for t in params.values()))
+    return out
 
 
 # Per feature block, the sorted ids a bag's states can read and their slot
@@ -299,7 +310,7 @@ def slot_tables(model: Linearizer, word_ids, blocks) -> SlotTables:
 
 def forward(
     model: Linearizer,
-    features: list[dict],
+    features: dict[str, np.ndarray],
     rows: np.ndarray,
     valid: np.ndarray,
     lm_feats: np.ndarray | None,
@@ -307,28 +318,27 @@ def forward(
 ) -> np.ndarray:
     """Log-probabilities of a batch of items, one row per item.
 
-    Item i has feature vector `features[i]`, feasible actions of the output
-    rows `rows[i][valid[i]]` (`optim.pad_rows` pads row sequences) and, for a
-    model with an LM feature block, the row `lm_feats[i]` (None otherwise).
-    Row i holds their log-probabilities in that order, padded with -inf.  The
-    hidden layer sums rows of `tables` (`slot_tables` of every block), which
-    must cover every id the features read; the output layer is training's.
+    Item i has the columns `features[block][i]` of `tables` (`slot_tables`
+    of every block; `extract` through a `Lookup` of word-table columns),
+    feasible actions of the output rows `rows[i][valid[i]]` (`optim.pad_rows`
+    pads row sequences) and, for a model with an LM feature block, the row
+    `lm_feats[i]` (None otherwise).  Row i holds their log-probabilities in
+    that order, padded with -inf.  The output layer is training's.
     """
-    if len(features) != len(rows):
-        raise DataError(f"{len(features)} feature vectors for {len(rows)} feasible sets")
+    items = len(features["word"])
+    if items != len(rows):
+        raise DataError(f"{items} feature vectors for {len(rows)} feasible sets")
     if not valid.any(axis=-1).all():
         raise DataError("feasible set is empty")
     p = model.params
     shape = None if lm_feats is None else np.shape(lm_feats)
-    want = None if model.lm_feat_dim is None else (len(features), model.lm_feat_dim)
+    want = None if model.lm_feat_dim is None else (items, model.lm_feat_dim)
     if shape != want:
         raise ConfigError(f"LM feature rows of shape {shape}, model takes {want}")
     pre = 0.0
-    for block, block_ids in _block_ids(model, features).items():
-        table_ids, table = tables[block]
-        if block == "word":
-            block_ids = np.searchsorted(table_ids, block_ids)
-        pre = pre + table[np.arange(len(table)), block_ids].sum(axis=1)
+    for block, columns in features.items():
+        table = tables[block][1]
+        pre = pre + table[np.arange(len(table)), columns].sum(axis=1)
     if lm_feats is not None:
         pre += lm_feats @ p["w1_lm"].T
     return _output_layer(model, np.tanh(pre + p["b1"]), rows, valid)
@@ -388,6 +398,7 @@ def train(
         raise DataError("no training examples")
     rng = np.random.default_rng(config.seed)
     opt = Adagrad(model.params, config.learning_rate)
+    scratch = _scratch(model.params)
     log = []
     n = len(examples)
     for epoch in range(config.epochs):
@@ -396,7 +407,7 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             objective, grads = _batch_pass(
-                model, examples, idx, config.l2_lambda, dropout=config.dropout, rng=rng
+                model, examples, idx, config.l2_lambda, config.dropout, rng, scratch=scratch
             )
             if not np.isfinite(objective):
                 raise TrainingError(

@@ -21,16 +21,25 @@ def check_rates(learning_rate: float, l2_lambda: float):
 
 
 class Adagrad:
+    """Updates in place, through two scratch rows as long as the largest tensor."""
+
     def __init__(self, tensors: dict[str, np.ndarray], learning_rate: float):
         self.tensors = tensors
         self.learning_rate = learning_rate
         self.accum = {name: np.zeros_like(t) for name, t in tensors.items()}
+        rows = np.empty((2, max((t.size for t in tensors.values()), default=0)))
+        self._scratch = {
+            name: [row[: t.size].reshape(t.shape) for row in rows] for name, t in tensors.items()
+        }
 
     def step(self, grads: dict[str, np.ndarray]):
         for name, g in grads.items():
-            acc = self.accum[name]
-            acc += g * g
-            self.tensors[name] -= self.learning_rate * g / (np.sqrt(acc) + 1e-8)
+            acc, (root, scaled) = self.accum[name], self._scratch[name]
+            acc += np.multiply(g, g, out=root)
+            np.sqrt(acc, out=root)
+            root += 1e-8
+            np.multiply(self.learning_rate, g, out=scaled)
+            self.tensors[name] -= np.divide(scaled, root, out=root)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -13,12 +13,14 @@ holding the rest of its stack, so beam search can branch and share prefixes
 freely; history, stack, remaining words and arcs are read back from the
 nodes.  The states from one initial state share an `ActionSpace` that
 numbers their actions in canonical order: `legal_actions` returns these
-codes, and `apply` takes one.
+codes, and `apply` takes one.  Each stack item carries the referents the
+scorer reads as one flat int tuple, which `apply` builds (`StackItem`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from synlin.errors import DataError, IllegalActionError, StateError
@@ -72,29 +74,29 @@ class Action:
 
 
 class StackItem(NamedTuple):
-    """A partial subtree on the stack.
+    """A partial subtree on the stack: its root token, its feature group, its
+    root's dependent count and `span`, the realized order of the subtree.
 
-    Child tuples are kept nearest-to-root first (attachment order), so the
-    outermost left child -- the leftmost one in surface order -- is the last
-    element of `left_children`, and symmetrically for the right.  `span` is
-    the realized surface order of the whole subtree.  `arc_label` is the
-    label of the arc to this item's parent, set when the item is attached.
+    The group holds the positions in `space.tokens` of the root, lc1, lc2,
+    rc1, rc2, lc1(lc1) and rc1(rc1) (-1 when absent) at 0-6, their tags at
+    7-13 and the labels of the six dependents at 14-19; a tag or label is 1
+    + its offset in the space's `pos_tags` or `arc_labels`, 0 when absent.
     """
 
     root: TokenRef
-    pos: str | None = None
-    arc_label: str | None = None
-    left_children: tuple["StackItem", ...] = ()
-    right_children: tuple["StackItem", ...] = ()
-    span: tuple[TokenRef, ...] = ()
+    group: tuple[int, ...]
+    children: int
+    span: tuple[TokenRef, ...]
 
-    def left_child(self, k: int) -> "StackItem | None":
-        """k-th leftmost child (k=1 is the outermost), or None."""
-        return self.left_children[-k] if len(self.left_children) >= k else None
 
-    def right_child(self, k: int) -> "StackItem | None":
-        """k-th rightmost child (k=1 is the outermost), or None."""
-        return self.right_children[-k] if len(self.right_children) >= k else None
+NULL_GROUP = (-1,) * 7 + (0,) * 13  # an absent item's
+# A new group selects from `i.group + (tag,)` (Pos) or `i.group + j.group +
+# (label,)` (arcs, j's entries from 20): LArc makes j i's lc1, the old lc1
+# its lc2 and lc1(j) its lc1(lc1); RArc makes i j's rc1, the old rc1 its rc2
+# and rc1(i) its rc1(rc1).
+_TAGGED = itemgetter(*range(7), 20, *range(8, 20))
+_LEFT_ARC = itemgetter(0, 20, 1, 3, 4, 21, 6, 7, 27, 8, 10, 11, 28, 13, 40, 14, 16, 17, 34, 19)
+_RIGHT_ARC = itemgetter(20, 21, 22, 0, 23, 25, 3, 27, 28, 29, 7, 30, 32, 10, 34, 35, 40, 36, 38, 16)
 
 
 class ActionSpace:
@@ -105,7 +107,9 @@ class ActionSpace:
     blocks (`pos_codes`, `arc_codes`) in the order of the tags and labels
     given, strictly increasing in the full variant (the light variant ignores
     them), then End.  Bit i of a state's `left` mask is `tokens[i]`, the bag
-    sorted by (form, tid).
+    sorted by (form, tid).  `pos_tags` and `arc_labels` are the inventories
+    (empty in the light variant); `arg_ids[c]` is code c's tag or label entry
+    in a feature group, and `leaves[i]` the item a Shift of `tokens[i]` pushes.
     """
 
     def __init__(self, tokens, variant: str, pos_tags: tuple, arc_labels: tuple):
@@ -121,6 +125,7 @@ class ActionSpace:
             bad = next(((a, b) for a, b in zip(names, names[1:]) if a >= b), None)
             if bad:
                 raise StateError(f"{kind}s not strictly increasing: {bad[0]!r} before {bad[1]!r}")
+        self.pos_tags, self.arc_labels = pos_tags, arc_labels if variant == FULL else ()
         self.actions = (
             *(Action(SHIFT, form) for form in self.forms),
             *(Action(POS, tag) for tag in pos_tags),
@@ -131,13 +136,20 @@ class ActionSpace:
         self.pos_codes = tuple(range(len(bits), len(bits) + len(pos_tags)))
         self.arc_codes = tuple(range(len(bits) + len(pos_tags), self.end_code))
         self.codes = {a: c for c, a in enumerate(self.actions)}
+        label_ids = range(1, len(arc_labels) + 1) if variant == FULL else (0,)
+        self.arg_ids = (0,) * len(bits) + (*range(1, len(pos_tags) + 1), *label_ids, *label_ids, 0)
+        self.leaves = tuple(
+            StackItem(tok, (i, *NULL_GROUP[1:]), 0, (tok,)) for i, tok in enumerate(self.tokens)
+        )
 
 
 class State:
     """A configuration node: the action `code` that led here from `parent`.
 
-    The stack is `top` on the stack of `below`, `depth` items in all; `left`
-    masks the remaining tokens, and `shifts` holds the Shift codes of their
+    The stack is `top` on the stack of `below`, `depth` items in all; past
+    them, every stack reads as `_BOTTOM`'s absent items, so the top three
+    groups of any state can be read without a depth check.  `left` masks
+    the remaining tokens, and `shifts` holds the Shift codes of their
     distinct forms.  Shifting a form consumes the lowest remaining tid
     carrying it, which makes duplicate handling deterministic.  Arcs are
     (head tid, dependent tid, label-or-None).
@@ -191,12 +203,12 @@ class State:
 
     @property
     def arcs(self) -> frozenset:
-        arcs = set()
+        arcs, tokens = set(), self.space.tokens
         for node in self.nodes():
-            kind, label = self.space.actions[node.code].kind, self.space.actions[node.code].arg
-            if kind in (LEFT_ARC, RIGHT_ARC):
-                dep = (node.top.left_children if kind == LEFT_ARC else node.top.right_children)[-1]
-                arcs.add((node.top.root.tid, dep.root.tid, label))
+            action = self.space.actions[node.code]
+            if action.kind in (LEFT_ARC, RIGHT_ARC):  # the dependent is the head's new lc1 or rc1
+                dep = node.top.group[1 if action.kind == LEFT_ARC else 3]
+                arcs.add((node.top.root.tid, tokens[dep].tid, action.arg))
         return frozenset(arcs)
 
     def summary(self) -> str:
@@ -209,6 +221,11 @@ class State:
         if not isinstance(other, State) or self.space is not other.space:
             return False
         return [n.code for n in self.nodes()] == [n.code for n in other.nodes()]
+
+
+_ABSENT = StackItem(None, NULL_GROUP, 0, ())
+_BOTTOM = State(None, None, None, _ABSENT, None, 0, 0, ())
+_BOTTOM.below = _BOTTOM
 
 
 def derivation_length(variant: str, n: int) -> int:
@@ -230,7 +247,7 @@ def initial_state(bag, variant: str, pos_tags: Iterable[str] = (), arc_labels: I
         raise StateError("cannot initialize a state from an empty bag")
     space = ActionSpace(tokens, variant, tuple(pos_tags), tuple(arc_labels))
     everything = (1 << len(tokens)) - 1
-    return State(space, None, None, None, None, 0, everything, tuple(range(len(space.forms))))
+    return State(space, None, None, _ABSENT, _BOTTOM, 0, everything, tuple(range(len(space.forms))))
 
 
 def legal_actions(state: State) -> tuple[int, ...]:
@@ -271,24 +288,23 @@ def apply(state: State, code: int) -> State:
         known = code in range(len(space.actions))
         name = space.actions[code].name() if known else f"action code {code!r}"
         raise IllegalActionError(f"illegal {name} at {state.summary()}")
-    kind, arg = space.actions[code].kind, space.actions[code].arg
-    if kind == SHIFT:
+    if code < len(space.forms):  # Shift
         mine = state.left & space.form_bits[code]
         bit = mine & -mine
-        tok = space.tokens[bit.bit_length() - 1]
         shifts = state.shifts if mine != bit else tuple(k for k in state.shifts if k != code)
-        item = StackItem(root=tok, span=(tok,))
+        item = space.leaves[bit.bit_length() - 1]
         return State(space, state, code, item, state, state.depth + 1, state.left ^ bit, shifts)
     i, below, depth = state.top, state.below, state.depth
+    kind = space.actions[code].kind
     if kind == POS:
-        i = i._replace(pos=arg)
+        i = StackItem(i.root, _TAGGED(i.group + (space.arg_ids[code],)), i.children, i.span)
     elif kind != END:
         j, below, depth = below.top, below.below, depth - 1
-        span = j.span + i.span
+        groups = i.group + j.group + (space.arg_ids[code],)
         if kind == LEFT_ARC:
-            i = i._replace(left_children=(*i.left_children, j._replace(arc_label=arg)), span=span)
+            i = StackItem(i.root, _LEFT_ARC(groups), i.children + 1, j.span + i.span)
         else:
-            i = j._replace(right_children=(*j.right_children, i._replace(arc_label=arg)), span=span)
+            i = StackItem(j.root, _RIGHT_ARC(groups), j.children + 1, j.span + i.span)
     return State(space, state, code, i, below, depth, state.left, state.shifts)
 
 

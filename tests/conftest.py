@@ -4,7 +4,7 @@ import pytest
 from synlin import ffnn, lstm_lm
 from synlin.corpus import DepSentence, Token, build_indexers, parse_conll_lenient
 from synlin.decoder import MODE_LSTM, _check_enumerable, _is_terminal, _successors
-from synlin.features import FEATURE_BLOCKS
+from synlin.features import FEATURE_BLOCKS, lookup
 from synlin.synth import toy_corpus
 from synlin.transition import LIGHT, apply, initial_state
 
@@ -66,12 +66,17 @@ def small_linearizer(indexers, variant, seed=0, lm_feat_dim=None, scale=0.5, **c
     return model
 
 
+def extract(model, states):
+    """The features of `states` (one bag) as word, POS and label ids."""
+    return model.extract_features(states, lookup(states[0].space, model.indexers))
+
+
 def score(model, features, rows, valid, lm_feats=None):
-    """`ffnn.forward` from slot tables of every block, the word block's over
-    the word ids that `features` read."""
-    words = {i for f in features for i in f["word"]}
-    tables = ffnn.slot_tables(model, words, FEATURE_BLOCKS[model.variant])
-    return ffnn.forward(model, features, rows, valid, lm_feats, tables)
+    """`ffnn.forward` on features given as ids (`extract`), from slot tables
+    of every block, the word block's over the word ids that `features` read."""
+    tables = ffnn.slot_tables(model, np.unique(features["word"]), FEATURE_BLOCKS[model.variant])
+    columns = {block: np.searchsorted(tables[block][0], ids) for block, ids in features.items()}
+    return ffnn.forward(model, columns, rows, valid, lm_feats, tables)
 
 
 def small_lm(indexers, seed=0, hidden_size=8, scale=0.5, **cfg_kw):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import reference_features
 from reference_grads import hidden
 from reference_rows import inventory
 from synlin.decoder import (
@@ -39,7 +40,7 @@ from synlin.decoder import (
     _validate,
 )
 from synlin.features import FEATURE_BLOCKS
-from synlin.ffnn import _block_ids, forward as table_forward, slot_tables
+from synlin.ffnn import forward as table_forward, slot_tables
 from synlin.lstm_lm import _cell, initial_lm_state, input_rows, lm_step as table_lm_step
 from synlin.lstm_lm import next_word_logprobs as batch_next_word_logprobs, start_state, step_weights
 from synlin.optim import log_softmax, pad_rows
@@ -137,7 +138,7 @@ def items_of(beam):
 
 def forward(model, features, feasibles, lm_feats=None):
     """One array of feasible log-probabilities per item."""
-    hiddens, _ = hidden(model, _block_ids(model, features), lm_feats)
+    hiddens, _ = hidden(model, reference_features.block_ids(model, features), lm_feats)
     row_of = inventory(model).row
     return [
         log_softmax(model.params["w2"][[row_of(a) for a in feasible]] @ h)
@@ -177,7 +178,7 @@ def step_scores(items, models, config):
         lm_feats = None
         if mode == MODE_FEATURE:
             lm_feats = np.stack([top_h(item.lm_state) for item in items])
-        features = [lin.extract_features(item.state) for item in items]
+        features = [reference_features.features(lin, item.state) for item in items]
         increments = forward(lin, features, feasibles, lm_feats)
         if mode == MODE_JOINT:
             increments = [
@@ -223,9 +224,13 @@ def batched_step_scores(items, models, config, tables, lm_tables):
         lm_feats = None
         if mode == MODE_FEATURE:
             lm_feats = np.stack([top_h(item.lm_state) for item in items])
-        features = [lin.extract_features(item.state) for item in items]
+        vectors = [reference_features.features(lin, item.state) for item in items]
+        columns = {
+            block: np.searchsorted(tables[block][0], ids)
+            for block, ids in reference_features.block_ids(lin, vectors).items()
+        }
         rows = pad_rows([[inventory(lin).row(a) for a in feasible] for feasible in feasibles])
-        increments = table_forward(lin, features, *rows, lm_feats, tables)
+        increments = table_forward(lin, columns, *rows, lm_feats, tables)
         if mode == MODE_JOINT:
             increments = batched_joint(lm, items, feasibles, increments, config)
     return [

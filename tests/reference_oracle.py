@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from reference_features import block_ids, features
 from reference_rows import inventory
 from synlin.corpus import to_bag
 from synlin.errors import ConfigError, DataError
-from synlin.ffnn import TrainingExamples, _block_ids
+from synlin.ffnn import TrainingExamples
 from synlin.lstm_lm import input_rows, lm_step, start_state, step_weights
 from synlin.optim import pad_rows
 from synlin.transition import (
@@ -111,7 +112,7 @@ def make_training_examples(sentences, model, lm=None):
                 raise DataError(f"sentence {k + 1}: gold action {act.name()} not feasible")
             examples.append(
                 TrainExample(
-                    features=model.extract_features(state),
+                    features=features(model, state),
                     feasible=feasible,
                     gold=act,
                     lm_feat=None if lm_state is None else lm_state[-1][0][0],
@@ -153,5 +154,5 @@ def pack(model, examples) -> TrainingExamples:
             if ex.lm_feat is None:
                 raise ConfigError(f"example {i}: model expects an LM feature block")
             lm_feats[i] = ex.lm_feat
-    ids = _block_ids(model, [ex.features for ex in examples])
+    ids = block_ids(model, [ex.features for ex in examples])
     return TrainingExamples(ids, lm_feats, rows, valid, gold_col)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     count_derivations,
+    extract,
     parse_valid,
     random_projective_sentence,
     score,
@@ -188,7 +189,7 @@ class TestStepScores:
         state = item.states[0]
         feasible = tuple(state.space.actions[c] for c in legal_actions(state))
         rows = pad_rows([[inventory(lin_full).row(a) for a in feasible]])
-        syn_lp = dict(zip(feasible, score(lin_full, [lin_full.extract_features(state)], *rows)[0]))
+        syn_lp = dict(zip(feasible, score(lin_full, extract(lin_full, [state]), *rows)[0]))
         forms = [state.space.forms[k] for k in state.shifts]
         ids = pad_rows([[lm.word_id(f) for f in forms]])
         [lm_row] = next_word_logprobs(lm, item.lm.top(item.lm_rows), *ids)

@@ -1,15 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_features
 from conftest import parse_valid
+from synlin import features
 from synlin.corpus import bag_from_forms, build_indexers
-from synlin.features import (
-    FEATURE_BLOCKS,
-    LABEL_SLOTS,
-    POS_SLOTS,
-    WORD_SLOTS,
-    extract,
-    extract_light,
-)
+from synlin.errors import DataError
+from synlin.features import FEATURE_BLOCKS, LABEL_SLOTS, POS_SLOTS, WORD_SLOTS, lookup
+from synlin.synth import toy_corpus
 from synlin.transition import Action, apply, initial_state
 
 CORPUS = (
@@ -35,6 +34,21 @@ def run(state, *action_names):
     for name in action_names:
         state = apply(state, state.space.codes[Action.parse(name)])
     return state
+
+
+def extract(state, idx):
+    """One state's full features through the batch extractor, as id tuples."""
+    return one(features.extract, state, idx)
+
+
+def extract_light(state, idx):
+    """One state's word features through the batch extractor, as id tuples."""
+    return one(features.extract_light, state, idx)
+
+
+def one(extractor, state, idx):
+    out = extractor([state], lookup(state.space, idx))
+    return {block: tuple(ids[0].tolist()) for block, ids in out.items()}
 
 
 class TestLayout:
@@ -154,3 +168,53 @@ class TestInvariants:
         st = run(start(["xyzzy"], idx, variant="light"), "Shift-xyzzy")
         fv = extract_light(st, idx)
         assert fv["word"][0] == idx.unk_id
+
+
+class TestBatchEqualsReference:
+    """A step's batch extraction equals the tree-walking reference, state by state."""
+
+    CORPUS = toy_corpus(30, seed=5)
+    IDX = build_indexers(CORPUS)
+    FORMS = sorted({form for sent in CORPUS for form in sent.forms()})[:12]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bag=st.lists(st.sampled_from([*FORMS, "oov", "<unk>", "<null_w>"]), min_size=1, max_size=8),
+        variant=st.sampled_from(["full", "light"]),
+        tags=st.lists(st.sampled_from(IDX.content_pos_tags), min_size=1, unique=True),
+        labels=st.lists(st.sampled_from(IDX.content_labels), min_size=1, unique=True),
+        own_inventories=st.booleans(),
+        picks=st.lists(st.integers(0, 10**6), min_size=24, max_size=24),
+    )
+    def test_random_derivations(self, bag, variant, tags, labels, own_inventories, picks):
+        # duplicate and out-of-vocabulary forms, and (unless `own_inventories`)
+        # a space over some of the indexers' tags and labels, not all
+        idx = self.IDX
+        if own_inventories:
+            tags, labels = idx.content_pos_tags, idx.content_labels
+        state = initial_state(bag_from_forms(bag), variant, sorted(tags), sorted(labels))
+        states = [state]
+        for pick in picks:
+            legal = state.legal
+            if not legal:
+                break
+            state = apply(state, legal[pick % len(legal)])
+            states.append(state)
+        full = variant == "full"
+        extractor = features.extract if full else features.extract_light
+        batch = extractor(states, lookup(state.space, idx))
+        reference = reference_features.extract if full else reference_features.extract_light
+        assert list(batch) == list(FEATURE_BLOCKS[variant])
+        for k, st_k in enumerate(states):
+            want = reference(st_k, idx)
+            assert {block: tuple(ids[k].tolist()) for block, ids in batch.items()} == want
+
+    def test_a_tag_the_indexers_lack_is_a_data_error(self):
+        idx = self.IDX
+        tags = sorted({*idx.content_pos_tags, "ZZZ"})
+        state = initial_state(bag_from_forms(["a"]), "full", tags, idx.content_labels)
+        with pytest.raises(DataError, match="POS tag 'ZZZ' not in the index"):
+            lookup(state.space, idx)
+        state = initial_state(bag_from_forms(["a"]), "full", idx.content_pos_tags, ["zzz"])
+        with pytest.raises(DataError, match="arc label 'zzz' not in the index"):
+            lookup(state.space, idx)

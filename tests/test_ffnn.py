@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import randomize_params, score, small_linearizer, small_lm
+from conftest import extract, randomize_params, score, small_linearizer, small_lm
 from reference_rows import ActionInventory, inventory
 from synlin import ffnn, lstm_lm
 from synlin.corpus import NULL_WORD, UNK_WORD, DepSentence, Token, bag_from_forms, build_indexers
@@ -20,7 +21,7 @@ from synlin.ffnn import (
     output_actions,
     train,
 )
-from synlin.optim import pad_rows
+from synlin.optim import Adagrad, pad_rows
 from synlin.synth import toy_corpus
 from synlin.transition import Action, initial_state, legal_actions
 
@@ -82,7 +83,7 @@ def actions_at(state):
 
 def logprobs(model, fv, feasible):
     """`ffnn.forward` on a one-item batch, as a map action -> log-probability."""
-    return dict(zip(feasible, score(model, [fv], *feasible_rows(model, [feasible]))[0]))
+    return dict(zip(feasible, score(model, fv, *feasible_rows(model, [feasible]))[0]))
 
 
 class TestForward:
@@ -101,20 +102,20 @@ class TestForward:
             t[...] = 0.0
         state = self.feasible_state(model, corpus)
         feasible = actions_at(state)
-        out = logprobs(model, model.extract_features(state), feasible)
+        out = logprobs(model, extract(model, [state]), feasible)
         expected = -np.log(len(feasible))
         assert all(abs(v - expected) < 1e-12 for v in out.values())
 
     def test_normalization(self, idx, corpus):
         model = small_linearizer(idx, "full", seed=3)
         state = self.feasible_state(model, corpus)
-        out = logprobs(model, model.extract_features(state), actions_at(state))
+        out = logprobs(model, extract(model, [state]), actions_at(state))
         assert abs(sum(np.exp(v) for v in out.values()) - 1.0) < 1e-9
 
     def test_subset_renormalization_identity(self, idx, corpus):
         model = small_linearizer(idx, "full", seed=4)
         state = self.feasible_state(model, corpus)
-        fv = model.extract_features(state)
+        fv = extract(model, [state])
         full_set = output_actions(model.indexers, model.variant)
         full_lp = logprobs(model, fv, full_set)
         subset = tuple(actions_at(state))
@@ -126,7 +127,7 @@ class TestForward:
     def test_argmax_invariant_under_constant_logit_shift(self, idx, corpus):
         model = small_linearizer(idx, "full", seed=5)
         state = self.feasible_state(model, corpus)
-        fv = model.extract_features(state)
+        fv = extract(model, [state])
         feasible = actions_at(state)
         before = logprobs(model, fv, feasible)
         # adding one vector to every output row shifts all logits by v @ h
@@ -142,7 +143,7 @@ class TestForward:
     def test_inference_deterministic(self, idx, corpus):
         model = small_linearizer(idx, "full", seed=6)
         state = self.feasible_state(model, corpus)
-        fv = model.extract_features(state)
+        fv = extract(model, [state])
         feasible = actions_at(state)
         r1 = logprobs(model, fv, feasible)
         r2 = logprobs(model, fv, feasible)
@@ -152,7 +153,7 @@ class TestForward:
         model = small_linearizer(idx, "full")
         state = self.feasible_state(model, corpus)
         with pytest.raises(DataError):
-            score(model, [model.extract_features(state)], *feasible_rows(model, [()]))
+            score(model, extract(model, [state]), *feasible_rows(model, [()]))
 
     def test_lm_feat_mismatch(self, idx, corpus):
         model = small_linearizer(idx, "full")
@@ -160,7 +161,7 @@ class TestForward:
         with pytest.raises(ConfigError):
             score(
                 model,
-                [model.extract_features(state)],
+                extract(model, [state]),
                 *feasible_rows(model, [actions_at(state)]),
                 np.zeros((1, 4)),
             )
@@ -179,14 +180,13 @@ class TestSharedHiddenLayer:
         lm = small_lm(idx, seed=22, hidden_size=8) if lm_feat_dim else None
         ex = make_training_examples(corpus[:4], model, lm=lm)
         feats = ex.lm_feats
-        fvs = [{block: tuple(x[i]) for block, x in ex.ids.items()} for i in range(len(ex))]
-        batched = score(model, fvs, ex.rows, ex.valid, feats)
+        batched = score(model, ex.ids, ex.rows, ex.valid, feats)
         for i in range(len(ex)):
             ce, _ = ffnn._batch_pass(model, ex, np.array([i]), 0.0, want_grads=False)
             assert abs(ce + batched[i][ex.gold_col[i]]) <= 1e-12
             row = None if feats is None else feats[i : i + 1]
             m = int(ex.valid[i].sum())
-            [alone] = score(model, fvs[i : i + 1], ex.rows[i : i + 1, :m], ex.valid[i : i + 1, :m], row)
+            [alone] = score(model, ex[i : i + 1].ids, ex.rows[i : i + 1, :m], ex.valid[i : i + 1, :m], row)
             assert np.max(np.abs(batched[i, :m] - alone)) <= 1e-12
             assert np.all(batched[i, m:] == -np.inf)
 
@@ -194,7 +194,7 @@ class TestSharedHiddenLayer:
         model = small_linearizer(idx, "full")
         state = initial_state(to_bag(corpus[0]), "full", idx.content_pos_tags, idx.content_labels)
         with pytest.raises(DataError):
-            score(model, [model.extract_features(state)] * 2, *feasible_rows(model, [actions_at(state)]))
+            score(model, extract(model, [state] * 2), *feasible_rows(model, [actions_at(state)]))
 
 
 class TestLoss:
@@ -260,6 +260,33 @@ class TestGradients:
 
 
 class TestTraining:
+    def test_a_warm_batch_allocates_no_w1_sized_array(self, idx, corpus):
+        # Adagrad steps through its own scratch and `train` hands `_batch_pass`
+        # arrays for the w1 gradients and L2 terms, so once warm neither
+        # allocates an array as large as a w1 tensor.  At these sizes each w1
+        # tensor outweighs everything else a two-example batch allocates.
+        model = small_linearizer(idx, "full", embed_dim=50, hidden_dim=200, dropout=0.3)
+        examples = make_training_examples(corpus[:1], model)
+        opt, scratch = Adagrad(model.params, 0.01), ffnn._scratch(model.params)
+        rng, at = np.random.default_rng(0), np.arange(2)
+        w1 = min(t.nbytes for name, t in model.params.items() if name.startswith("w1_"))
+
+        def batch():
+            return ffnn._batch_pass(model, examples, at, 1e-8, 0.3, rng, scratch=scratch)[1]
+
+        opt.step(batch())  # warm-up
+        tracemalloc.start()
+        try:
+            grads = batch()
+            peaks = [tracemalloc.get_traced_memory()[1]]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            opt.step(grads)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < w1, (peaks, w1)
+
     def test_zero_learning_rate_freezes_params(self, idx, corpus):
         model = small_linearizer(idx, "full", seed=15, learning_rate=0.0, epochs=2,
                                  dropout=0.2)
