@@ -229,13 +229,21 @@ def _batch_pass(
     want_grads: bool = True,
     scratch: dict[str, np.ndarray] | None = None,
 ):
-    """Objective and (optionally) gradients for the examples at `idx`, the w1
-    gradients and L2 terms written into `scratch` (`_scratch`, new if None)."""
+    """Objective and (optionally) gradients for the examples at `idx`: the
+    embedding gathers, the w1 and embedding gradients and the L2 terms go
+    through `scratch` (`_scratch` for at least `len(idx)` examples, new if
+    None).  The ids must index their tables, as `_check_examples` checks."""
     p = model.params
     b = len(idx)
     batch = examples[idx]
+    if scratch is None:
+        scratch = _scratch(p, b)
     # one (b x slots*d) @ (slots*d x h) product per block, the LM block last
-    inputs = {block: p[f"emb_{block}"][x].reshape(b, -1) for block, x in batch.ids.items()}
+    # (mode "clip" gathers without a buffer; `_check_examples` bounds the ids)
+    inputs = {
+        block: np.take(p[f"emb_{block}"], x, 0, scratch[f"x_{block}"][:b], "clip").reshape(b, -1)
+        for block, x in batch.ids.items()
+    }
     if batch.lm_feats is not None:
         inputs["lm"] = batch.lm_feats
     first, *rest = (x @ p[f"w1_{block}"].T for block, x in inputs.items())
@@ -253,8 +261,6 @@ def _batch_pass(
         objective += 0.5 * l2_lambda * sum(float(np.vdot(t, t)) for t in p.values())
     if not want_grads:
         return objective, None
-    if scratch is None:
-        scratch = _scratch(p)
 
     dlogits = np.exp(logp)
     dlogits[gold] -= 1.0
@@ -270,19 +276,30 @@ def _batch_pass(
     for block, x in inputs.items():
         grads[f"w1_{block}"] = np.matmul(dpre.T, x, out=scratch[f"w1_{block}"])
         if block in batch.ids:
-            dx = (dpre @ p[f"w1_{block}"]).reshape(b, -1, model.config.embed_dim)
-            grads[f"emb_{block}"] = row_sums(batch.ids[block], dx, len(p[f"emb_{block}"]))
+            dx = scratch[f"dx_{block}"][:b]
+            np.matmul(dpre, p[f"w1_{block}"], out=dx.reshape(b, -1))
+            index = scratch[f"index_{block}"][:b]
+            grads[f"emb_{block}"] = row_sums(batch.ids[block], dx, len(p[f"emb_{block}"]), index)
     if l2_lambda > 0.0:
         for name, t in p.items():
             grads[name] += np.multiply(l2_lambda, t, out=scratch["l2"][: t.size].reshape(t.shape))
     return objective, {name: grads[name] for name in p}
 
 
-def _scratch(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """One array per w1 gradient and one as large as the largest tensor: held
-    across `train`'s batches, so that a batch allocates no w1-sized array."""
+def _scratch(params: dict[str, np.ndarray], rows: int) -> dict[str, np.ndarray]:
+    """The arrays `_batch_pass` writes into, held across `train`'s batches of
+    up to `rows` examples, so that a batch allocates no w1-sized array and
+    none as large as its embedding gathers: one per w1 gradient, one as
+    large as the largest tensor (the L2 terms) and, per feature block, its
+    (rows x slots x d) gathers and their gradients and row-sum index."""
     out = {name: np.empty_like(t) for name, t in params.items() if name.startswith("w1_")}
     out["l2"] = np.empty(max(t.size for t in params.values()))
+    for name in params:
+        if name.startswith("emb_"):
+            block, (_, d) = name.removeprefix("emb_"), params[name].shape
+            shape = (rows, params[f"w1_{block}"].shape[1] // d, d)
+            for key, dtype in (("x", np.float64), ("dx", np.float64), ("index", np.int64)):
+                out[f"{key}_{block}"] = np.empty(shape, dtype)
     return out
 
 
@@ -398,7 +415,7 @@ def train(
         raise DataError("no training examples")
     rng = np.random.default_rng(config.seed)
     opt = Adagrad(model.params, config.learning_rate)
-    scratch = _scratch(model.params)
+    scratch = _scratch(model.params, config.batch_size)
     log = []
     n = len(examples)
     for epoch in range(config.epochs):

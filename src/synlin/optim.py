@@ -1,16 +1,31 @@
 """Math both networks share: Adagrad, log-softmaxes, padding, row sums, the finite-difference check.
 
 Adagrad update: acc += g*g; theta -= lr * g / (sqrt(acc) + 1e-8).  Parameters
-are updated in place, so the dict passed in must hold the live arrays.
+are updated in place, so the dict passed in must hold the live arrays.  The
+update walks every tensor in blocks of BLOCK elements, each block running the
+same element-wise operations in the same order as a whole-tensor update, so
+the result does not depend on the block size or on how many threads share the
+blocks: one part per CPU the process may run on, the calling thread running
+one and a process-wide thread pool the rest (numpy releases the interpreter
+lock inside each block's loops).  This is the only module that starts
+threads: the pool starts at the first update that is split, never at import,
+and a forked child starts its own.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 from synlin.errors import ConfigError
+
+# Elements per Adagrad block: large enough that numpy's loops, not the
+# interpreter, hold a block's time (8 Ki blocks left the threads waiting on
+# the interpreter lock), small enough that a block's operands stay in cache.
+BLOCK = 65_536
 
 
 def check_rates(learning_rate: float, l2_lambda: float):
@@ -20,26 +35,93 @@ def check_rates(learning_rate: float, l2_lambda: float):
             raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
+def cpu_count() -> int:
+    """The number of CPUs this process may run on (`taskset` restricts it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def split(sizes: list[int], parts: int) -> list[int]:
+    """Cut points (0 first, len(sizes) last) of `sizes` into `parts`
+    contiguous runs of about equal sum, none empty; `parts` <= len(sizes)."""
+    ends = np.cumsum(sizes)
+    cuts = [0]
+    for k in range(1, parts):
+        target = ends[-1] * k / parts
+        at = int(np.searchsorted(ends, target))  # first run ending at or past target
+        cut = at if at > 0 and target - ends[at - 1] < ends[at] - target else at + 1
+        cuts.append(min(max(cut, cuts[-1] + 1), len(sizes) - (parts - k)))
+    return [*cuts, len(sizes)]
+
+
+# The worker threads of this process: (pid, thread count, pool).  A forked
+# child inherits the object but not its threads, so it builds its own.
+_pool: tuple[int, int, ThreadPoolExecutor] | None = None
+
+
+def _workers(count: int) -> ThreadPoolExecutor:
+    """A thread pool of at least `count` threads, started by this process."""
+    global _pool
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid or _pool[1] < count:
+        if _pool is not None and _pool[0] == pid:
+            _pool[2].shutdown(wait=False)
+        _pool = pid, count, ThreadPoolExecutor(count, thread_name_prefix="synlin-adagrad")
+    return _pool[2]
+
+
 class Adagrad:
-    """Updates in place, through two scratch rows as long as the largest tensor."""
+    """Updates in place, block by block, the blocks split into one part per
+    CPU of `cpu_count()` at construction, never more parts than blocks.  The
+    calling thread updates the first part and `_workers` the others, each
+    part through its own two scratch rows of up to BLOCK elements.  `step`
+    takes one gradient per tensor, of the tensor's shape; tensors must be
+    C-contiguous, as every model's are."""
 
     def __init__(self, tensors: dict[str, np.ndarray], learning_rate: float):
-        self.tensors = tensors
         self.learning_rate = learning_rate
         self.accum = {name: np.zeros_like(t) for name, t in tensors.items()}
-        rows = np.empty((2, max((t.size for t in tensors.values()), default=0)))
-        self._scratch = {
-            name: [row[: t.size].reshape(t.shape) for row in rows] for name, t in tensors.items()
-        }
+        blocks = []  # (name, start, stop, param block, accumulator block), in tensor order
+        for name, t in tensors.items():
+            if not t.flags.c_contiguous:
+                raise ValueError(f"tensor {name} is not C-contiguous")
+            param, acc = t.reshape(-1), self.accum[name].reshape(-1)
+            for lo in range(0, t.size, BLOCK):
+                hi = min(lo + BLOCK, t.size)
+                blocks.append((name, lo, hi, param[lo:hi], acc[lo:hi]))
+        cuts = split([hi - lo for _, lo, hi, _, _ in blocks], min(cpu_count(), len(blocks)))
+        self._parts = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        width = max((hi - lo for _, lo, hi, _, _ in blocks), default=0)
+        self._scratch = [np.empty((2, width)) for _ in self._parts]
 
     def step(self, grads: dict[str, np.ndarray]):
-        for name, g in grads.items():
-            acc, (root, scaled) = self.accum[name], self._scratch[name]
+        flat = {name: g.reshape(-1) for name, g in grads.items()}
+        (first, *rest), (rows, *more) = self._parts, self._scratch
+        pending = []
+        if rest:
+            pool = _workers(len(rest))
+            pending = [pool.submit(self._update, *job, flat) for job in zip(rest, more)]
+        try:
+            self._update(first, rows, flat)
+        finally:
+            wait(pending)
+        for done in pending:
+            done.result()
+
+    def _update(self, part, rows: np.ndarray, grads: dict[str, np.ndarray]):
+        """Run the blocks of `part`.  Worker threads run this, so it calls
+        only numpy, nothing a tracer (which keeps one span stack) may wrap."""
+        lr = self.learning_rate
+        for name, lo, hi, param, acc in part:
+            g = grads[name][lo:hi]
+            root, scaled = rows[0, : hi - lo], rows[1, : hi - lo]
             acc += np.multiply(g, g, out=root)
             np.sqrt(acc, out=root)
             root += 1e-8
-            np.multiply(self.learning_rate, g, out=scaled)
-            self.tensors[name] -= np.divide(scaled, root, out=root)
+            np.multiply(lr, g, out=scaled)
+            param -= np.divide(scaled, root, out=root)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -68,11 +150,19 @@ def pad_rows(seqs) -> tuple[np.ndarray, np.ndarray]:
     return padded, valid
 
 
-def row_sums(ids, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum the rows of `values` (shape ids.shape + (width,)) by id into (n_rows, width)."""
+def row_sums(ids, values: np.ndarray, n_rows: int, index: np.ndarray | None = None) -> np.ndarray:
+    """Sum the rows of `values` (shape ids.shape + (width,)) by id into
+    (n_rows, width).  `index`, if given, is an int64 array of values.size
+    entries that holds the flat index, so none is allocated.  It is filled by
+    a copy and an in-place add: an add of two broadcast operands would make
+    numpy allocate two 64 KiB iteration buffers."""
     width = values.shape[-1]
-    flat = (np.reshape(ids, (-1, 1)) * width + np.arange(width)).ravel()
-    return np.bincount(flat, values.ravel(), n_rows * width).reshape(n_rows, width)
+    if index is None:
+        index = np.empty(values.size, dtype=np.int64)
+    flat = index.reshape(-1, width)
+    np.copyto(flat, np.reshape(ids, (-1, 1)) * width)
+    flat += np.arange(width)
+    return np.bincount(flat.ravel(), values.ravel(), n_rows * width).reshape(n_rows, width)
 
 
 def max_grad_error(

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -299,6 +301,20 @@ class TestFormatErrors:
         data = _bytes(path)
         path.write_bytes(data[:-16])
         with pytest.raises(ModelFormatError, match="truncated"):
+            cont.load(path)
+
+    def test_short_read(self, idx, tmp_path, monkeypatch):
+        # A file that shrinks after its size was taken: the tensor whose read
+        # comes up short is named.
+        model = small_linearizer(idx, "full", seed=11)
+        path = tmp_path / "m.slm"
+        cont.save(cont.container_from_linearizer(model), path)
+        path.write_bytes(_bytes(path)[:-20])
+        fstat = os.fstat
+        monkeypatch.setattr(
+            cont.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 20)
+        )
+        with pytest.raises(ModelFormatError, match="truncated payload for tensor lin.w2$"):
             cont.load(path)
 
     def test_trailing_garbage(self, idx, tmp_path):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -259,6 +260,31 @@ class TestGradients:
         assert np.all(grads["emb_word"][unused] == 0.0)
 
 
+def largest_allocation(fn) -> int:
+    """The most that one bytecode instruction run by `fn()`, or by the Python
+    functions it calls, raised tracemalloc's peak above the memory traced
+    when the instruction began: at least the size of any block allocated
+    within one instruction, less what the instruction freed before it."""
+    worst, start = 0, 0
+
+    def trace(frame, event, arg):
+        nonlocal worst, start
+        frame.f_trace_opcodes = True
+        worst = max(worst, tracemalloc.get_traced_memory()[1] - start)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        return trace
+
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return worst
+
+
 class TestTraining:
     def test_a_warm_batch_allocates_no_w1_sized_array(self, idx, corpus):
         # Adagrad steps through its own scratch and `train` hands `_batch_pass`
@@ -267,7 +293,7 @@ class TestTraining:
         # tensor outweighs everything else a two-example batch allocates.
         model = small_linearizer(idx, "full", embed_dim=50, hidden_dim=200, dropout=0.3)
         examples = make_training_examples(corpus[:1], model)
-        opt, scratch = Adagrad(model.params, 0.01), ffnn._scratch(model.params)
+        opt, scratch = Adagrad(model.params, 0.01), ffnn._scratch(model.params, 2)
         rng, at = np.random.default_rng(0), np.arange(2)
         w1 = min(t.nbytes for name, t in model.params.items() if name.startswith("w1_"))
 
@@ -286,6 +312,26 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert max(peaks) < w1, (peaks, w1)
+
+    def test_a_warm_batch_at_benchmark_sizes_allocates_no_block_of_128_kib(self):
+        # glibc serves a block of 128 KiB or more (its default mmap threshold)
+        # from fresh pages, or not, depending on what the process freed
+        # before, so such batch temporaries make training's page faults
+        # depend on the heap's layout.  At the benchmark's sizes the embedding
+        # gathers, their gradients and the row-sum index are about 192 KB.
+        sentences = toy_corpus(200, seed=21)
+        model = ffnn.init_linearizer(build_indexers(sentences), "full", TrainConfig())
+        examples = make_training_examples(sentences[:20], model)
+        config = model.config
+        scratch, rng = ffnn._scratch(model.params, config.batch_size), np.random.default_rng(0)
+        at = np.arange(config.batch_size)
+
+        def batch():
+            ffnn._batch_pass(model, examples, at, config.l2_lambda, config.dropout, rng,
+                             scratch=scratch)
+
+        batch()  # warm-up
+        assert largest_allocation(batch) < 128 * 1024
 
     def test_zero_learning_rate_freezes_params(self, idx, corpus):
         model = small_linearizer(idx, "full", seed=15, learning_rate=0.0, epochs=2,

@@ -1,0 +1,248 @@
+"""The blocked, threaded Adagrad against the whole-tensor reference, and the
+life of its thread pool: creation, failures, fork and interpreter exit."""
+
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import reference_optim
+from conftest import small_linearizer, small_lm
+from synlin import ffnn, lstm_lm, optim
+from synlin.corpus import build_indexers
+from synlin.optim import BLOCK, Adagrad, split
+from synlin.synth import toy_corpus
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+EDGE_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+
+
+@pytest.fixture(scope="module")
+def sentences():
+    return toy_corpus(40, seed=21)
+
+
+@pytest.fixture(scope="module")
+def idx(sentences):
+    return build_indexers(sentences)
+
+
+def real_params(kind, indexers):
+    """The parameter dict of a model of `kind` at the benchmark's sizes."""
+    if kind == "lm":
+        return lstm_lm.init_lm(indexers, lstm_lm.LmConfig()).params
+    lm_feat_dim = lstm_lm.LmConfig().hidden_size if kind == "combined" else None
+    variant = "light" if kind == "combined" else kind
+    return ffnn.init_linearizer(indexers, variant, ffnn.TrainConfig(), lm_feat_dim).params
+
+
+def assert_steps_equal(tensors, learning_rate, steps=4, seed=0):
+    """`steps` Adagrad steps on copies of `tensors`, blocked and reference,
+    leave equal bytes in every parameter and accumulator."""
+    rng = np.random.default_rng(seed)
+    mine = {name: t.copy() for name, t in tensors.items()}
+    ref = {name: t.copy() for name, t in tensors.items()}
+    opt, ref_opt = Adagrad(mine, learning_rate), reference_optim.Adagrad(ref, learning_rate)
+    for _ in range(steps):
+        grads = {name: rng.normal(size=t.shape) for name, t in tensors.items()}
+        opt.step(grads)
+        ref_opt.step(grads)
+    for name in tensors:
+        assert mine[name].tobytes() == ref[name].tobytes(), name
+        assert opt.accum[name].tobytes() == ref_opt.accum[name].tobytes(), name
+    return opt
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("learning_rate", [0.0, 0.05])
+def test_edge_sizes_match_the_reference(cpus, learning_rate, monkeypatch):
+    monkeypatch.setattr(optim, "cpu_count", lambda: cpus)
+    rng = np.random.default_rng(cpus)
+    tensors = {f"t{size}": rng.uniform(-1, 1, size) for size in EDGE_SIZES}
+    tensors["matrix"] = rng.uniform(-1, 1, (3, BLOCK // 2 + 5))
+    opt = assert_steps_equal(tensors, learning_rate)
+    blocks = sum(-(-t.size // BLOCK) for t in tensors.values())
+    assert len(opt._parts) == min(cpus, blocks)
+
+
+@pytest.mark.parametrize("size", EDGE_SIZES)
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_one_tensor_of_each_edge_size(size, cpus, monkeypatch):
+    monkeypatch.setattr(optim, "cpu_count", lambda: cpus)
+    tensor = np.random.default_rng(size).uniform(-1, 1, size)
+    opt = assert_steps_equal({"t": tensor}, 0.1, seed=size)
+    assert len(opt._parts) == max(1, min(cpus, -(-size // BLOCK)))
+
+
+@pytest.mark.parametrize("kind", ["full", "light", "combined", "lm"])
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("learning_rate", [0.0, 0.01])
+def test_real_parameter_dicts_match_the_reference(kind, cpus, learning_rate, idx, monkeypatch):
+    monkeypatch.setattr(optim, "cpu_count", lambda: cpus)
+    assert_steps_equal(real_params(kind, idx), learning_rate, steps=3)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_training_matches_the_reference_optimizer(cpus, idx, sentences, monkeypatch):
+    # Whole training runs, dropout and L2 on: the same bytes as with the
+    # whole-tensor update swapped in.
+    monkeypatch.setattr(optim, "cpu_count", lambda: cpus)
+
+    def trained(module, optimizer):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "Adagrad", optimizer)
+            if module is lstm_lm:
+                model = small_lm(idx, seed=5, hidden_size=16, dropout=0.3, l2_lambda=1e-4,
+                                 epochs=2)
+                lstm_lm.train_lm(model, sentences[:10])
+            else:
+                model = small_linearizer(idx, "full", seed=6, embed_dim=20, hidden_dim=40,
+                                         dropout=0.3, l2_lambda=1e-6, epochs=2)
+                ffnn.train(model, ffnn.make_training_examples(sentences[:10], model))
+        return b"".join(t.tobytes() for t in model.params.values())
+
+    for module in (ffnn, lstm_lm):
+        assert trained(module, Adagrad) == trained(module, reference_optim.Adagrad)
+
+
+@pytest.mark.parametrize(
+    "sizes, parts, cuts",
+    [
+        ([5], 1, [0, 1]),
+        ([1, 1, 1, 1], 2, [0, 2, 4]),
+        ([1, 1, 1, 1], 4, [0, 1, 2, 3, 4]),
+        ([10, 1, 1, 1], 2, [0, 1, 4]),
+        ([1, 1, 1, 10], 2, [0, 3, 4]),
+        ([1, 1, 1, 10], 3, [0, 2, 3, 4]),
+        ([4, 4, 4], 2, [0, 2, 3]),
+    ],
+)
+def test_split_cuts_contiguous_parts_of_about_equal_size(sizes, parts, cuts):
+    assert split(sizes, parts) == cuts
+
+
+def test_split_never_leaves_a_part_empty():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        sizes = rng.integers(1, 100, rng.integers(1, 12)).tolist()
+        parts = int(rng.integers(1, len(sizes) + 1))
+        cuts = split(sizes, parts)
+        assert len(cuts) == parts + 1 and cuts[0] == 0 and cuts[-1] == len(sizes)
+        assert all(lo < hi for lo, hi in zip(cuts, cuts[1:]))
+
+
+def test_a_tensor_that_is_not_contiguous_is_refused():
+    with pytest.raises(ValueError, match="contiguous"):
+        Adagrad({"t": np.zeros((4, 4))[:, ::2]}, 0.1)
+
+
+def test_one_cpu_creates_no_pool(monkeypatch):
+    monkeypatch.setattr(optim, "cpu_count", lambda: 1)
+    monkeypatch.setattr(optim, "_pool", None)
+    tensors = {name: np.ones(2 * BLOCK) for name in "abc"}
+    Adagrad(tensors, 0.1).step({name: np.ones(2 * BLOCK) for name in "abc"})
+    assert optim._pool is None
+    assert tensors["c"][-1] < 1.0
+
+
+def test_a_failing_worker_part_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(optim, "cpu_count", lambda: 2)
+    update = Adagrad._update
+
+    def worker_fails(self, part, rows, grads):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker part failed")
+        return update(self, part, rows, grads)
+
+    monkeypatch.setattr(Adagrad, "_update", worker_fails)
+    tensors = {"a": np.ones(BLOCK), "b": np.ones(BLOCK)}
+    opt = Adagrad(tensors, 0.1)
+    assert len(opt._parts) == 2
+    with pytest.raises(RuntimeError, match="worker part failed"):
+        opt.step({"a": np.ones(BLOCK), "b": np.ones(BLOCK)})
+    # the caller's own part ran to its end before the failure surfaced
+    assert (tensors["a"] < 1.0).all() and (tensors["b"] == 1.0).all()
+
+
+def run_python(code, timeout=60):
+    """`code` in a fresh interpreter with synlin on its path; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_synlin_starts_no_thread():
+    out = run_python(
+        """
+        import importlib, pkgutil, threading
+        before = threading.active_count()
+        import synlin
+        for module in pkgutil.iter_modules(synlin.__path__):
+            importlib.import_module(f"synlin.{module.name}")
+        print(before, threading.active_count())
+        """
+    )
+    before, after = out.split()
+    assert before == after
+
+
+# Defines `train()`: train a small scorer with the update split in two and
+# return the digest of its parameters.
+TRAIN_SPLIT = textwrap.dedent(
+    """
+    import hashlib, os, signal
+    from synlin import ffnn, optim
+    from synlin.corpus import build_indexers
+    from synlin.synth import toy_corpus
+
+    optim.cpu_count = lambda: 2
+
+    def train():
+        sentences = toy_corpus(8, seed=5)
+        config = ffnn.TrainConfig(embed_dim=8, hidden_dim=12, epochs=2, seed=3)
+        model = ffnn.init_linearizer(build_indexers(sentences), "full", config)
+        ffnn.train(model, ffnn.make_training_examples(sentences, model))
+        return hashlib.sha256(b"".join(t.tobytes() for t in model.params.values())).hexdigest()
+    """
+)
+
+
+def test_a_forked_child_can_train():
+    # The parent's step starts the pool; the child inherits the pool object
+    # but not its threads, and must train to the same bytes on its own.
+    out = run_python(
+        TRAIN_SPLIT
+        + textwrap.dedent(
+            """
+            parent = train()
+            assert optim._pool is not None
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(50)  # a child that hangs ends before the test's timeout
+                os.write(write, train().encode())
+                os._exit(0)
+            os.close(write)
+            child = os.read(read, 64).decode()
+            _, status = os.waitpid(pid, 0)
+            print(status, parent == child)
+            """
+        )
+    )
+    assert out.split() == ["0", "True"]
+
+
+def test_interpreter_exit_after_training_is_not_delayed():
+    out = run_python(TRAIN_SPLIT + "train()\nimport time\nprint(time.time())\n")
+    exited = time.time()
+    assert exited - float(out) < 10.0

@@ -34,3 +34,30 @@ def test_no_unused_imports(path):
 def test_the_check_sees_unused_names():
     source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nprint(np.pi, c)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: e"]
+
+
+CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that `source` imports at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_optim_starts_threads_or_processes(path):
+    # Adagrad's pool is the package's one concurrent part: everything else
+    # runs on the caller's thread.
+    allowed = CONCURRENCY if path.name == "optim.py" else set()
+    assert imported_modules(path.read_text(encoding="utf-8")) & CONCURRENCY <= allowed
+
+
+def test_the_guard_sees_every_import_form():
+    source = "import threading\nfrom concurrent.futures import wait\nimport multiprocessing.pool\n"
+    assert imported_modules(source) & CONCURRENCY == CONCURRENCY
