@@ -6,13 +6,25 @@ flags override file values.  A hyper-parameter flag stores into a field of
 its command's config dataclass (`TrainConfig`, `LmConfig`, `DecodeConfig`)
 and has no default of its own: the dataclass supplies it.  Errors exit
 nonzero with a single "error: <code>: <message>" line on stderr.
+
+Importing this module sets the BLAS thread count to one unless the
+environment sets it: training already shares its work among the CPUs
+(`optim.run_parts`), BLAS threads would compete with it, and they round the
+products by the core count, so a model file would depend on the host.  The
+setting takes effect only before numpy is first imported, which holds for
+the `synlin` command; a library caller pins BLAS itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
+
+# before any synlin module imports numpy (see the module docstring)
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from synlin import container as cont
 from synlin import corpus as cp

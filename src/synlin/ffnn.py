@@ -16,13 +16,15 @@ with hand-written gradients, checked against central finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from synlin import optim
 from synlin.corpus import DepSentence, Indexers, derive_oracle
 from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.features import FEATURE_BLOCKS, Lookup, extract, extract_light, lookup
-from synlin.optim import Adagrad, check_rates, max_grad_error, row_sums
+from synlin.optim import Adagrad, check_rates, max_grad_error, row_sums, run_parts
 from synlin.optim import masked_log_softmax, pad_rows
 from synlin.transition import FULL, SHIFT, Action, ActionSpace
 
@@ -232,21 +234,33 @@ def _batch_pass(
     """Objective and (optionally) gradients for the examples at `idx`: the
     embedding gathers, the w1 and embedding gradients and the L2 terms go
     through `scratch` (`_scratch` for at least `len(idx)` examples, new if
-    None).  The ids must index their tables, as `_check_examples` checks."""
+    None).  The ids must index their tables, as `_check_examples` checks.
+
+    The work of each feature block (its gather and product forward, its w1
+    and its embedding gradient backward, each with its L2 term) and the L2
+    objective are jobs that `_run_jobs` shares among the CPUs the process may
+    use (`taskset` restricts them).  A job makes the numpy calls one thread
+    would, and the caller sums the products in block order, so the CPU count
+    never changes a result or a model file."""
     p = model.params
     b = len(idx)
     batch = examples[idx]
     if scratch is None:
         scratch = _scratch(p, b)
+    blocks = [name.removeprefix("w1_") for name in p if name.startswith("w1_")]
     # one (b x slots*d) @ (slots*d x h) product per block, the LM block last
-    # (mode "clip" gathers without a buffer; `_check_examples` bounds the ids)
-    inputs = {
-        block: np.take(p[f"emb_{block}"], x, 0, scratch[f"x_{block}"][:b], "clip").reshape(b, -1)
-        for block, x in batch.ids.items()
-    }
+    inputs = {block: scratch[f"x_{block}"][:b] for block in batch.ids}
     if batch.lm_feats is not None:
         inputs["lm"] = batch.lm_feats
-    first, *rest = (x @ p[f"w1_{block}"].T for block, x in inputs.items())
+    jobs = [
+        (block, _block_product, inputs[block], p[f"w1_{block}"], p.get(f"emb_{block}"),
+         batch.ids.get(block))
+        for block in blocks
+    ]
+    if l2_lambda > 0.0:
+        jobs.append(("l2", _square_sum, list(p.values())))
+    out = _run_jobs(jobs, scratch["l2"])
+    first, *rest = (out[block] for block in blocks)
     a = np.tanh(sum(rest, first) + p["b1"])
     if dropout > 0.0:
         mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
@@ -258,7 +272,7 @@ def _batch_pass(
     logp = _output_layer(model, h, batch.rows, batch.valid)
     objective = -float(np.sum(logp[gold]))
     if l2_lambda > 0.0:
-        objective += 0.5 * l2_lambda * sum(float(np.vdot(t, t)) for t in p.values())
+        objective += 0.5 * l2_lambda * out["l2"]
     if not want_grads:
         return objective, None
 
@@ -273,27 +287,96 @@ def _batch_pass(
     da = dh * mask if mask is not None else dh
     dpre = da * (1.0 - a * a)
     grads["b1"] = dpre.sum(axis=0)
-    for block, x in inputs.items():
-        grads[f"w1_{block}"] = np.matmul(dpre.T, x, out=scratch[f"w1_{block}"])
-        if block in batch.ids:
-            dx = scratch[f"dx_{block}"][:b]
-            np.matmul(dpre, p[f"w1_{block}"], out=dx.reshape(b, -1))
-            index = scratch[f"index_{block}"][:b]
-            grads[f"emb_{block}"] = row_sums(batch.ids[block], dx, len(p[f"emb_{block}"]), index)
-    if l2_lambda > 0.0:
-        for name, t in p.items():
-            grads[name] += np.multiply(l2_lambda, t, out=scratch["l2"][: t.size].reshape(t.shape))
+    # the costlier w1 products first, so the parts' last jobs are short
+    jobs = [
+        (f"w1_{block}", _w1_grad, l2_lambda, dpre, inputs[block], p[f"w1_{block}"],
+         scratch[f"w1_{block}"])
+        for block in blocks
+    ]
+    jobs += [
+        (f"emb_{block}", _emb_grad, l2_lambda, dpre, p[f"w1_{block}"], p[f"emb_{block}"], ids,
+         scratch[f"dx_{block}"][:b], scratch[f"index_{block}"][:b])
+        for block, ids in batch.ids.items()
+    ]
+    grads |= _run_jobs(jobs, scratch["l2"])
+    for name in ("w2", "b1"):
+        _add_l2(l2_lambda, grads[name], p[name], scratch["l2"][0])
     return objective, {name: grads[name] for name in p}
+
+
+def _run_jobs(jobs: list[tuple], rows: np.ndarray) -> dict:
+    """Run and empty `jobs`, (key, function, *args) tuples, and return each
+    one's result under its key.  The parts of `run_parts`, one per row of
+    `rows` but never more than jobs, each take the next job in list order
+    until none is left, so a part whose job ends early takes another; a job's
+    function is called with its part's row (its scratch for L2 terms) after
+    its `args`."""
+    out = {}
+    run_parts([partial(_take_jobs, jobs, out, row) for row in rows[: len(jobs)]])
+    return out
+
+
+# The job bodies of `_batch_pass`.  Threads other than the caller's run
+# them, so they call only numpy and `row_sums`, nothing a tracer may wrap.
+
+
+def _take_jobs(queue: list[tuple], out: dict, row: np.ndarray):
+    """One part of `_run_jobs`: take jobs off `queue` until it is empty."""
+    while True:
+        try:
+            key, function, *args = queue.pop(0)  # atomic: one job goes to one part
+        except IndexError:
+            return
+        out[key] = function(*args, row)
+
+
+def _block_product(x, w1, emb, ids, row) -> np.ndarray:
+    """x @ w1.T over x's rows, x first filled with the rows `ids` of `emb`
+    unless `emb` is None (mode "clip" gathers without a buffer;
+    `_check_examples` bounds the ids)."""
+    if emb is not None:
+        np.take(emb, ids, 0, x, "clip")
+    return x.reshape(len(x), -1) @ w1.T
+
+
+def _square_sum(tensors: list[np.ndarray], row) -> float:
+    """The sum of the tensors' squared entries, tensor by tensor in order."""
+    return sum(map(float, map(np.vdot, tensors, tensors)))
+
+
+def _w1_grad(l2_lambda, dpre, x, w1, grad, row) -> np.ndarray:
+    """dpre.T @ x into `grad`, the gradient of `w1`, plus its L2 term."""
+    np.matmul(dpre.T, x.reshape(len(x), -1), out=grad)
+    _add_l2(l2_lambda, grad, w1, row)
+    return grad
+
+
+def _emb_grad(l2_lambda, dpre, w1, emb, ids, dx, index, row) -> np.ndarray:
+    """The gradient of `emb` when its rows `ids` were gathered: dpre @ w1
+    into `dx`, summed by id (through `index`), plus its L2 term."""
+    np.matmul(dpre, w1, out=dx.reshape(len(dx), -1))
+    grad = row_sums(ids, dx, len(emb), index)
+    _add_l2(l2_lambda, grad, emb, row)
+    return grad
+
+
+def _add_l2(l2_lambda: float, grad: np.ndarray, t: np.ndarray, row: np.ndarray):
+    """Add l2_lambda * t to `grad`, t's gradient, forming the product in `row`."""
+    if l2_lambda > 0.0:
+        grad += np.multiply(l2_lambda, t, out=row[: t.size].reshape(t.shape))
 
 
 def _scratch(params: dict[str, np.ndarray], rows: int) -> dict[str, np.ndarray]:
     """The arrays `_batch_pass` writes into, held across `train`'s batches of
     up to `rows` examples, so that a batch allocates no w1-sized array and
-    none as large as its embedding gathers: one per w1 gradient, one as
-    large as the largest tensor (the L2 terms) and, per feature block, its
-    (rows x slots x d) gathers and their gradients and row-sum index."""
+    none as large as its embedding gathers: one per w1 gradient, per feature
+    block its (rows x slots x d) gathers and their gradients and row-sum
+    index, and "l2", one row as large as the largest tensor (for the L2
+    terms) per part of `_run_jobs`: one per CPU of `optim.cpu_count()`, but
+    never more than tensors, which bounds the jobs of a pass."""
     out = {name: np.empty_like(t) for name, t in params.items() if name.startswith("w1_")}
-    out["l2"] = np.empty(max(t.size for t in params.values()))
+    parts = min(optim.cpu_count(), len(params))
+    out["l2"] = np.empty((parts, max(t.size for t in params.values())))
     for name in params:
         if name.startswith("emb_"):
             block, (_, d) = name.removeprefix("emb_"), params[name].shape

@@ -1,15 +1,19 @@
-"""Math both networks share: Adagrad, log-softmaxes, padding, row sums, the finite-difference check.
+"""Math both networks share (Adagrad, log-softmaxes, padding, row sums, gradient check), and a thread pool.
 
 Adagrad update: acc += g*g; theta -= lr * g / (sqrt(acc) + 1e-8).  Parameters
 are updated in place, so the dict passed in must hold the live arrays.  The
 update walks every tensor in blocks of BLOCK elements, each block running the
 same element-wise operations in the same order as a whole-tensor update, so
 the result does not depend on the block size or on how many threads share the
-blocks: one part per CPU the process may run on, the calling thread running
-one and a process-wide thread pool the rest (numpy releases the interpreter
-lock inside each block's loops).  This is the only module that starts
-threads: the pool starts at the first update that is split, never at import,
-and a forked child starts its own.
+blocks.
+
+`run_parts` runs independent parts of work at once, one per CPU the process
+may run on: the calling thread runs one and a process-wide thread pool the
+rest (numpy releases the interpreter lock inside its loops and products).
+The pool serves the Adagrad update and the scorer's batch pass
+(`ffnn._batch_pass`).  This is the only module that starts threads: the pool
+starts at the first run that is split, never at import, and a forked child
+starts its own.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 
 import numpy as np
 
@@ -68,17 +73,35 @@ def _workers(count: int) -> ThreadPoolExecutor:
     if _pool is None or _pool[0] != pid or _pool[1] < count:
         if _pool is not None and _pool[0] == pid:
             _pool[2].shutdown(wait=False)
-        _pool = pid, count, ThreadPoolExecutor(count, thread_name_prefix="synlin-adagrad")
+        _pool = pid, count, ThreadPoolExecutor(count, thread_name_prefix="synlin-worker")
     return _pool[2]
+
+
+def run_parts(parts: list):
+    """Call every part, a function of no arguments, at the same time: the
+    calling thread the first and `_workers` the others.  An exception of a
+    part is raised here once every part has ended.  A part off the calling
+    thread must call only numpy and functions that do, never one a tracer
+    may wrap (perfbench's keeps one span stack)."""
+    first, *rest = parts
+    pending = []
+    if rest:
+        pool = _workers(len(rest))
+        pending = [pool.submit(part) for part in rest]
+    try:
+        first()
+    finally:
+        wait(pending)
+    for done in pending:
+        done.result()
 
 
 class Adagrad:
     """Updates in place, block by block, the blocks split into one part per
-    CPU of `cpu_count()` at construction, never more parts than blocks.  The
-    calling thread updates the first part and `_workers` the others, each
-    part through its own two scratch rows of up to BLOCK elements.  `step`
-    takes one gradient per tensor, of the tensor's shape; tensors must be
-    C-contiguous, as every model's are."""
+    CPU of `cpu_count()` at construction, never more parts than blocks.
+    `run_parts` runs the parts, each through its own two scratch rows of up
+    to BLOCK elements.  `step` takes one gradient per tensor, of the tensor's
+    shape; tensors must be C-contiguous, as every model's are."""
 
     def __init__(self, tensors: dict[str, np.ndarray], learning_rate: float):
         self.learning_rate = learning_rate
@@ -98,17 +121,7 @@ class Adagrad:
 
     def step(self, grads: dict[str, np.ndarray]):
         flat = {name: g.reshape(-1) for name, g in grads.items()}
-        (first, *rest), (rows, *more) = self._parts, self._scratch
-        pending = []
-        if rest:
-            pool = _workers(len(rest))
-            pending = [pool.submit(self._update, *job, flat) for job in zip(rest, more)]
-        try:
-            self._update(first, rows, flat)
-        finally:
-            wait(pending)
-        for done in pending:
-            done.result()
+        run_parts([partial(self._update, *job, flat) for job in zip(self._parts, self._scratch)])
 
     def _update(self, part, rows: np.ndarray, grads: dict[str, np.ndarray]):
         """Run the blocks of `part`.  Worker threads run this, so it calls

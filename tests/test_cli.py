@@ -1,5 +1,8 @@
 import argparse
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -474,3 +477,55 @@ class TestEvaluateInspectOracle:
         assert lines[1].startswith("  sentence 2: ")
         assert lines[2].startswith("error: data: sentence 3: gold action Pos-_ not feasible at ")
         assert len(lines) == 3
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(code, **blas):
+    """Run `code` in a fresh interpreter whose environment sets the BLAS
+    thread variables in `blas` and no others; its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env=env | blas,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestBlasThreads:
+    # The command pins BLAS to one thread before numpy loads, so a model file
+    # does not depend on the core count; an explicit setting wins.
+    READ = "import os, synlin.cli\nprint(*(os.environ[k] for k in {names}))\n"
+
+    def test_the_default_is_one_thread(self):
+        out = fresh_python(self.READ.format(names=BLAS_THREADS))
+        assert out.split() == ["1"] * 4
+
+    def test_an_explicit_value_is_kept(self):
+        out = fresh_python(self.READ.format(names=BLAS_THREADS), OPENBLAS_NUM_THREADS="2",
+                           OMP_NUM_THREADS="3")
+        assert out.split() == ["2", "3", "1", "1"]
+
+    def test_numpy_is_not_loaded_before_the_default(self):
+        code = "import sys, synlin\nprint('numpy' in sys.modules)\n"
+        assert fresh_python(code).split() == ["False"]
+
+    def test_train_writes_the_same_model_unset_and_at_one_thread(self, tmp_path):
+        # Default sizes: the scorer's products are then large enough that
+        # OpenBLAS would split them on a host with two or more cores.
+        corpus = tmp_path / "train.conll"
+        corpus.write_text(to_conll(toy_corpus(20, seed=21)))
+        train = (
+            "import sys\nfrom synlin.cli import main\n"
+            "sys.exit(main(['train', '--corpus', {corpus!r}, '--out', {out!r}, '--epochs', '1']))\n"
+        )
+        models = []
+        for name, blas in (("unset", {}), ("one", dict.fromkeys(BLAS_THREADS, "1"))):
+            out = tmp_path / f"{name}.slm"
+            fresh_python(train.format(corpus=str(corpus), out=str(out)), **blas)
+            models.append(read(out))
+        assert models[0] == models[1]

@@ -1,5 +1,6 @@
-"""The blocked, threaded Adagrad against the whole-tensor reference, and the
-life of its thread pool: creation, failures, fork and interpreter exit."""
+"""The blocked, threaded Adagrad against the whole-tensor reference, the
+scorer's shared batch pass against the one-thread reference, and the life of
+their thread pool: creation, failures, fork and interpreter exit."""
 
 import os
 import subprocess
@@ -7,11 +8,13 @@ import sys
 import textwrap
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference_batch
 import reference_optim
 from conftest import small_linearizer, small_lm
 from synlin import ffnn, lstm_lm, optim
@@ -168,6 +171,159 @@ def test_a_failing_worker_part_raises_in_the_caller(monkeypatch):
         opt.step({"a": np.ones(BLOCK), "b": np.ones(BLOCK)})
     # the caller's own part ran to its end before the failure surfaced
     assert (tensors["a"] < 1.0).all() and (tensors["b"] == 1.0).all()
+
+
+@pytest.fixture(scope="module")
+def scorers(idx, sentences):
+    """kind -> (model, its training examples) at the benchmark's sizes."""
+    lm = lstm_lm.init_lm(idx, lstm_lm.LmConfig())
+    out = {}
+    for kind in ("full", "light", "combined"):
+        model = ffnn.init_linearizer(idx, "light" if kind == "combined" else kind,
+                                     ffnn.TrainConfig(),
+                                     lm.config.hidden_size if kind == "combined" else None)
+        examples = ffnn.make_training_examples(sentences, model, lm if kind == "combined" else None)
+        out[kind] = model, examples
+    return out
+
+
+def copied(model, **config):
+    """`model` with copies of its parameters, trained by `TrainConfig(**config)`."""
+    params = {name: t.copy() for name, t in model.params.items()}
+    return replace(model, params=params, config=ffnn.TrainConfig(**config))
+
+
+def assert_same_pass(got, want):
+    assert got[0] == want[0]
+    assert list(got[1]) == list(want[1])
+    for name, grad in want[1].items():
+        assert got[1][name].tobytes() == grad.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["full", "light", "combined"])
+@pytest.mark.parametrize("l2_lambda", [0.0, 1e-8])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("size", [1, 32])
+def test_the_shared_batch_pass_matches_the_reference(kind, l2_lambda, dropout, size, scorers,
+                                                      monkeypatch):
+    model, examples = scorers[kind]
+    at = np.random.default_rng(size).permutation(len(examples))[:size]
+    want = reference_batch.batch_pass(model, examples, at, l2_lambda, dropout,
+                                      np.random.default_rng(4))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(optim, "cpu_count", lambda: cpus)
+        scratch = ffnn._scratch(model.params, 32)  # as `train` holds it
+        for held in (None, scratch, scratch):
+            got = ffnn._batch_pass(model, examples, at, l2_lambda, dropout,
+                                   np.random.default_rng(4), scratch=held)
+            assert_same_pass(got, want)
+        objective, none = ffnn._batch_pass(model, examples, at, l2_lambda, dropout,
+                                           np.random.default_rng(4), want_grads=False)
+        assert (objective, none) == (want[0], None)
+
+
+@pytest.mark.parametrize("kind", ["full", "light", "combined"])
+def test_training_bytes_do_not_depend_on_the_cpu_count(kind, scorers, monkeypatch):
+    model, examples = scorers[kind]
+    trained = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(optim, "cpu_count", lambda: cpus)
+        copy = copied(model, epochs=2, seed=8)
+        log = ffnn.train(copy, examples[:200])
+        trained.add((tuple(log), b"".join(t.tobytes() for t in copy.params.values())))
+    assert len(trained) == 1
+
+
+def test_one_cpu_trains_the_scorer_with_no_pool(scorers, monkeypatch):
+    monkeypatch.setattr(optim, "cpu_count", lambda: 1)
+    monkeypatch.setattr(optim, "_pool", None)
+    model, examples = scorers["full"]
+    ffnn.train(copied(model, epochs=1), examples[:64])
+    assert optim._pool is None
+
+
+def test_a_failing_block_job_raises_in_the_caller_after_the_other_jobs(scorers, monkeypatch):
+    # The caller's first job waits until a worker has taken one, which fails;
+    # the caller then runs every job left before the failure surfaces.
+    monkeypatch.setattr(optim, "cpu_count", lambda: 2)
+    model, examples = scorers["full"]
+    names = {id(t): name for name, t in model.params.items()}
+    taken, ran, failed = threading.Event(), [], []
+    w1_grad, emb_grad = ffnn._w1_grad, ffnn._emb_grad
+
+    def failing_w1_grad(l2_lambda, dpre, x, w1, grad, row):
+        if threading.current_thread() is threading.main_thread():
+            assert taken.wait(10), "no worker took a job"
+        elif not taken.is_set():
+            taken.set()
+            failed.append(names[id(w1)])
+            raise RuntimeError("block job failed")
+        w1_grad(l2_lambda, dpre, x, w1, grad, row)
+        ran.append(names[id(w1)])
+        return grad
+
+    def recorded_emb_grad(l2_lambda, dpre, w1, emb, *args):
+        grad = emb_grad(l2_lambda, dpre, w1, emb, *args)
+        ran.append(names[id(emb)])
+        return grad
+
+    monkeypatch.setattr(ffnn, "_w1_grad", failing_w1_grad)
+    monkeypatch.setattr(ffnn, "_emb_grad", recorded_emb_grad)
+    with pytest.raises(RuntimeError, match="block job failed"):
+        ffnn._batch_pass(model, examples, np.arange(32), 1e-8,
+                         scratch=ffnn._scratch(model.params, 32))
+    expected = {name for name in model.params if name.startswith(("w1_", "emb_"))}
+    assert len(failed) == 1 and sorted(ran) == sorted(expected - set(failed))
+
+
+def test_jobs_shared_by_more_parts_than_cpus_run_once_each(scorers, monkeypatch):
+    # As many parts as jobs share each pass's job list, with a switch
+    # interval of a microsecond: a job lost or run twice leaves a gradient
+    # missing or with its L2 term added twice.
+    monkeypatch.setattr(optim, "cpu_count", lambda: 8)
+    model, examples = scorers["full"]
+    scratch = ffnn._scratch(model.params, 32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(20):
+            at = np.random.default_rng(seed).permutation(len(examples))[:32]
+            want = reference_batch.batch_pass(model, examples, at, 1e-8)
+            assert_same_pass(ffnn._batch_pass(model, examples, at, 1e-8, scratch=scratch), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# What may run off the calling thread: the scorer's job bodies, Adagrad's
+# part and the row sums they call; every other function of synlin is one a
+# tracer with a single span stack may wrap.
+OFF_MAIN = {
+    ("ffnn.py", name)
+    for name in ("_take_jobs", "_block_product", "_square_sum", "_w1_grad", "_emb_grad", "_add_l2")
+} | {("optim.py", "row_sums"), ("optim.py", "_update")}
+
+
+def test_only_job_bodies_run_off_the_calling_thread(scorers, monkeypatch):
+    monkeypatch.setattr(optim, "cpu_count", lambda: 2)
+    monkeypatch.setattr(optim, "_pool", None)  # new threads start with the hook
+    package = Path(ffnn.__file__).parent
+    seen = set()
+
+    def hook(frame, event, arg):
+        path = Path(frame.f_code.co_filename)
+        if event == "call" and path.parent == package:
+            seen.add((path.name, frame.f_code.co_name))
+
+    model, examples = scorers["full"]
+    copy = copied(model, epochs=1)
+    threading.setprofile(hook)
+    try:
+        ffnn.train(copy, examples[:320])
+    finally:
+        threading.setprofile(None)
+        optim._pool[2].shutdown()
+    assert ("optim.py", "_update") in seen
+    assert seen <= OFF_MAIN, seen - OFF_MAIN
 
 
 def run_python(code, timeout=60):
