@@ -9,7 +9,7 @@ nonzero with a single "error: <code>: <message>" line on stderr.
 
 Importing this module sets the BLAS thread count to one unless the
 environment sets it: training already shares its work among the CPUs
-(`optim.run_parts`), BLAS threads would compete with it, and they round the
+(`optim.run_jobs`), BLAS threads would compete with it, and they round the
 products by the core count, so a model file would depend on the host.  The
 setting takes effect only before numpy is first imported, which holds for
 the `synlin` command; a library caller pins BLAS itself.
@@ -91,6 +91,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, subparser, argv) -> argp
                 raise ConfigError(f"config key {key!r}: bad value {value!r}") from None
         else:
             converted[action.dest] = value
+        if action.choices is not None and converted[action.dest] not in action.choices:
+            allowed = ", ".join(map(str, action.choices))
+            raise ConfigError(f"config key {key!r}: expected one of {allowed}, got {value!r}")
     subparser.set_defaults(**converted)
     return parser.parse_args(argv)
 

@@ -16,7 +16,6 @@ with hand-written gradients, checked against central finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -24,8 +23,7 @@ from synlin import optim
 from synlin.corpus import DepSentence, Indexers, derive_oracle
 from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.features import FEATURE_BLOCKS, Lookup, extract, extract_light, lookup
-from synlin.optim import Adagrad, check_rates, max_grad_error, row_sums, run_parts
-from synlin.optim import masked_log_softmax, pad_rows
+from synlin.optim import Adagrad, masked_log_softmax, max_grad_error, pad_rows, row_sums
 from synlin.transition import FULL, SHIFT, Action, ActionSpace
 
 INIT_SCALE = 0.01
@@ -43,17 +41,11 @@ class TrainConfig:
     hidden_dim: int = 200
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        optim.check_training(self)
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ConfigError("embedding and hidden dimensions must be positive")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        check_rates(self.learning_rate, self.l2_lambda)
 
 
 @dataclass
@@ -238,8 +230,8 @@ def _batch_pass(
 
     The work of each feature block (its gather and product forward, its w1
     and its embedding gradient backward, each with its L2 term) and the L2
-    objective are jobs that `_run_jobs` shares among the CPUs the process may
-    use (`taskset` restricts them).  A job makes the numpy calls one thread
+    objective are jobs that `optim.run_jobs` shares among the CPUs the process
+    may use (`taskset` restricts them).  A job makes the numpy calls one thread
     would, and the caller sums the products in block order, so the CPU count
     never changes a result or a model file."""
     p = model.params
@@ -259,7 +251,7 @@ def _batch_pass(
     ]
     if l2_lambda > 0.0:
         jobs.append(("l2", _square_sum, list(p.values())))
-    out = _run_jobs(jobs, scratch["l2"])
+    out = optim.run_jobs(jobs, scratch["l2"])
     first, *rest = (out[block] for block in blocks)
     a = np.tanh(sum(rest, first) + p["b1"])
     if dropout > 0.0:
@@ -298,36 +290,14 @@ def _batch_pass(
          scratch[f"dx_{block}"][:b], scratch[f"index_{block}"][:b])
         for block, ids in batch.ids.items()
     ]
-    grads |= _run_jobs(jobs, scratch["l2"])
+    grads |= optim.run_jobs(jobs, scratch["l2"])
     for name in ("w2", "b1"):
         _add_l2(l2_lambda, grads[name], p[name], scratch["l2"][0])
     return objective, {name: grads[name] for name in p}
 
 
-def _run_jobs(jobs: list[tuple], rows: np.ndarray) -> dict:
-    """Run and empty `jobs`, (key, function, *args) tuples, and return each
-    one's result under its key.  The parts of `run_parts`, one per row of
-    `rows` but never more than jobs, each take the next job in list order
-    until none is left, so a part whose job ends early takes another; a job's
-    function is called with its part's row (its scratch for L2 terms) after
-    its `args`."""
-    out = {}
-    run_parts([partial(_take_jobs, jobs, out, row) for row in rows[: len(jobs)]])
-    return out
-
-
 # The job bodies of `_batch_pass`.  Threads other than the caller's run
 # them, so they call only numpy and `row_sums`, nothing a tracer may wrap.
-
-
-def _take_jobs(queue: list[tuple], out: dict, row: np.ndarray):
-    """One part of `_run_jobs`: take jobs off `queue` until it is empty."""
-    while True:
-        try:
-            key, function, *args = queue.pop(0)  # atomic: one job goes to one part
-        except IndexError:
-            return
-        out[key] = function(*args, row)
 
 
 def _block_product(x, w1, emb, ids, row) -> np.ndarray:
@@ -372,7 +342,7 @@ def _scratch(params: dict[str, np.ndarray], rows: int) -> dict[str, np.ndarray]:
     none as large as its embedding gathers: one per w1 gradient, per feature
     block its (rows x slots x d) gathers and their gradients and row-sum
     index, and "l2", one row as large as the largest tensor (for the L2
-    terms) per part of `_run_jobs`: one per CPU of `optim.cpu_count()`, but
+    terms) per part of `optim.run_jobs`: one per CPU of `optim.cpu_count()`, but
     never more than tensors, which bounds the jobs of a pass."""
     out = {name: np.empty_like(t) for name, t in params.items() if name.startswith("w1_")}
     parts = min(optim.cpu_count(), len(params))

@@ -31,7 +31,7 @@ import numpy as np
 
 from synlin.corpus import DepSentence, Indexers
 from synlin.errors import ConfigError, DataError, TrainingError
-from synlin.optim import Adagrad, check_rates, log_softmax, log_sum_exp, max_grad_error, row_sums
+from synlin.optim import Adagrad, check_training, log_softmax, log_sum_exp, max_grad_error, row_sums
 
 START_SYMBOL = "<s>"
 EOS_SYMBOL = "</s>"
@@ -50,15 +50,9 @@ class LmConfig:
     gate_bias: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_training(self)
         if self.num_layers < 1 or self.hidden_size < 1:
             raise ConfigError("num_layers and hidden_size must be positive")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        check_rates(self.learning_rate, self.l2_lambda)
 
 
 # A batch of LM states: per layer (h, c), each (k x n) with one row per sequence.

@@ -7,13 +7,14 @@ same element-wise operations in the same order as a whole-tensor update, so
 the result does not depend on the block size or on how many threads share the
 blocks.
 
-`run_parts` runs independent parts of work at once, one per CPU the process
-may run on: the calling thread runs one and a process-wide thread pool the
-rest (numpy releases the interpreter lock inside its loops and products).
-The pool serves the Adagrad update and the scorer's batch pass
+`run_jobs` shares a list of jobs among parts that run at once, one per CPU
+the process may run on: the calling thread runs one part and a process-wide
+thread pool the rest (numpy releases the interpreter lock inside its loops
+and products).  Its callers are the Adagrad update, whose jobs are its
+blocks dealt round-robin into one part per CPU, and the scorer's batch pass
 (`ffnn._batch_pass`).  This is the only module that starts threads: the pool
-starts at the first run that is split, never at import, and a forked child
-starts its own.
+starts at the first run with more than one part, never at import, and a
+forked child starts its own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import partial
 
 import numpy as np
 
@@ -33,9 +33,17 @@ from synlin.errors import ConfigError
 BLOCK = 65_536
 
 
-def check_rates(learning_rate: float, l2_lambda: float):
-    """Raise ConfigError unless both are finite and >= 0 (a zero rate trains nothing)."""
-    for name, value in (("learning_rate", learning_rate), ("l2_lambda", l2_lambda)):
+def check_training(config):
+    """Raise ConfigError unless `config`'s dropout is in [0, 1), its epochs
+    and seed are >= 0, and its learning_rate and l2_lambda are finite and
+    >= 0 (a zero rate trains nothing)."""
+    if not 0.0 <= config.dropout < 1.0:
+        raise ConfigError(f"dropout must be in [0, 1), got {config.dropout}")
+    for name in ("epochs", "seed"):
+        if getattr(config, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(config, name)}")
+    for name in ("learning_rate", "l2_lambda"):
+        value = getattr(config, name)
         if not (math.isfinite(value) and value >= 0.0):
             raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
@@ -46,19 +54,6 @@ def cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def split(sizes: list[int], parts: int) -> list[int]:
-    """Cut points (0 first, len(sizes) last) of `sizes` into `parts`
-    contiguous runs of about equal sum, none empty; `parts` <= len(sizes)."""
-    ends = np.cumsum(sizes)
-    cuts = [0]
-    for k in range(1, parts):
-        target = ends[-1] * k / parts
-        at = int(np.searchsorted(ends, target))  # first run ending at or past target
-        cut = at if at > 0 and target - ends[at - 1] < ends[at] - target else at + 1
-        cuts.append(min(max(cut, cuts[-1] + 1), len(sizes) - (parts - k)))
-    return [*cuts, len(sizes)]
 
 
 # The worker threads of this process: (pid, thread count, pool).  A forked
@@ -77,30 +72,46 @@ def _workers(count: int) -> ThreadPoolExecutor:
     return _pool[2]
 
 
-def run_parts(parts: list):
-    """Call every part, a function of no arguments, at the same time: the
-    calling thread the first and `_workers` the others.  An exception of a
-    part is raised here once every part has ended.  A part off the calling
-    thread must call only numpy and functions that do, never one a tracer
-    may wrap (perfbench's keeps one span stack)."""
-    first, *rest = parts
+def run_jobs(jobs: list[tuple], rows: np.ndarray) -> dict:
+    """Run and empty `jobs`, a non-empty list of (key, function, *args)
+    tuples, and return each one's result under its key.  Each part, one per
+    row of `rows` but never more than jobs, takes the next job until none is
+    left and calls its function with `args` and then the part's row (its
+    scratch): the calling thread runs the first part and `_workers` the
+    others.  A job's exception is raised here once every part has ended.  A
+    job off the calling thread must call only numpy and functions that do,
+    never one a tracer may wrap (perfbench's keeps one span stack)."""
+    out = {}
+    first, *rest = rows[: len(jobs)]
     pending = []
     if rest:
         pool = _workers(len(rest))
-        pending = [pool.submit(part) for part in rest]
+        pending = [pool.submit(_take_jobs, jobs, out, row) for row in rest]
     try:
-        first()
+        _take_jobs(jobs, out, first)
     finally:
         wait(pending)
     for done in pending:
         done.result()
+    return out
+
+
+def _take_jobs(queue: list[tuple], out: dict, row: np.ndarray):
+    """One part of `run_jobs`: take jobs off `queue` until it is empty."""
+    while True:
+        try:
+            key, function, *args = queue.pop(0)  # atomic: one job goes to one part
+        except IndexError:
+            return
+        out[key] = function(*args, row)
 
 
 class Adagrad:
-    """Updates in place, block by block, the blocks split into one part per
-    CPU of `cpu_count()` at construction, never more parts than blocks.
-    `run_parts` runs the parts, each through its own two scratch rows of up
-    to BLOCK elements.  `step` takes one gradient per tensor, of the tensor's
+    """Updates in place, block by block, the blocks dealt round-robin at
+    construction into one part per CPU of `cpu_count()`, never more parts
+    than blocks: part k holds blocks k, k + parts, ...  Each step hands the
+    parts to `run_jobs` as jobs, each with its own two scratch rows of up to
+    BLOCK elements.  `step` takes one gradient per tensor, of the tensor's
     shape; tensors must be C-contiguous, as every model's are."""
 
     def __init__(self, tensors: dict[str, np.ndarray], learning_rate: float):
@@ -114,16 +125,17 @@ class Adagrad:
             for lo in range(0, t.size, BLOCK):
                 hi = min(lo + BLOCK, t.size)
                 blocks.append((name, lo, hi, param[lo:hi], acc[lo:hi]))
-        cuts = split([hi - lo for _, lo, hi, _, _ in blocks], min(cpu_count(), len(blocks)))
-        self._parts = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        parts = max(1, min(cpu_count(), len(blocks)))
+        self._parts = [blocks[k::parts] for k in range(parts)]
         width = max((hi - lo for _, lo, hi, _, _ in blocks), default=0)
-        self._scratch = [np.empty((2, width)) for _ in self._parts]
+        self._scratch = np.empty((parts, 2, width))
 
     def step(self, grads: dict[str, np.ndarray]):
         flat = {name: g.reshape(-1) for name, g in grads.items()}
-        run_parts([partial(self._update, *job, flat) for job in zip(self._parts, self._scratch)])
+        run_jobs([(k, self._update, part, flat) for k, part in enumerate(self._parts)],
+                 self._scratch)
 
-    def _update(self, part, rows: np.ndarray, grads: dict[str, np.ndarray]):
+    def _update(self, part, grads: dict[str, np.ndarray], rows: np.ndarray):
         """Run the blocks of `part`.  Worker threads run this, so it calls
         only numpy, nothing a tracer (which keeps one span stack) may wrap."""
         lr = self.learning_rate

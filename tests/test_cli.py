@@ -281,6 +281,29 @@ class TestTraining:
         assert code == 1
         assert "error: config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("train", "variant"), ("oracle-check", "variant"), ("decode", "mode"),
+         ("decode", "input_format"), ("evaluate", "refs_format")],
+    )
+    def test_a_config_value_outside_the_choices_is_rejected(
+        self, command, key, data_dir, models_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}=bogus\n")
+        conll, out = str(data_dir / "dev.conll"), tmp_path / "out.txt"
+        files = {
+            "train": ["--corpus", conll, "--out", str(out), *FAST_TRAIN],
+            "oracle-check": ["--corpus", conll],
+            "decode": ["--model", str(models_dir / "syn.slm"), "--input", conll,
+                       "--output", str(out)],
+            "evaluate": ["--refs", conll, "--hyps", conll],
+        }[command]
+        assert main([command, *files, "--config", str(cfg)]) == 1
+        message = assert_one_error(capsys, "config").err
+        assert f"config key '{key}': expected one of " in message and "'bogus'" in message
+        assert not out.exists()
+
 
 class TestDecode:
     def test_all_modes_produce_records(self, data_dir, models_dir, tmp_path, capsys):

@@ -19,7 +19,7 @@ import reference_optim
 from conftest import small_linearizer, small_lm
 from synlin import ffnn, lstm_lm, optim
 from synlin.corpus import build_indexers
-from synlin.optim import BLOCK, Adagrad, split
+from synlin.optim import BLOCK, Adagrad
 from synlin.synth import toy_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -114,30 +114,13 @@ def test_training_matches_the_reference_optimizer(cpus, idx, sentences, monkeypa
         assert trained(module, Adagrad) == trained(module, reference_optim.Adagrad)
 
 
-@pytest.mark.parametrize(
-    "sizes, parts, cuts",
-    [
-        ([5], 1, [0, 1]),
-        ([1, 1, 1, 1], 2, [0, 2, 4]),
-        ([1, 1, 1, 1], 4, [0, 1, 2, 3, 4]),
-        ([10, 1, 1, 1], 2, [0, 1, 4]),
-        ([1, 1, 1, 10], 2, [0, 3, 4]),
-        ([1, 1, 1, 10], 3, [0, 2, 3, 4]),
-        ([4, 4, 4], 2, [0, 2, 3]),
-    ],
-)
-def test_split_cuts_contiguous_parts_of_about_equal_size(sizes, parts, cuts):
-    assert split(sizes, parts) == cuts
-
-
-def test_split_never_leaves_a_part_empty():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        sizes = rng.integers(1, 100, rng.integers(1, 12)).tolist()
-        parts = int(rng.integers(1, len(sizes) + 1))
-        cuts = split(sizes, parts)
-        assert len(cuts) == parts + 1 and cuts[0] == 0 and cuts[-1] == len(sizes)
-        assert all(lo < hi for lo, hi in zip(cuts, cuts[1:]))
+def test_the_parts_deal_the_blocks_round_robin(monkeypatch):
+    monkeypatch.setattr(optim, "cpu_count", lambda: 3)
+    tensors = {"a": np.zeros(2 * BLOCK), "b": np.zeros(BLOCK + 1), "c": np.zeros(5)}
+    parts = Adagrad(tensors, 0.1)._parts
+    assert [[(name, lo) for name, lo, *_ in part] for part in parts] == [
+        [("a", 0), ("b", BLOCK)], [("a", BLOCK), ("c", 0)], [("b", 0)]
+    ]
 
 
 def test_a_tensor_that_is_not_contiguous_is_refused():
@@ -155,13 +138,19 @@ def test_one_cpu_creates_no_pool(monkeypatch):
 
 
 def test_a_failing_worker_part_raises_in_the_caller(monkeypatch):
+    # The caller's part waits until a worker has taken the other, which
+    # fails; the caller's part runs to its end before the failure surfaces.
     monkeypatch.setattr(optim, "cpu_count", lambda: 2)
     update = Adagrad._update
+    taken, ran = threading.Event(), []
 
-    def worker_fails(self, part, rows, grads):
+    def worker_fails(self, part, grads, rows):
         if threading.current_thread() is not threading.main_thread():
+            taken.set()
             raise RuntimeError("worker part failed")
-        return update(self, part, rows, grads)
+        assert taken.wait(10), "no worker took a part"
+        update(self, part, grads, rows)
+        ran.extend(name for name, *_ in part)
 
     monkeypatch.setattr(Adagrad, "_update", worker_fails)
     tensors = {"a": np.ones(BLOCK), "b": np.ones(BLOCK)}
@@ -169,8 +158,8 @@ def test_a_failing_worker_part_raises_in_the_caller(monkeypatch):
     assert len(opt._parts) == 2
     with pytest.raises(RuntimeError, match="worker part failed"):
         opt.step({"a": np.ones(BLOCK), "b": np.ones(BLOCK)})
-    # the caller's own part ran to its end before the failure surfaced
-    assert (tensors["a"] < 1.0).all() and (tensors["b"] == 1.0).all()
+    assert len(ran) == 1
+    assert all((t < 1.0).all() if name in ran else (t == 1.0).all() for name, t in tensors.items())
 
 
 @pytest.fixture(scope="module")
@@ -299,8 +288,8 @@ def test_jobs_shared_by_more_parts_than_cpus_run_once_each(scorers, monkeypatch)
 # tracer with a single span stack may wrap.
 OFF_MAIN = {
     ("ffnn.py", name)
-    for name in ("_take_jobs", "_block_product", "_square_sum", "_w1_grad", "_emb_grad", "_add_l2")
-} | {("optim.py", "row_sums"), ("optim.py", "_update")}
+    for name in ("_block_product", "_square_sum", "_w1_grad", "_emb_grad", "_add_l2")
+} | {("optim.py", name) for name in ("_take_jobs", "row_sums", "_update")}
 
 
 def test_only_job_bodies_run_off_the_calling_thread(scorers, monkeypatch):
