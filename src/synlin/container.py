@@ -53,12 +53,19 @@ def _indexers_payload(indexers: Indexers) -> dict:
 
 
 def _indexers_from_payload(payload: dict) -> Indexers:
-    return Indexers(
-        words=tuple(payload["words"]),
-        pos_tags=tuple(payload["pos_tags"]),
-        labels=tuple(payload["labels"]),
-        counts=dict(payload.get("counts", {})),
-    )
+    """The indexers of a header section: a TypeError unless each table is a
+    list of strings and `counts`, if given, an object of string ->
+    non-negative int."""
+    tables = {key: payload[key] for key in ("words", "pos_tags", "labels")}
+    for key, table in tables.items():
+        if type(table) is not list or not all(type(entry) is str for entry in table):
+            raise TypeError(f"{key} is not a list of strings")
+    counts = payload.get("counts", {})
+    if type(counts) is not dict or not all(
+        type(k) is str and type(v) is int and v >= 0 for k, v in counts.items()
+    ):
+        raise TypeError("counts is not an object of string -> non-negative int")
+    return Indexers(**{key: tuple(table) for key, table in tables.items()}, counts=dict(counts))
 
 
 def save(container: ModelContainer, path: str):

@@ -23,10 +23,11 @@ each action's scorer row (`ffnn.code_rows`: OOV shifts share the UNK row)
 and LM word id.  A step's candidates are one (items x widest) score array,
 each item's columns in legal order.  Beam histories are distinct and of equal
 length, so one `np.lexsort` of (-score, parent's history rank, code) keeps the
-best.  A decode's LM states are rows of one table (`LmRows`), one per
-derivation node whose state was read: an item holds a row index, and a kept
-Shift holds its parent's row and its word until something reads its state,
-so a Shift pruned before then is never stepped.
+best.  A one-item beam takes no sort: its kept candidate is its first best
+one, and a lone kept item has rank 0.  A decode's LM states are rows of one
+table (`LmRows`), one per derivation node whose state was read: an item holds
+a row index, and a kept Shift holds its parent's row and its word until
+something reads its state, so a Shift pruned before then is never stepped.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ MODES = (MODE_SYN, MODE_LSTM, MODE_JOINT, MODE_FEATURE)
 # Hard input-size bounds for full enumeration.
 EXHAUSTIVE_MAX_TREE = 6
 EXHAUSTIVE_MAX_LSTM = 8
+
+# The history ranks of a one-item beam, held and read-only.
+_FIRST = np.zeros(1, dtype=np.int64)
+_FIRST.flags.writeable = False
 
 # The widest beam a config accepts: a step's scorer gathers one (items x
 # slots x hidden) temporary, about 98 MB at this width with the default sizes.
@@ -245,13 +250,14 @@ def step_scores(beam: Beam, models: Models, config: DecodeConfig) -> Candidates:
         if not feasible:
             raise DataError(f"no legal actions at {state.summary()}")
     codes, valid = pad_rows(feasibles)
-    every = np.arange(len(beam.states))
     if mode == MODE_LSTM:
-        top = _lm_top(beam, every, models)
+        top = _lm_top(beam, np.arange(len(beam.states)), models)
         increments = next_word_logprobs(models.lm, top, beam.lm_ids[codes], valid)
     else:
         lin = models.linearizer
-        lm_feats = _lm_top(beam, every, models) if mode == MODE_FEATURE else None
+        lm_feats = None
+        if mode == MODE_FEATURE:
+            lm_feats = _lm_top(beam, np.arange(len(beam.states)), models)
         features = lin.extract_features(beam.states, beam.ids)
         increments = forward(lin, features, beam.rows[codes], valid, lm_feats, beam.tables)
         if mode == MODE_JOINT:
@@ -281,7 +287,7 @@ def _joint(models: Models, beam: Beam, codes, valid, base: np.ndarray, config: D
     shift = valid & (codes < len(beam.states[0].space.forms))
     shifting = np.flatnonzero(shift[:, 0])
     if len(shifting):
-        width = shift.sum(axis=1).max()
+        width = np.maximum.reduce(np.add.reduce(shift, axis=1))
         shift = shift[shifting, :width]
         ids = beam.lm_ids[codes[shifting, :width]]
         lm_logp = next_word_logprobs(models.lm, _lm_top(beam, shifting, models), ids, shift)
@@ -316,8 +322,11 @@ def _advance_all(beam: Beam, candidates: Candidates, kept: np.ndarray) -> Beam:
     parents = kept // candidates.codes.shape[1]
     codes = candidates.codes.ravel()[kept]
     states = [_advance(beam.states[k], c) for k, c in zip(parents.tolist(), codes.tolist())]
-    ranks = np.empty(len(kept), dtype=np.int64)
-    ranks[np.lexsort((codes, beam.ranks[parents]))] = np.arange(len(kept))
+    if len(kept) == 1:
+        ranks = _FIRST
+    else:
+        ranks = np.empty(len(kept), dtype=np.int64)
+        ranks[np.lexsort((codes, beam.ranks[parents]))] = np.arange(len(kept))
     lm_rows = lm_shifts = None
     if beam.lm is not None:
         lm_rows = beam.lm_rows[parents]
@@ -374,8 +383,8 @@ def _start(state: State, models: Models, config: DecodeConfig) -> Beam:
         layers = [(_resized(h, 1 + n), _resized(c, 1 + n)) for h, c in models.lm_start]
         lm_table = LmRows(layers, 1, input_rows(models.lm_weights, lm_ids[:n]))
         lm_rows, lm_shifts = np.zeros(1, dtype=np.int64), np.full(1, -1)
-    scores, ranks = np.zeros(1), np.zeros(1, dtype=np.int64)
-    return Beam([state], scores, ranks, tables, ids, rows, lm_ids, lm_table, lm_rows, lm_shifts)
+    scores = np.zeros(1)
+    return Beam([state], scores, _FIRST, tables, ids, rows, lm_ids, lm_table, lm_rows, lm_shifts)
 
 
 def _root(bag: WordBag, models: Models, config: DecodeConfig) -> Beam:

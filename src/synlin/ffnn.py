@@ -362,6 +362,17 @@ def _scratch(params: dict[str, np.ndarray], rows: int) -> dict[str, np.ndarray]:
 SlotTables = dict[str, tuple[np.ndarray, np.ndarray]]
 
 
+# 0, 1, ... as one held, read-only vector: a decode step's gathers take their
+# index vectors as views of it (`_index`), so a step builds none.  8 KB.
+_INDEX = np.arange(1024)
+_INDEX.flags.writeable = False
+
+
+def _index(k: int) -> np.ndarray:
+    """The vector 0..k-1: a view of `_INDEX` when that is long enough."""
+    return _INDEX[:k] if k <= len(_INDEX) else np.arange(k)
+
+
 def slot_tables(model: Linearizer, word_ids, blocks) -> SlotTables:
     """The tables of the feature blocks `blocks`.  The word block's covers
     `word_ids` and padding, so a decode builds it per bag; the others cover
@@ -408,7 +419,7 @@ def forward(
     pre = 0.0
     for block, columns in features.items():
         table = tables[block][1]
-        pre = pre + table[np.arange(len(table)), columns].sum(axis=1)
+        pre = pre + np.add.reduce(table[_index(len(table)), columns], axis=1)
     if lm_feats is not None:
         pre += lm_feats @ p["w1_lm"].T
     return _output_layer(model, np.tanh(pre + p["b1"]), rows, valid)
@@ -418,7 +429,7 @@ def _output_layer(model: Linearizer, h: np.ndarray, rows: np.ndarray, valid: np.
     """Log-probabilities of the output rows `rows[i][valid[i]]` of each hidden
     vector `h[i]`, padded with -inf: what decoding and training both score."""
     logits = h @ model.params["w2"].T
-    return masked_log_softmax(logits[np.arange(len(rows))[:, None], rows], valid)
+    return masked_log_softmax(logits[_index(len(rows))[:, None], rows], valid)
 
 
 def _check_examples(model: Linearizer, examples: TrainingExamples):

@@ -204,7 +204,9 @@ def lm_step(weights: StepWeights, states: LmStates, inputs: np.ndarray) -> LmSta
 
     All rows advance together: layer 0 adds one (k x n) @ (n x 4n) recurrent
     product to its input rows, each layer above takes one (k x 2n) @ (2n x 4n)
-    product, and every layer runs `_gates`.
+    product, and every layer runs `_gates`.  A row's new state can differ in
+    its last bits with the rows stepped beside it: BLAS blocks a product by
+    its row count, and one row is a matrix-vector product.
     """
     (h_prev, c_prev), *above = states
     h, c, _ = _gates(inputs + h_prev @ weights.rec0, c_prev)
@@ -234,12 +236,16 @@ def next_word_logprobs(model: LanguageModel, top: np.ndarray, ids, valid) -> np.
     count as an outcome, which is what decoding over distinct surface forms
     wants when several map to the unknown word.
 
-    A state's scores do not depend on its row or on the order of its set: each
-    logit is one `einsum` sum of products over the layer width (a batched
-    matrix product may round a row by its position), and the normalizer sums
-    the sorted logits.  So states equal bit for bit score an equal word
-    equally, and derivations that differ only in which out-of-vocabulary
+    Within one call, a state's scores do not depend on its row or on the
+    order of its set: each logit is one `einsum` sum of products over the
+    layer width (a batched matrix product may round a row by its position),
+    and the normalizer sums the sorted logits of a row padded to the call's
+    widest set.  So states equal bit for bit score an equal word equally in
+    one call, and derivations that differ only in which out-of-vocabulary
     form they shifted tie exactly, which the action history then breaks.
+    Across calls this does not hold: the -inf pads sort first, and numpy's
+    pairwise sum rounds by the row's length, so a normalizer can move in its
+    last bits with the widest set of the call it is in.
     """
     if len(top) != len(ids):
         raise DataError(f"{len(top)} LM states for {len(ids)} allowed sets")

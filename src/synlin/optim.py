@@ -12,16 +12,22 @@ the process may run on: the calling thread runs one part and a process-wide
 thread pool the rest (numpy releases the interpreter lock inside its loops
 and products).  Its callers are the Adagrad update, whose jobs are its
 blocks dealt round-robin into one part per CPU, and the scorer's batch pass
-(`ffnn._batch_pass`).  This is the only module that starts threads: the pool
+(`ffnn._batch_pass`).  When BLAS runs its products on more than one thread
+(`blas_threads`), its threads already use the CPUs, and every part runs on
+the calling thread.  This is the only module that starts threads: the pool
 starts at the first run with more than one part, never at import, and a
 forked child starts its own.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 
 import numpy as np
 
@@ -56,6 +62,29 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _openblas_thread_count():
+    """The thread-count call of the OpenBLAS that numpy bundles, or None when
+    numpy links another BLAS or that library does not export it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
+        try:
+            call = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        call.restype, call.argtypes = ctypes.c_int, []
+        return call
+    return None
+
+
+def blas_threads() -> int:
+    """The threads the bundled OpenBLAS runs a product on, as it is set now
+    (1 when it cannot be read).  Only read, never set: the caller's BLAS
+    setting is the caller's."""
+    call = _openblas_thread_count()
+    return 1 if call is None else call()
+
+
 # The worker threads of this process: (pid, thread count, pool).  A forked
 # child inherits the object but not its threads, so it builds its own.
 _pool: tuple[int, int, ThreadPoolExecutor] | None = None
@@ -78,13 +107,15 @@ def run_jobs(jobs: list[tuple], rows: np.ndarray) -> dict:
     row of `rows` but never more than jobs, takes the next job until none is
     left and calls its function with `args` and then the part's row (its
     scratch): the calling thread runs the first part and `_workers` the
-    others.  A job's exception is raised here once every part has ended.  A
-    job off the calling thread must call only numpy and functions that do,
-    never one a tracer may wrap (perfbench's keeps one span stack)."""
+    others, unless BLAS runs on more than one thread (`blas_threads`): then
+    the calling thread's part takes every job.  A job's exception is raised
+    here once every part has ended.  A job off the calling thread must call
+    only numpy and functions that do, never one a tracer may wrap
+    (perfbench's keeps one span stack)."""
     out = {}
     first, *rest = rows[: len(jobs)]
     pending = []
-    if rest:
+    if rest and blas_threads() == 1:
         pool = _workers(len(rest))
         pending = [pool.submit(_take_jobs, jobs, out, row) for row in rest]
     try:
@@ -155,9 +186,10 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def log_sum_exp(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) along the last axis, kept as a length-1 axis."""
-    m = x.max(axis=-1, keepdims=True)
-    return m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True))
+    """log(sum(exp(x))) along the last axis, kept as a length-1 axis.  The
+    reductions are the ufuncs' own, which `ndarray.max` and `np.sum` wrap."""
+    m = np.maximum.reduce(x, axis=-1, keepdims=True)
+    return m + np.log(np.add.reduce(np.exp(x - m), axis=-1, keepdims=True))
 
 
 def masked_log_softmax(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -167,11 +199,17 @@ def masked_log_softmax(logits: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def pad_rows(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """Integer sequences as one zero-padded (n x longest) array, and the mask of real entries."""
-    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    """A sequence of integer sequences as one zero-padded (n x longest)
+    array, and the mask of real entries.  One sequence is a one-row array with
+    nothing to pad; more are filled from one `np.fromiter` over their
+    entries, in row order."""
+    if len(seqs) == 1:
+        padded = np.array(seqs, dtype=np.int64)
+        return padded, np.ones(padded.shape, dtype=bool)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
     padded = np.zeros(valid.shape, dtype=np.int64)
-    padded[valid] = [x for seq in seqs for x in seq]
+    padded[valid] = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.int64)
     return padded, valid
 
 

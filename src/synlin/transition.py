@@ -20,6 +20,7 @@ scorer reads as one flat int tuple, which `apply` builds (`StackItem`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -102,14 +103,17 @@ _RIGHT_ARC = itemgetter(20, 21, 22, 0, 23, 25, 3, 27, 28, 29, 7, 30, 32, 10, 34,
 class ActionSpace:
     """The actions of every derivation from one initial state, by code.
 
-    Code c is `actions[c]`, in canonical order (`codes` inverts it): Shifts
-    first, code k shifting `forms[k]`, then contiguous Pos, LArc and RArc
-    blocks (`pos_codes`, `arc_codes`) in the order of the tags and labels
-    given, strictly increasing in the full variant (the light variant ignores
-    them), then End.  Bit i of a state's `left` mask is `tokens[i]`, the bag
-    sorted by (form, tid).  `pos_tags` and `arc_labels` are the inventories
-    (empty in the light variant); `arg_ids[c]` is code c's tag or label entry
-    in a feature group, and `leaves[i]` the item a Shift of `tokens[i]` pushes.
+    Code c is `actions[c]`, in canonical order (`codes`, built on first use,
+    inverts it): Shifts first, code k shifting `forms[k]`, then contiguous
+    Pos, LArc and RArc blocks (`pos_codes`, `arc_codes`) in the order of the
+    tags and labels given, strictly increasing in the full variant (the light
+    variant ignores them), then End.  Bit i of a state's `left` mask is
+    `tokens[i]`, the bag sorted by (form, tid).  `pos_tags` and `arc_labels`
+    are the inventories (empty in the light variant); `arg_ids[c]` is code
+    c's tag or label entry in a feature group, and `leaves[i]` the item a
+    Shift of `tokens[i]` pushes.  The half that depends only on the variant
+    and the inventories is built once per (variant, tags, labels) and shared
+    by every space over them (`_inventory`).
     """
 
     def __init__(self, tokens, variant: str, pos_tags: tuple, arc_labels: tuple):
@@ -120,27 +124,44 @@ class ActionSpace:
             bits[tok.form] = bits.get(tok.form, 0) | 1 << i
         self.forms, self.form_bits = tuple(bits), tuple(bits.values())
         if variant != FULL:
-            pos_tags, arc_labels = (), (None,)
-        for kind, names in (("POS tag", pos_tags), ("arc label", arc_labels)):
-            bad = next(((a, b) for a, b in zip(names, names[1:]) if a >= b), None)
-            if bad:
-                raise StateError(f"{kind}s not strictly increasing: {bad[0]!r} before {bad[1]!r}")
-        self.pos_tags, self.arc_labels = pos_tags, arc_labels if variant == FULL else ()
-        self.actions = (
-            *(Action(SHIFT, form) for form in self.forms),
-            *(Action(POS, tag) for tag in pos_tags),
-            *(Action(kind, label) for kind in (LEFT_ARC, RIGHT_ARC) for label in arc_labels),
-            Action(END),
+            pos_tags, arc_labels = (), ()
+        self.pos_tags, self.arc_labels, others, arg_ids = _inventory(
+            variant, tuple(pos_tags), tuple(arc_labels)
         )
+        n = len(bits)
+        self.actions = (*(Action(SHIFT, form) for form in self.forms), *others)
         self.end_code = len(self.actions) - 1
-        self.pos_codes = tuple(range(len(bits), len(bits) + len(pos_tags)))
-        self.arc_codes = tuple(range(len(bits) + len(pos_tags), self.end_code))
-        self.codes = {a: c for c, a in enumerate(self.actions)}
-        label_ids = range(1, len(arc_labels) + 1) if variant == FULL else (0,)
-        self.arg_ids = (0,) * len(bits) + (*range(1, len(pos_tags) + 1), *label_ids, *label_ids, 0)
+        self.pos_codes = tuple(range(n, n + len(self.pos_tags)))
+        self.arc_codes = tuple(range(n + len(self.pos_tags), self.end_code))
+        self.arg_ids = (0,) * n + arg_ids
         self.leaves = tuple(
             StackItem(tok, (i, *NULL_GROUP[1:]), 0, (tok,)) for i, tok in enumerate(self.tokens)
         )
+
+    @cached_property
+    def codes(self) -> dict[Action, int]:
+        return {a: c for c, a in enumerate(self.actions)}
+
+
+@lru_cache(maxsize=64)
+def _inventory(variant: str, pos_tags: tuple, arc_labels: tuple) -> tuple:
+    """The inventory half of an `ActionSpace`: its `pos_tags` and
+    `arc_labels`, its Pos, arc and End actions, and their `arg_ids` entries,
+    all tuples.  A StateError unless a full variant's tags and labels are
+    strictly increasing."""
+    for kind, names in (("POS tag", pos_tags), ("arc label", arc_labels)):
+        bad = next(((a, b) for a, b in zip(names, names[1:]) if a >= b), None)
+        if bad:
+            raise StateError(f"{kind}s not strictly increasing: {bad[0]!r} before {bad[1]!r}")
+    args = arc_labels if variant == FULL else (None,)
+    actions = (
+        *(Action(POS, tag) for tag in pos_tags),
+        *(Action(kind, label) for kind in (LEFT_ARC, RIGHT_ARC) for label in args),
+        Action(END),
+    )
+    label_ids = range(1, len(arc_labels) + 1) if variant == FULL else (0,)
+    arg_ids = (*range(1, len(pos_tags) + 1), *label_ids, *label_ids, 0)
+    return pos_tags, arc_labels, actions, arg_ids
 
 
 class State:

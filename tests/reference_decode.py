@@ -22,6 +22,10 @@ layer 0's input.  `lstm_lm.lm_step` must match it within 1e-12.
 (`reference_grads.hidden`) and softmaxes each item over its own gathered
 `w2` rows; `next_word_logprobs` scores one LM state; `joint` adds the LM
 term item by item.  The table-driven scores must match it within 1e-9.
+
+`history_ranks` is the rank rule `synlin.decoder._advance_all` applies to
+every beam of two or more kept items, and applied to a lone one too until
+that took rank 0 without a sort; the two must agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -299,3 +303,10 @@ def beam_decode(bag, models, config):
         actions=best.history,
         score=best.score,
     )
+
+
+def history_ranks(codes, parent_ranks):
+    """The kept items' history ranks: one `np.lexsort` of (parent's rank, code)."""
+    ranks = np.empty(len(codes), dtype=np.int64)
+    ranks[np.lexsort((codes, parent_ranks))] = np.arange(len(codes))
+    return ranks

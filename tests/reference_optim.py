@@ -1,11 +1,12 @@
-"""Test-only reference for `synlin.optim.Adagrad`.
+"""Test-only references for `synlin.optim`.
 
 `Adagrad` here is the whole-tensor update from before the blocked, threaded
 one: per tensor, acc += g*g; theta -= lr * g / (sqrt(acc) + 1e-8), through
 two scratch rows as long as the largest tensor.  The blocked update runs the
 same element-wise operations in the same order, so after any number of steps
 its parameters and accumulators must equal these bit for bit
-(`test_optim.py`).
+(`test_optim.py`).  `log_sum_exp` and `pad_rows` are the forms the direct
+reductions and the C fill replaced; theirs must be equal bit for bit too.
 """
 
 import numpy as np
@@ -31,3 +32,20 @@ class Adagrad:
             root += 1e-8
             np.multiply(self.learning_rate, g, out=scaled)
             self.tensors[name] -= np.divide(scaled, root, out=root)
+
+
+def log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """The `ndarray.max` / `np.sum` form that `synlin.optim.log_sum_exp`
+    replaced with direct ufunc reductions (same ufuncs, axis and order)."""
+    m = x.max(axis=-1, keepdims=True)
+    return m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True))
+
+
+def pad_rows(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """The list fill that `synlin.optim.pad_rows` replaced: the mask from the
+    lengths, for one sequence too, and the entries as one Python list."""
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    padded = np.zeros(valid.shape, dtype=np.int64)
+    padded[valid] = [x for seq in seqs for x in seq]
+    return padded, valid

@@ -116,6 +116,36 @@ MALFORMED_HEADERS = {
     ),
     # 800 TB declared: rejected before anything is read
     "huge-shape": ("linearizer", _reshape_tensor("lin.w1_word", lambda s: [10**7, 10**7])),
+    # header types: each table a list of strings, counts an object of
+    # string -> non-negative int
+    "counts-as-string": ("linearizer", _edit_indexer("linearizer", "counts", lambda _: "x")),
+    "counts-as-list": ("lm", _edit_indexer("lm", "counts", lambda counts: list(counts))),
+    "count-negative": (
+        "linearizer",
+        _edit_indexer("linearizer", "counts", lambda counts: {**counts, "the": -1}),
+    ),
+    "count-as-string": ("lm", _edit_indexer("lm", "counts", lambda counts: {**counts, "the": "3"})),
+    "count-as-float": (
+        "linearizer",
+        _edit_indexer("linearizer", "counts", lambda counts: {**counts, "the": 1.5}),
+    ),
+    "word-entry-not-a-string": (
+        "linearizer",
+        _edit_indexer("linearizer", "words", lambda words: [*words[:2], 7, *words[3:]]),
+    ),
+    "lm-word-entry-null": (
+        "lm",
+        _edit_indexer("lm", "words", lambda words: [*words[:3], None, *words[4:]]),
+    ),
+    "pos-entry-not-a-string": (
+        "linearizer",
+        _edit_indexer("linearizer", "pos_tags", lambda tags: [*tags[:-1], 9]),
+    ),
+    "label-entry-not-a-string": (
+        "linearizer",
+        _edit_indexer("linearizer", "labels", lambda labels: [*labels[:-1], ["x"]]),
+    ),
+    "word-table-as-string": ("lm", _edit_indexer("lm", "words", lambda words: "".join(words))),
 }
 
 

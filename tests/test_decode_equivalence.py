@@ -30,9 +30,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_decode
+import reference_optim
+import reference_transition
 from conftest import small_linearizer, small_lm
 from reference_rows import inventory
-from synlin import decoder, ffnn
+from synlin import decoder, ffnn, transition
 from synlin.corpus import UNK_WORD, bag_from_forms, build_indexers, to_bag
 from synlin.decoder import DecodeConfig, Models, beam_decode, step_scores
 from synlin.features import FEATURE_BLOCKS
@@ -254,6 +256,25 @@ def test_held_constants_are_fresh_and_never_written(idx, lm, bags, mode, variant
             beam_decode(bag, models, cfg)
     assert held_bytes(models, mode) == before
     assert all(a is b for a, b in zip(held(models, mode), kept, strict=True))
+    # the module's held arrays: the index vector of the scorer's gathers and
+    # the ranks of a one-item beam, read-only and as built
+    for array, want in [(ffnn._INDEX, np.arange(1024)), (decoder._FIRST, np.zeros(1, np.int64))]:
+        assert not array.flags.writeable
+        assert array.dtype == want.dtype and array.tobytes() == want.tobytes()
+    # the shared inventory half of each bag's space: tuples of frozen actions,
+    # the same objects for every bag, equal to a space built from scratch
+    spaces = [decoder._root(bag, models, DecodeConfig(mode=mode)).states[0].space for bag in bags]
+    first = spaces[0].actions[len(spaces[0].forms) :]
+    for space in spaces:
+        fresh = reference_transition.ActionSpace(
+            space.tokens, space.variant, space.pos_tags, space.arc_labels
+        )
+        assert space.actions == fresh.actions and space.arg_ids == fresh.arg_ids
+        assert all(a is b for a, b in zip(space.actions[len(space.forms) :], first, strict=True))
+        for shared in (space.actions, space.arg_ids, space.pos_tags, space.arc_labels):
+            assert type(shared) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            space.actions[-1].arg = "x"
 
 
 @pytest.mark.parametrize("mode", ["syn", "syn+lstm", "lstm"])
@@ -350,3 +371,35 @@ def test_a_shift_pruned_before_it_is_read_is_never_stepped(idx, lm, bags):
         kept_shifts += len(reads)
         never_read += reads.count(0)
     assert 0 < never_read < kept_shifts
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    forms=st.lists(st.sampled_from(["the", "dog", "a", "cat", "qqq", "zebra", "ran"]), min_size=1, max_size=7),
+    case=st.sampled_from(CASES),
+    beam_size=st.sampled_from([1, 2, 10]),
+)
+def test_one_item_ranks_and_padding_equal_the_replaced_forms(forms, case, beam_size):
+    # Every beam a decode moves to ranks its items as the lexsort rule does,
+    # a lone kept item included, and every step's feasible sets pad as the
+    # list fill does.
+    mode, variant, renormalize = case
+    idx = build_indexers(toy_corpus(30, seed=81))
+    models = models_for(idx, small_lm(idx, seed=82), mode, variant)
+    cfg = DecodeConfig(mode=mode, beam_size=beam_size, renormalize_joint=renormalize)
+    beam = decoder._root(bag_from_forms(forms), models, cfg)
+    lone = 0
+    while not decoder._is_terminal(beam.states[0], mode):
+        feasibles = [decoder._successors(state, mode) for state in beam.states]
+        cands = step_scores(beam, models, cfg)
+        want = reference_optim.pad_rows(feasibles)
+        assert cands.codes.tobytes() == want[0].tobytes() and cands.codes.shape == want[0].shape
+        assert cands.valid.tobytes() == want[1].tobytes()
+        kept = decoder._kept(beam, cands, beam_size)
+        parents = kept // cands.codes.shape[1]
+        codes = cands.codes.ravel()[kept]
+        ranks = reference_decode.history_ranks(codes, beam.ranks[parents])
+        beam = decoder._advance_all(beam, cands, kept)
+        assert beam.ranks.dtype == ranks.dtype and beam.ranks.tobytes() == ranks.tobytes()
+        lone += len(kept) == 1
+    assert lone or beam_size > 1

@@ -1,6 +1,10 @@
 """The blocked, threaded Adagrad against the whole-tensor reference, the
 scorer's shared batch pass against the one-thread reference, and the life of
-their thread pool: creation, failures, fork and interpreter exit."""
+their thread pool: creation, failures, fork and interpreter exit.
+
+The pool runs only when BLAS runs on one thread, and these tests may run
+with BLAS unpinned, so every test here reads the BLAS thread count as 1
+unless it sets another (`one_blas_thread`)."""
 
 import os
 import subprocess
@@ -13,6 +17,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference_batch
 import reference_optim
@@ -24,6 +31,12 @@ from synlin.synth import toy_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 EDGE_SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+BLAS_THREADS = optim.blas_threads  # the real lookup, which `one_blas_thread` replaces
+
+
+@pytest.fixture(autouse=True)
+def one_blas_thread(monkeypatch):
+    monkeypatch.setattr(optim, "blas_threads", lambda: 1)
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +244,39 @@ def test_one_cpu_trains_the_scorer_with_no_pool(scorers, monkeypatch):
     assert optim._pool is None
 
 
+@pytest.mark.parametrize("threads", [2, 4])
+def test_blas_on_several_threads_runs_every_job_on_the_caller(threads, scorers, monkeypatch):
+    # BLAS threads already use the CPUs: no pool starts, no job leaves the
+    # calling thread, and the model bytes are those of one CPU.
+    model, examples = scorers["full"]
+    monkeypatch.setattr(optim, "cpu_count", lambda: 1)
+    alone = copied(model, epochs=1, seed=8)
+    ffnn.train(alone, examples[:200])
+    monkeypatch.setattr(optim, "cpu_count", lambda: 2)
+    monkeypatch.setattr(optim, "blas_threads", lambda: threads)
+    monkeypatch.setattr(optim, "_pool", None)
+    callers = set()
+    take_jobs = optim._take_jobs
+
+    def recorded(*args):
+        callers.add(threading.current_thread())
+        return take_jobs(*args)
+
+    monkeypatch.setattr(optim, "_take_jobs", recorded)
+    copy = copied(model, epochs=1, seed=8)
+    ffnn.train(copy, examples[:200])
+    assert optim._pool is None and callers == {threading.main_thread()}
+    assert all(copy.params[n].tobytes() == t.tobytes() for n, t in alone.params.items())
+
+
+def test_the_blas_thread_count_is_read_not_set(monkeypatch):
+    count = BLAS_THREADS()
+    assert type(count) is int and count >= 1
+    assert BLAS_THREADS() == count
+    monkeypatch.setattr(optim, "_openblas_thread_count", lambda: None)
+    assert BLAS_THREADS() == 1  # another BLAS, or no such call
+
+
 def test_a_failing_block_job_raises_in_the_caller_after_the_other_jobs(scorers, monkeypatch):
     # The caller's first job waits until a worker has taken one, which fails;
     # the caller then runs every job left before the failure surfaces.
@@ -281,6 +327,44 @@ def test_jobs_shared_by_more_parts_than_cpus_run_once_each(scorers, monkeypatch)
             assert_same_pass(ffnn._batch_pass(model, examples, at, 1e-8, scratch=scratch), want)
     finally:
         sys.setswitchinterval(interval)
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bits (floats as int64, so -0.0 and NaNs count)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == np.float64:
+        got, want = got.view(np.int64), want.view(np.int64)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seqs=st.lists(
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=12).map(
+            lambda seq: seq if len(seq) % 2 else tuple(seq)
+        ),
+        max_size=6,
+    )
+)
+def test_pad_rows_equals_the_list_fill(seqs):
+    for got, want in zip(optim.pad_rows(seqs), reference_optim.pad_rows(seqs), strict=True):
+        same_bits(got, want)
+
+
+LOGITS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, max_side=16),
+    elements=st.one_of(
+        st.floats(-1e3, 1e3), st.just(-np.inf), st.floats(-1e300, 1e300), st.just(-0.0)
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(x=LOGITS)
+def test_log_sum_exp_equals_the_wrapper_form(x):
+    with np.errstate(invalid="ignore", over="ignore"):
+        same_bits(optim.log_sum_exp(x), reference_optim.log_sum_exp(x))
 
 
 # What may run off the calling thread: the scorer's job bodies, Adagrad's
@@ -351,6 +435,7 @@ TRAIN_SPLIT = textwrap.dedent(
     from synlin.synth import toy_corpus
 
     optim.cpu_count = lambda: 2
+    optim.blas_threads = lambda: 1
 
     def train():
         sentences = toy_corpus(8, seed=5)

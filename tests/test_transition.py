@@ -1,12 +1,18 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_transition
+from synlin import transition
 from synlin.corpus import bag_from_forms, to_bag
 from synlin.errors import DataError, IllegalActionError, StateError
 from synlin.transition import (
     Action,
+    ActionSpace,
     apply,
     initial_state,
     legal_actions,
@@ -270,3 +276,56 @@ class TestActionParsing:
     def test_unknown_kind(self):
         with pytest.raises(DataError, match="unknown action 'Jump-now'"):
             Action.parse("Jump-now")
+
+
+SPACE_FIELDS = (
+    "variant", "tokens", "forms", "form_bits", "pos_tags", "arc_labels", "actions", "end_code",
+    "pos_codes", "arc_codes", "codes", "arg_ids", "leaves",
+)
+TAGS = ("DT", "JJ", "NN", "NNP", "PRP", "VBD", "VBP")
+ARC_LABELS = ("amod", "det", "dobj", "nsubj", "root")
+
+
+def inventory(names):
+    """Strictly increasing tuples of `names`, and now and then one that is not."""
+    ordered = st.lists(st.sampled_from(names), unique=True).map(lambda x: tuple(sorted(x)))
+    return st.one_of(ordered, st.lists(st.sampled_from(names), max_size=4).map(tuple))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    forms=st.lists(st.sampled_from(["a", "dog", "the", "qqq", "cat"]), min_size=1, max_size=8),
+    variant=st.sampled_from(["full", "light"]),
+    pos_tags=inventory(TAGS),
+    arc_labels=inventory(ARC_LABELS),
+)
+def test_a_space_equals_one_built_from_scratch(forms, variant, pos_tags, arc_labels):
+    # The shared inventory half and the lazily built `codes` give every
+    # attribute of a space built whole, and the same error when the tags or
+    # labels of a full space do not strictly increase.
+    tokens = bag_from_forms(forms).token_ids
+    try:
+        want = reference_transition.ActionSpace(tokens, variant, pos_tags, arc_labels)
+    except StateError as exc:
+        with pytest.raises(StateError, match=f"^{re.escape(str(exc))}$"):
+            ActionSpace(tokens, variant, pos_tags, arc_labels)
+        return
+    got = ActionSpace(tokens, variant, pos_tags, arc_labels)
+    for name in SPACE_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+        assert type(getattr(got, name)) is type(getattr(want, name)), name
+    # the inventory half is one shared object, and immutable
+    again = ActionSpace(tokens[:1], variant, tuple(pos_tags), tuple(arc_labels))
+    n, m = len(got.forms), len(again.forms)
+    assert got.pos_tags is again.pos_tags and got.arc_labels is again.arc_labels
+    assert all(a is b for a, b in zip(got.actions[n:], again.actions[m:], strict=True))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        got.actions[-1].kind = "Shift"
+
+
+def test_codes_are_built_on_first_use():
+    space = start(["the", "dog"], "full").space
+    assert "codes" not in vars(space)
+    assert space.codes[Action("End")] == space.end_code
+    assert vars(space)["codes"] is space.codes
+    assert transition._inventory.cache_info().currsize >= 1
