@@ -24,10 +24,11 @@ and LM word id.  A step's candidates are one (items x widest) score array,
 each item's columns in legal order.  Beam histories are distinct and of equal
 length, so one `np.lexsort` of (-score, parent's history rank, code) keeps the
 best.  A one-item beam takes no sort: its kept candidate is its first best
-one, and a lone kept item has rank 0.  A decode's LM states are rows of one
-table (`LmRows`), one per derivation node whose state was read: an item holds
-a row index, and a kept Shift holds its parent's row and its word until
-something reads its state, so a Shift pruned before then is never stepped.
+one, and a lone kept item has rank 0.  Each item owns its LM state, row k of
+the beam's per-layer (h, c) arrays: moving the beam on costs one gather of
+those rows by parent, and an enumeration holds only the states of its path.
+A kept Shift keeps its parent's state and its word until something reads its
+state, so a Shift pruned before then is never stepped.
 """
 
 from __future__ import annotations
@@ -106,44 +107,11 @@ class Models:
 
     @cached_property
     def lm_start(self) -> LmStates:
-        return start_state(self.lm, self.lm_weights)
-
-
-@dataclass
-class LmRows:
-    """One decode's LM states, one row per derivation node that was stepped,
-    row 0 the start state: per layer, (h, c) arrays of which `count` rows are
-    in use; `inputs` holds the `input_rows` of the bag's Shift codes.  The
-    arrays start with room for the 1 + n rows of a greedy decode of n words
-    and double when full, so nothing is allocated by the beam size.
-    """
-
-    layers: list[tuple[np.ndarray, np.ndarray]]
-    count: int
-    inputs: np.ndarray
-
-    def step(self, weights: StepWeights, parents: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Rows for the Shifts of `codes` from the rows `parents`: one `lm_step`."""
-        states = tuple((h[parents], c[parents]) for h, c in self.layers)
-        stepped = lm_step(weights, states, self.inputs[codes])
-        start, end = self.count, self.count + len(parents)
-        if end > len(self.layers[0][0]):
-            size = max(end, 2 * len(self.layers[0][0]))
-            self.layers = [(_resized(h, size), _resized(c, size)) for h, c in self.layers]
-        for (h, c), (h_new, c_new) in zip(self.layers, stepped):
-            h[start:end], c[start:end] = h_new, c_new
-        self.count = end
-        return np.arange(start, end)
-
-    def top(self, rows: np.ndarray) -> np.ndarray:
-        """The top layer's outputs at `rows`."""
-        return self.layers[-1][0][rows]
-
-
-def _resized(a: np.ndarray, rows: int) -> np.ndarray:
-    out = np.empty((rows, *a.shape[1:]))
-    out[: len(a)] = a
-    return out
+        """The LM's start state, read-only: every decode's root beam shares it."""
+        state = start_state(self.lm, self.lm_weights)
+        for array in (a for layer in state for a in layer):
+            array.flags.writeable = False
+        return state
 
 
 @dataclass
@@ -151,13 +119,13 @@ class Beam:
     """One step's items as parallel arrays, and the per-bag arrays they are scored with.
 
     Item k is `states[k]`, with accumulated score `scores[k]` and its
-    history's rank `ranks[k]` among the items'.  Its LM state is row
-    `lm_rows[k]` of the decode's `lm` table or, while `lm_shifts[k]` is a
-    Shift code and not -1, that Shift from row `lm_rows[k]`, stepped when
-    `_lm_top` first reads it.  By action code, `rows` holds the scorer's
-    output row and `lm_ids` the LM's word id (0 for non-Shifts); `tables`
-    are the scorer's slot tables, and `ids` turns feature groups into
-    their columns.
+    history's rank `ranks[k]` among the items'.  Its LM state is row k of
+    each (h, c) array pair of `lm` or, while `lm_shifts[k]` is a Shift code
+    and not -1, that Shift from row k, stepped in place when `_lm_top` first
+    reads it.  By action code, `rows` holds the scorer's output row and
+    `lm_ids` the LM's word id (0 for non-Shifts), and `lm_inputs` holds the
+    `input_rows` of the bag's Shift codes; `tables` are the scorer's slot
+    tables, and `ids` turns feature groups into their columns.
     """
 
     states: list[State]
@@ -167,8 +135,8 @@ class Beam:
     ids: Lookup | None
     rows: np.ndarray | None
     lm_ids: np.ndarray | None
-    lm: LmRows | None
-    lm_rows: np.ndarray | None
+    lm_inputs: np.ndarray | None
+    lm: LmStates | None
     lm_shifts: np.ndarray | None
 
 
@@ -268,13 +236,21 @@ def step_scores(beam: Beam, models: Models, config: DecodeConfig) -> Candidates:
 
 def _lm_top(beam: Beam, items: np.ndarray, models: Models) -> np.ndarray:
     """The top-layer LM outputs of `items`, after one `lm_step` for the
-    pending Shifts among them."""
+    pending Shifts among them, whose new states replace their rows."""
     pending = items[beam.lm_shifts[items] >= 0]
     if len(pending):
-        parents, codes = beam.lm_rows[pending], beam.lm_shifts[pending]
-        beam.lm_rows[pending] = beam.lm.step(models.lm_weights, parents, codes)
+        inputs = beam.lm_inputs[beam.lm_shifts[pending]]
+        stepped = lm_step(models.lm_weights, _rows(beam.lm, pending), inputs)
+        for (h, c), (h_new, c_new) in zip(beam.lm, stepped):
+            h[pending], c[pending] = h_new, c_new
         beam.lm_shifts[pending] = -1
-    return beam.lm.top(beam.lm_rows[items])
+    return beam.lm[-1][0].take(items, 0)
+
+
+def _rows(lm: LmStates, at) -> LmStates:
+    """Rows `at` of every LM state array; for a few rows, `take` runs in a
+    third of the time of an index array."""
+    return tuple((h.take(at, 0), c.take(at, 0)) for h, c in lm)
 
 
 def _joint(models: Models, beam: Beam, codes, valid, base: np.ndarray, config: DecodeConfig):
@@ -315,9 +291,10 @@ def _advance(state: State, code: int) -> State:
 def _advance_all(beam: Beam, candidates: Candidates, kept: np.ndarray) -> Beam:
     """The beam of the `kept` candidates (flat indices, in the new beam's order).
 
-    A new item's history ranks as (its parent's rank, its code).  A kept
-    Shift's LM state is left pending on its parent's row, which `step_scores`
-    read: an item that can shift has its LM state read.
+    A new item's history ranks as (its parent's rank, its code).  Each new
+    item's LM state is its parent's, one gather by parent per state array.  A
+    kept Shift's LM state is left pending on its parent's, which
+    `step_scores` read: an item that can shift has its LM state read.
     """
     parents = kept // candidates.codes.shape[1]
     codes = candidates.codes.ravel()[kept]
@@ -327,36 +304,27 @@ def _advance_all(beam: Beam, candidates: Candidates, kept: np.ndarray) -> Beam:
     else:
         ranks = np.empty(len(kept), dtype=np.int64)
         ranks[np.lexsort((codes, beam.ranks[parents]))] = np.arange(len(kept))
-    lm_rows = lm_shifts = None
+    lm = lm_shifts = None
     if beam.lm is not None:
-        lm_rows = beam.lm_rows[parents]
+        lm = _rows(beam.lm, parents)
         shift = codes < len(beam.states[0].space.forms)
         lm_shifts = np.where(shift, codes, beam.lm_shifts[parents])
     scores = candidates.scores.ravel()[kept]
     return Beam(
-        states, scores, ranks, beam.tables, beam.ids, beam.rows, beam.lm_ids, beam.lm, lm_rows,
+        states, scores, ranks, beam.tables, beam.ids, beam.rows, beam.lm_ids, beam.lm_inputs, lm,
         lm_shifts,
     )
 
 
 def _item(beam: Beam, k: int) -> Beam:
-    """The one-item beam of item k, with an LM table of its own that starts
-    from the item's row: an enumeration holds only the rows of its path."""
+    """The one-item beam of item k, with a copy of its LM state: an
+    enumeration holds only the LM states of its path."""
     at = [k]
-    lm = lm_rows = lm_shifts = None
+    lm = lm_shifts = None
     if beam.lm is not None:
-        row = beam.lm_rows[at]
-        lm = LmRows([(h[row], c[row]) for h, c in beam.lm.layers], 1, beam.lm.inputs)
-        lm_rows, lm_shifts = np.zeros(1, dtype=np.int64), beam.lm_shifts[at]
-    return replace(
-        beam,
-        states=[beam.states[k]],
-        scores=beam.scores[at],
-        ranks=beam.ranks[at],
-        lm=lm,
-        lm_rows=lm_rows,
-        lm_shifts=lm_shifts,
-    )
+        lm, lm_shifts = _rows(beam.lm, at), beam.lm_shifts[at]
+    states, scores, ranks = [beam.states[k]], beam.scores[at], beam.ranks[at]
+    return replace(beam, states=states, scores=scores, ranks=ranks, lm=lm, lm_shifts=lm_shifts)
 
 
 def _result(state: State, score: float, mode: str) -> DecodeResult:
@@ -370,7 +338,7 @@ def _start(state: State, models: Models, config: DecodeConfig) -> Beam:
     """The one-item beam at `state`: score 0 and the LM at its start state."""
     lin, lm = models.linearizer, models.lm
     space, n = state.space, len(state.space.forms)
-    tables = ids = rows = lm_ids = lm_table = lm_rows = lm_shifts = None
+    tables = ids = rows = lm_ids = lm_inputs = lm_state = lm_shifts = None
     if config.mode != MODE_LSTM:
         ids = lookup(space, lin.indexers)
         word_tables = slot_tables(lin, ids.words.tolist(), ["word"])
@@ -380,11 +348,10 @@ def _start(state: State, models: Models, config: DecodeConfig) -> Beam:
     if config.mode != MODE_SYN:
         lm_ids = np.zeros(len(space.actions), dtype=np.int64)
         lm_ids[:n] = [lm.word_id(form) for form in space.forms]
-        layers = [(_resized(h, 1 + n), _resized(c, 1 + n)) for h, c in models.lm_start]
-        lm_table = LmRows(layers, 1, input_rows(models.lm_weights, lm_ids[:n]))
-        lm_rows, lm_shifts = np.zeros(1, dtype=np.int64), np.full(1, -1)
+        lm_inputs = input_rows(models.lm_weights, lm_ids[:n])
+        lm_state, lm_shifts = models.lm_start, np.full(1, -1)
     scores = np.zeros(1)
-    return Beam([state], scores, _FIRST, tables, ids, rows, lm_ids, lm_table, lm_rows, lm_shifts)
+    return Beam([state], scores, _FIRST, tables, ids, rows, lm_ids, lm_inputs, lm_state, lm_shifts)
 
 
 def _root(bag: WordBag, models: Models, config: DecodeConfig) -> Beam:

@@ -122,11 +122,11 @@ def row(lm_states, k):
 
 
 def lm_row(beam, k):
-    """Item k's LM state read from the rows of a `synlin.decoder.Beam`, or
-    None in syn mode and while its Shift is pending (nothing has read it)."""
+    """Item k's LM state read from a `synlin.decoder.Beam`, or None in syn
+    mode and while its Shift is pending (nothing has read it)."""
     if beam.lm is None or beam.lm_shifts[k] >= 0:
         return None
-    return tuple((h[beam.lm_rows[k]], c[beam.lm_rows[k]]) for h, c in beam.lm.layers)
+    return row(beam.lm, k)
 
 
 def items_of(beam):

@@ -14,11 +14,11 @@ same order.  The word block's table must be built per bag, so it never grows
 with the vocabulary; the POS and label tables, the non-Shift code rows and
 the LM start state once per `Models`, which must see a rebound model and
 never a stale one.  The action codes of a bag must sort as its actions do
-and map to the scorer rows and LM ids of those actions.  The LM steps a
-state when it is first read: every row of a decode's table must hold the
-state of its item's shifted words within 1e-12 of the whole-block reference
-step, syn mode steps none, and a Shift pruned before it is read is never
-stepped.
+and map to the scorer rows and LM ids of those actions.  Each item owns its
+LM state, one row per item in every state array, and the LM steps a state
+when it is first read: every state read must be that of its item's shifted
+words within 1e-12 of the whole-block reference step, syn mode steps none,
+and a Shift pruned before it is read is never stepped.
 """
 
 import dataclasses
@@ -245,10 +245,9 @@ def test_held_constants_are_fresh_and_never_written(idx, lm, bags, mode, variant
         for block, (ids, table) in tables.items():
             assert ids.tobytes() == fresh[block][0].tobytes()
             assert table.tobytes() == fresh[block][1].tobytes()
+    start = [a.tobytes() for layer in start_state(lm, step_weights(lm)) for a in layer]
     if mode != "syn":
-        assert [a.tobytes() for layer in models.lm_start for a in layer] == [
-            a.tobytes() for layer in start_state(lm, step_weights(lm)) for a in layer
-        ]
+        assert [a.tobytes() for layer in models.lm_start for a in layer] == start
     before, kept = held_bytes(models, mode), held(models, mode)
     for beam in (1, 10):
         cfg = DecodeConfig(mode=mode, beam_size=beam, renormalize_joint=renormalize)
@@ -256,6 +255,11 @@ def test_held_constants_are_fresh_and_never_written(idx, lm, bags, mode, variant
             beam_decode(bag, models, cfg)
     assert held_bytes(models, mode) == before
     assert all(a is b for a, b in zip(held(models, mode), kept, strict=True))
+    if mode != "syn":
+        # every root beam starts from the shared start state, which the
+        # decoder's in-place LM steps must never write
+        assert [a.tobytes() for layer in models.lm_start for a in layer] == start
+        assert not any(a.flags.writeable for layer in models.lm_start for a in layer)
     # the module's held arrays: the index vector of the scorer's gathers and
     # the ranks of a one-item beam, read-only and as built
     for array, want in [(ffnn._INDEX, np.arange(1024)), (decoder._FIRST, np.zeros(1, np.int64))]:
@@ -311,22 +315,43 @@ def search(bag, models, cfg):
     "mode,variant", [("syn+lstm", "full"), ("synxlstm", "full"), ("lstm", None)]
 )
 def test_every_stepped_row_matches_its_prefix(idx, lm, bags, mode, variant):
-    # each LM row is the state of the shifted words of the item that read it,
-    # as the whole-block reference step computes it from the start symbol
+    # each item's LM state, once read, is the state of its shifted words, as
+    # the whole-block reference step computes it from the start symbol
     models = models_for(idx, lm, mode, variant)
     cfg = DecodeConfig(mode=mode, alpha=0.4, beam_size=10)
+    prefixes = {}
     for bag in bags:
-        prefixes = {}
         for beam in search(bag, models, cfg):
             for k, state in enumerate(beam.states):
                 if beam.lm_shifts[k] < 0:
                     shifted = tuple(a.arg for a in state.history if a.kind == SHIFT)
-                    assert prefixes.setdefault(int(beam.lm_rows[k]), shifted) == shifted
-        assert sorted(prefixes) == list(range(beam.lm.count))
-        for row, shifted in prefixes.items():
-            want = reference_decode.lm_prefix_state(lm, shifted)
-            for (h, c), (h1, c1) in zip(beam.lm.layers, want):
-                assert np.max(np.abs(h[row] - h1)) <= 1e-12 and np.max(np.abs(c[row] - c1)) <= 1e-12
+                    if shifted not in prefixes:
+                        prefixes[shifted] = reference_decode.lm_prefix_state(lm, shifted)
+                    for (h, c), (h1, c1) in zip(beam.lm, prefixes[shifted], strict=True):
+                        assert np.max(np.abs(h[k] - h1)) <= 1e-12
+                        assert np.max(np.abs(c[k] - c1)) <= 1e-12
+    assert len(prefixes) > len(bags)
+
+
+@pytest.mark.parametrize("mode,variant", [("syn+lstm", "full"), ("synxlstm", "full"), ("lstm", None)])
+def test_every_lm_array_holds_one_row_per_item(idx, lm, bags, mode, variant):
+    # the LM memory of a decode grows with its beam, not with the states it stepped
+    models = models_for(idx, lm, mode, variant)
+    cfg = DecodeConfig(mode=mode, alpha=0.4, beam_size=10)
+    widest = 0
+    for bag in bags:
+        beam = decoder._root(bag, models, cfg)
+        while True:
+            shapes = {a.shape for layer in beam.lm for a in layer}
+            assert shapes == {(len(beam.states), lm.config.hidden_size)}
+            assert beam.lm_shifts.shape == (len(beam.states),)
+            widest = max(widest, len(beam.states))
+            if decoder._is_terminal(beam.states[0], mode):
+                break
+            cands = step_scores(beam, models, cfg)
+            assert {a.shape for layer in beam.lm for a in layer} == shapes
+            beam = decoder._advance_all(beam, cands, decoder._kept(beam, cands, cfg.beam_size))
+    assert widest == cfg.beam_size
 
 
 def test_syn_mode_steps_no_rows(idx, lm, bags):
@@ -339,7 +364,7 @@ def test_syn_mode_steps_no_rows(idx, lm, bags):
     lm_step.assert_not_called()
 
 
-def test_a_shift_pruned_before_it_is_read_is_never_stepped(idx, lm, bags):
+def test_a_shift_pruned_before_it_is_read_is_never_stepped(idx, lm, bags, monkeypatch):
     # in syn+lstm mode only the items that can shift read their LM state, and
     # a full-variant Shift is always followed by a Pos action, so every kept
     # Shift waits at least one step; the rows stepped must be exactly the
@@ -347,7 +372,16 @@ def test_a_shift_pruned_before_it_is_read_is_never_stepped(idx, lm, bags):
     models = models_for(idx, lm, "syn+lstm", "full")
     cfg = DecodeConfig(mode="syn+lstm", alpha=0.4, beam_size=10)
     kept_shifts = never_read = 0
+    stepped = []  # the rows of each `lm_step` call of the decoder
+    lm_step = decoder.lm_step
+
+    def counted(weights, states, inputs):
+        stepped.append(len(inputs))
+        return lm_step(weights, states, inputs)
+
+    monkeypatch.setattr(decoder, "lm_step", counted)
     for bag in bags:
+        stepped.clear()
         beam = decoder._root(bag, models, cfg)
         waits_on = [None]  # per item, the kept Shift its LM state waits on
         reads = []  # per kept Shift, how many items read its state
@@ -367,7 +401,7 @@ def test_a_shift_pruned_before_it_is_read_is_never_stepped(idx, lm, bags):
                 if state.history[-1].kind == SHIFT:
                     waits_on[k] = len(reads)
                     reads.append(0)
-        assert beam.lm.count - 1 == sum(reads)
+        assert sum(stepped) == sum(reads)
         kept_shifts += len(reads)
         never_read += reads.count(0)
     assert 0 < never_read < kept_shifts

@@ -192,7 +192,7 @@ class TestStepScores:
         syn_lp = dict(zip(feasible, score(lin_full, extract(lin_full, [state]), *rows)[0]))
         forms = [state.space.forms[k] for k in state.shifts]
         ids = pad_rows([[lm.word_id(f) for f in forms]])
-        [lm_row] = next_word_logprobs(lm, item.lm.top(item.lm_rows), *ids)
+        [lm_row] = next_word_logprobs(lm, item.lm[-1][0], *ids)
         lm_lp = dict(zip(forms, lm_row))
         for action, value in combined.items():
             if action.kind == "Shift":
@@ -214,8 +214,7 @@ class TestStepScores:
         item = self.root_item(bag, models, cfg)
         base = scores(item, models, cfg)
         # a different LM state must change the scores
-        shifted = dataclasses.replace(item.lm, layers=[(h + 1.0, c) for h, c in item.lm.layers])
-        other = dataclasses.replace(item, lm=shifted)
+        other = dataclasses.replace(item, lm=tuple((h + 1.0, c) for h, c in item.lm))
         changed = scores(other, models, cfg)
         assert any(abs(base[a] - changed[a]) > 1e-9 for a in base)
 
@@ -337,9 +336,8 @@ class TestBeam:
                 prefix = lm_step(weights, prefix, inputs[[forms.index(action.arg)]])
             # start symbol plus one step per shifted word, stepped when read
             top = decoder._lm_top(item, np.arange(1), models)
-            for (h, c), (h1, c1) in zip(item.lm.layers, prefix):
-                at = item.lm_rows
-                assert np.array_equal(h[at], h1) and np.array_equal(c[at], c1)
+            for (h, c), (h1, c1) in zip(item.lm, prefix, strict=True):
+                assert np.array_equal(h, h1) and np.array_equal(c, c1)
             assert np.array_equal(top, prefix[-1][0])
 
     def test_unfinished_derivation_is_a_search_error(self, corpus, lin_full, monkeypatch):

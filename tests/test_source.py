@@ -36,6 +36,74 @@ def test_the_check_sees_unused_names():
     assert unused_imports(source) == ["line 1: os", "line 3: e"]
 
 
+def private_names(source: str) -> dict[str, int]:
+    """The top-level `_`-prefixed functions, classes and constants of `source`, by line."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        private = [name for name in targets if name.startswith("_") and not name.startswith("__")]
+        names.update((name, node.lineno) for name in private)
+    return names
+
+
+def read_names(source: str) -> set[str]:
+    """The names and attributes that `source` reads; the object an assignment
+    writes into (`_X` of `_X.flags.writeable = False`) is not a read."""
+    tree = ast.parse(source)
+    written = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                while isinstance(target, (ast.Attribute, ast.Subscript)):
+                    target = target.value
+                written.add(id(target))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in written:
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level names of each module of `sources` that no module reads."""
+    read = set().union(*map(read_names, sources.values()))
+    return [
+        f"{module} line {line}: {name}"
+        for module, source in sources.items()
+        for name, line in private_names(source).items()
+        if name not in read
+    ]
+
+
+def test_every_private_name_is_read():
+    # a helper or constant left behind by a refactor shows up here
+    assert unused_private_names({path.name: path.read_text(encoding="utf-8") for path in MODULES}) == []
+
+
+def test_the_check_sees_unused_private_names():
+    first = (
+        "_A = 1\n_B = 2\n_B.flags = 0\n_C: int = 3\n__all__ = []\n"
+        "def _f():\n    return _A\nclass _K:\n    pass\ndef _g():\n    return _f()\n"
+    )
+    second = "import first\nprint(first._K)\n"
+    assert unused_private_names({"first.py": first, "second.py": second}) == [
+        "first.py line 2: _B",
+        "first.py line 4: _C",
+        "first.py line 10: _g",
+    ]
+
+
 CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
 
 
