@@ -1,4 +1,4 @@
-"""Greedy, beam, and exhaustive decoding over derivations.
+"""Greedy and beam decoding over derivations.
 
 Four scoring modes:
 
@@ -26,7 +26,7 @@ length, so one `np.lexsort` of (-score, parent's history rank, code) keeps the
 best.  A one-item beam takes no sort: its kept candidate is its first best
 one, and a lone kept item has rank 0.  Each item owns its LM state, row k of
 the beam's per-layer (h, c) arrays: moving the beam on costs one gather of
-those rows by parent, and an enumeration holds only the states of its path.
+those rows by parent.
 A kept Shift keeps its parent's state and its word until something reads its
 state, so a Shift pruned before then is never stepped.
 """
@@ -34,7 +34,7 @@ state, so a Shift pruned before then is never stepped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,10 +54,6 @@ MODE_LSTM = "lstm"
 MODE_JOINT = "syn+lstm"
 MODE_FEATURE = "synxlstm"
 MODES = (MODE_SYN, MODE_LSTM, MODE_JOINT, MODE_FEATURE)
-
-# Hard input-size bounds for full enumeration.
-EXHAUSTIVE_MAX_TREE = 6
-EXHAUSTIVE_MAX_LSTM = 8
 
 # The history ranks of a one-item beam, held and read-only.
 _FIRST = np.zeros(1, dtype=np.int64)
@@ -202,14 +198,6 @@ def _is_terminal(state: State, mode: str) -> bool:
     return state.terminal
 
 
-def _check_enumerable(n: int, mode: str):
-    bound = EXHAUSTIVE_MAX_LSTM if mode == MODE_LSTM else EXHAUSTIVE_MAX_TREE
-    if n > bound:
-        raise SearchSpaceError(
-            f"exhaustive enumeration limited to {bound} tokens in {mode} mode, got {n}"
-        )
-
-
 def step_scores(beam: Beam, models: Models, config: DecodeConfig) -> Candidates:
     """The candidates of one search step: one scorer call and one LM call cover all items."""
     mode = config.mode
@@ -316,17 +304,6 @@ def _advance_all(beam: Beam, candidates: Candidates, kept: np.ndarray) -> Beam:
     )
 
 
-def _item(beam: Beam, k: int) -> Beam:
-    """The one-item beam of item k, with a copy of its LM state: an
-    enumeration holds only the LM states of its path."""
-    at = [k]
-    lm = lm_shifts = None
-    if beam.lm is not None:
-        lm, lm_shifts = _rows(beam.lm, at), beam.lm_shifts[at]
-    states, scores, ranks = [beam.states[k]], beam.scores[at], beam.ranks[at]
-    return replace(beam, states=states, scores=scores, ranks=ranks, lm=lm, lm_shifts=lm_shifts)
-
-
 def _result(state: State, score: float, mode: str) -> DecodeResult:
     lstm = mode == MODE_LSTM
     refs = tuple(it.root for it in state.stack) if lstm else realized_sentence(state)
@@ -380,29 +357,3 @@ def beam_decode(bag: WordBag, models: Models, config: DecodeConfig) -> DecodeRes
     if not _is_terminal(best, config.mode):
         raise SearchSpaceError(f"unfinished after {n_steps} steps: {best.summary()}")
     return _result(best, beam.scores[0], config.mode)
-
-
-def exhaustive_decode(bag: WordBag, models: Models, config: DecodeConfig) -> DecodeResult:
-    """Global argmax by enumerating every legal derivation (testing oracle).
-
-    Scores accumulate exactly as in beam_decode, ties break the same way.
-    Refuses bags larger than the hard bounds.
-    """
-    root = _root(bag, models, config)
-    _check_enumerable(len(bag), config.mode)
-    best = None
-
-    def walk(beam: Beam):
-        nonlocal best
-        state, score = beam.states[0], beam.scores[0]
-        if _is_terminal(state, config.mode):
-            if best is None or (-score, state.history) < best[0]:
-                best = (-score, state.history), state, score
-            return
-        cands = step_scores(beam, models, config)
-        children = _advance_all(beam, cands, np.flatnonzero(cands.valid))
-        for k in range(len(children.states)):
-            walk(_item(children, k))
-
-    walk(root)
-    return _result(best[1], best[2], config.mode)

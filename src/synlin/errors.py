@@ -62,7 +62,7 @@ class TrainingError(SynlinError):
 
 
 class SearchSpaceError(SynlinError):
-    """Search refused or failed: input exceeds the exhaustive bound, or a
-    decode step produced a non-finite score."""
+    """Search failed: a decode step produced a non-finite score, or the
+    best derivation did not finish."""
 
     code = "search"

@@ -10,7 +10,7 @@ arrays from the start (`TrainingExamples`), filled in while the oracle
 derivation is walked.  Training is cross-entropy plus an L2 term over
 every trainable tensor, optimized with Adagrad; dropout on the hidden layer
 is inverted so inference needs no rescaling.  Everything is float64 numpy
-with hand-written gradients, checked against central finite differences.
+with hand-written gradients, which the tests check by central differences.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from synlin import optim
 from synlin.corpus import DepSentence, Indexers, derive_oracle
 from synlin.errors import ConfigError, DataError, TrainingError
 from synlin.features import FEATURE_BLOCKS, Lookup, extract, extract_light, lookup
-from synlin.optim import Adagrad, masked_log_softmax, max_grad_error, pad_rows, row_sums
+from synlin.optim import Adagrad, masked_log_softmax, pad_rows, row_sums
 from synlin.transition import FULL, SHIFT, Action, ActionSpace
 
 INIT_SCALE = 0.01
@@ -104,15 +104,10 @@ _DRAWN_FIRST = ("emb_word", "w1_word", "b1", "w2")
 
 
 def init_linearizer(
-    indexers: Indexers,
-    variant: str,
-    config: TrainConfig,
-    lm_feat_dim: int | None = None,
-    rng: np.random.Generator | None = None,
+    indexers: Indexers, variant: str, config: TrainConfig, lm_feat_dim: int | None = None
 ) -> Linearizer:
-    """Fresh parameters: uniform(-0.01, 0.01) everywhere except the zero b1."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    """Fresh parameters from `config.seed`: uniform(-0.01, 0.01) but the zero b1."""
+    rng = np.random.default_rng(config.seed)
     shapes = dict(param_shapes(indexers, variant, config, lm_feat_dim))
     drawn = {
         name: np.zeros(shapes[name])
@@ -434,7 +429,8 @@ def _output_layer(model: Linearizer, h: np.ndarray, rows: np.ndarray, valid: np.
 
 def _check_examples(model: Linearizer, examples: TrainingExamples):
     """ConfigError unless `examples` fit `model`: its feature blocks, its LM
-    feature width, and ids and rows inside the tensors they index."""
+    feature width, and ids and rows inside the tensors they index.  `train`
+    checks its arrays with it before the first batch."""
     blocks = list(FEATURE_BLOCKS[model.variant])
     if list(examples.ids) != blocks:
         raise ConfigError(f"model takes blocks {blocks}, examples give {list(examples.ids)}")
@@ -447,17 +443,6 @@ def _check_examples(model: Linearizer, examples: TrainingExamples):
         size = len(model.params[name])
         if x.size and not 0 <= x.min() <= x.max() < size:
             raise ConfigError(f"examples index {name} outside its {size} rows")
-
-
-def loss(model: Linearizer, batch: TrainingExamples, l2_lambda: float | None = None) -> float:
-    """Cross-entropy over the batch's examples plus the L2 term over all tensors.
-    Examples made for another model are a ConfigError, here and in `train`
-    and `grad_check`."""
-    _check_examples(model, batch)
-    if l2_lambda is None:
-        l2_lambda = model.config.l2_lambda
-    objective, _ = _batch_pass(model, batch, np.arange(len(batch)), l2_lambda, want_grads=False)
-    return objective
 
 
 def train(
@@ -499,29 +484,3 @@ def train(
             total += objective
         log.append(total)
     return log
-
-
-def grad_check(
-    model: Linearizer,
-    batch: TrainingExamples,
-    epsilon: float = 1e-5,
-    samples_per_tensor: int = 120,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between analytic gradients and central differences
-    of the objective over the batch's examples.
-
-    Dropout is off; see `optim.max_grad_error` for the error measure.
-    """
-    _check_examples(model, batch)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    idx = np.arange(len(batch))
-    l2 = model.config.l2_lambda
-    _, grads = _batch_pass(model, batch, idx, l2, want_grads=True)
-
-    def objective() -> float:
-        val, _ = _batch_pass(model, batch, idx, l2, want_grads=False)
-        return val
-
-    return max_grad_error(model.params, grads, objective, epsilon, samples_per_tensor, rng)

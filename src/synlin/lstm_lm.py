@@ -31,10 +31,8 @@ import numpy as np
 
 from synlin.corpus import DepSentence, Indexers
 from synlin.errors import ConfigError, DataError, TrainingError
-from synlin.optim import Adagrad, check_training, log_softmax, log_sum_exp, max_grad_error, row_sums
+from synlin.optim import Adagrad, check_training, log_softmax, log_sum_exp, row_sums
 
-START_SYMBOL = "<s>"
-EOS_SYMBOL = "</s>"
 LM_INIT_SCALE = 0.1
 
 
@@ -95,9 +93,9 @@ def param_shapes(indexers: Indexers, config: LmConfig) -> list[tuple[str, tuple[
     return shapes + [("out_emb", (vocab, n))]
 
 
-def init_lm(indexers: Indexers, config: LmConfig, rng: np.random.Generator | None = None) -> LanguageModel:
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+def init_lm(indexers: Indexers, config: LmConfig) -> LanguageModel:
+    """Fresh parameters from `config.seed`: uniform(-0.1, 0.1) but the zero gate biases."""
+    rng = np.random.default_rng(config.seed)
     params = {
         name: np.zeros(shape)
         if name.endswith("_bias")
@@ -378,28 +376,3 @@ def train_lm(
             total_targets += len(targets)
         log.append(float(np.exp(total_ce / total_targets)))
     return log
-
-
-def lm_grad_check(
-    model: LanguageModel,
-    sentences: list[DepSentence],
-    epsilon: float = 1e-5,
-    samples_per_tensor: int = 120,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Analytic BPTT gradients vs central differences; max relative error."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    data = [sentence_ids(model, s.forms()) for s in sentences]
-
-    def total_loss() -> float:
-        return sum(
-            _forward_sentence(model, inp, tgt)[0] for inp, tgt in data
-        )
-
-    analytic = {name: np.zeros_like(t) for name, t in model.params.items()}
-    for inputs, targets in data:
-        _, caches = _forward_sentence(model, inputs, targets)
-        for name, g in _backward_sentence(model, caches).items():
-            analytic[name] += g
-    return max_grad_error(model.params, analytic, total_loss, epsilon, samples_per_tensor, rng)

@@ -65,29 +65,24 @@ class BleuReport:
 
 
 def _ngrams(tokens, order: int) -> Counter:
-    return Counter(
-        tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
-    )
+    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
 
 
-def _pooled_counts(refs, hyps):
-    matches = [0] * MAX_ORDER
-    totals = [0] * MAX_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for ref, hyp in zip(refs, hyps):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for k in range(1, MAX_ORDER + 1):
-            hyp_counts = _ngrams(hyp, k)
-            if not hyp_counts:
-                continue
-            ref_counts = _ngrams(ref, k)
-            totals[k - 1] += sum(hyp_counts.values())
-            matches[k - 1] += sum(
-                min(c, ref_counts[g]) for g, c in hyp_counts.items()
-            )
-    return matches, totals, hyp_len, ref_len
+def _counts(ref, hyp) -> tuple[int, ...]:
+    """One pair's clipped n-gram matches by order, its candidate n-gram
+    totals by order, and its hypothesis and reference lengths."""
+    matches, totals = [0] * MAX_ORDER, [0] * MAX_ORDER
+    for k in range(1, min(len(hyp), MAX_ORDER) + 1):
+        hyp_counts, ref_counts = _ngrams(hyp, k), _ngrams(ref, k)
+        totals[k - 1] = len(hyp) - k + 1
+        matches[k - 1] = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    return (*matches, *totals, len(hyp), len(ref))
+
+
+def _pooled(counts):
+    """(matches, totals, hyp_len, ref_len) summed over pairs' `_counts`."""
+    pooled = [sum(column) for column in zip(*counts)]
+    return pooled[:MAX_ORDER], pooled[MAX_ORDER:-2], pooled[-2], pooled[-1]
 
 
 def _score(matches, totals, hyp_len, ref_len) -> tuple[float, tuple, float]:
@@ -121,23 +116,14 @@ def corpus_bleu(refs, hyps) -> BleuReport:
         raise DataError(f"got {len(refs)} references but {len(hyps)} hypotheses")
     if not refs:
         raise DataError("empty evaluation set")
-    matches, totals, hyp_len, ref_len = _pooled_counts(refs, hyps)
+    counts = [_counts(r, h) for r, h in zip(refs, hyps)]
+    matches, totals, hyp_len, ref_len = _pooled(counts)
     bleu, precisions, bp = _score(matches, totals, hyp_len, ref_len)
     buckets = []
     for lo, hi in LENGTH_BUCKETS:
         name = f"{lo}+" if hi is None else f"{lo}-{hi}"
-        group = [
-            (r, h)
-            for r, h in zip(refs, hyps)
-            if len(r) >= lo and (hi is None or len(r) <= hi)
-        ]
-        if not group:
-            buckets.append((name, 0, None))
-            continue
-        g_refs, g_hyps = zip(*group)
-        m, t, hl, rl = _pooled_counts(g_refs, g_hyps)
-        g_bleu, _, _ = _score(m, t, hl, rl)
-        buckets.append((name, len(group), g_bleu))
+        group = [c for c in counts if lo <= c[-1] and (hi is None or c[-1] <= hi)]
+        buckets.append((name, len(group), _score(*_pooled(group))[0] if group else None))
     return BleuReport(
         bleu=bleu,
         precisions=precisions,

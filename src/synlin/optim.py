@@ -1,4 +1,4 @@
-"""Math both networks share (Adagrad, log-softmaxes, padding, row sums, gradient check), and a thread pool.
+"""Math both networks share (Adagrad, log-softmaxes, padding, row sums), and a thread pool.
 
 Adagrad update: acc += g*g; theta -= lr * g / (sqrt(acc) + 1e-8).  Parameters
 are updated in place, so the dict passed in must hold the live arrays.  The
@@ -226,40 +226,3 @@ def row_sums(ids, values: np.ndarray, n_rows: int, index: np.ndarray | None = No
     np.copyto(flat, np.reshape(ids, (-1, 1)) * width)
     flat += np.arange(width)
     return np.bincount(flat.ravel(), values.ravel(), n_rows * width).reshape(n_rows, width)
-
-
-def max_grad_error(
-    tensors: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    objective,
-    epsilon: float,
-    samples_per_tensor: int,
-    rng: np.random.Generator,
-) -> float:
-    """Max relative error between `grads` and central differences of `objective()`.
-
-    Each tensor is perturbed in place at every coordinate, or at
-    `samples_per_tensor` coordinates drawn from `rng` when it is larger.  The
-    error is relative for large gradients and absolute near zero
-    (denominator max(1, |a|, |n|)).
-    """
-    worst = 0.0
-    for name, tensor in tensors.items():
-        flat = tensor.reshape(-1)
-        size = flat.shape[0]
-        if size <= samples_per_tensor:
-            coords = np.arange(size)
-        else:
-            coords = rng.choice(size, size=samples_per_tensor, replace=False)
-        gflat = grads[name].reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + epsilon
-            f_plus = objective()
-            flat[c] = orig - epsilon
-            f_minus = objective()
-            flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * epsilon)
-            denom = max(1.0, abs(gflat[c]), abs(numeric))
-            worst = max(worst, abs(gflat[c] - numeric) / denom)
-    return worst

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from reference_decode import check_enumerable
 from synlin import ffnn, lstm_lm
 from synlin.corpus import DepSentence, Token, build_indexers, parse_conll_lenient
-from synlin.decoder import MODE_LSTM, _check_enumerable, _is_terminal, _successors
+from synlin.decoder import MODE_LSTM, _is_terminal, _successors
 from synlin.features import FEATURE_BLOCKS, lookup
 from synlin.synth import toy_corpus
 from synlin.transition import LIGHT, apply, initial_state
@@ -123,7 +124,7 @@ def count_derivations(bag, mode, variant=LIGHT, pos_tags=(), arc_labels=()) -> i
 
     Walks the same successors and terminal test as `exhaustive_decode`.
     """
-    _check_enumerable(len(bag), mode)
+    check_enumerable(len(bag), mode)
     state = initial_state(bag, LIGHT if mode == MODE_LSTM else variant, pos_tags, arc_labels)
 
     def walk(st) -> int:

@@ -23,12 +23,18 @@ layer 0's input.  `lstm_lm.lm_step` must match it within 1e-12.
 `w2` rows; `next_word_logprobs` scores one LM state; `joint` adds the LM
 term item by item.  The table-driven scores must match it within 1e-9.
 
+`exhaustive_decode` is the search oracle: it enumerates every derivation
+through `synlin.decoder`'s own `step_scores` and `_advance_all`, one item at
+a time, so it scores exactly as `beam_decode` does and breaks ties the same
+way; a beam as wide as the space must find its argmax.  It refuses bags over
+`EXHAUSTIVE_MAX_TREE` tokens (`EXHAUSTIVE_MAX_LSTM` in lstm mode).
+
 `history_ranks` is the rank rule `synlin.decoder._advance_all` applies to
 every beam of two or more kept items, and applied to a lone one too until
 that took rank 0 without a sort; the two must agree bit for bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,8 +47,15 @@ from synlin.decoder import (
     MODE_LSTM,
     MODE_SYN,
     DecodeResult,
+    _advance_all,
+    _is_terminal,
+    _result,
+    _root,
+    _rows,
     _validate,
+    step_scores as table_step_scores,
 )
+from synlin.errors import SearchSpaceError
 from synlin.features import FEATURE_BLOCKS
 from synlin.ffnn import forward as table_forward, slot_tables
 from synlin.lstm_lm import _cell, initial_lm_state, input_rows, lm_step as table_lm_step
@@ -310,3 +323,58 @@ def history_ranks(codes, parent_ranks):
     ranks = np.empty(len(codes), dtype=np.int64)
     ranks[np.lexsort((codes, parent_ranks))] = np.arange(len(codes))
     return ranks
+
+
+# -- the search oracle ----------------------------------------------------------
+
+# Hard input-size bounds for full enumeration.
+EXHAUSTIVE_MAX_TREE = 6
+EXHAUSTIVE_MAX_LSTM = 8
+
+
+def check_enumerable(n, mode):
+    bound = EXHAUSTIVE_MAX_LSTM if mode == MODE_LSTM else EXHAUSTIVE_MAX_TREE
+    if n > bound:
+        raise SearchSpaceError(
+            f"exhaustive enumeration limited to {bound} tokens in {mode} mode, got {n}"
+        )
+
+
+def one_item(beam, k):
+    """The one-item beam of item k, with a copy of its LM state: an
+    enumeration holds only the LM states of its path."""
+    at = [k]
+    lm = lm_shifts = None
+    if beam.lm is not None:
+        lm, lm_shifts = _rows(beam.lm, at), beam.lm_shifts[at]
+    states, scores, ranks = [beam.states[k]], beam.scores[at], beam.ranks[at]
+    return replace(beam, states=states, scores=scores, ranks=ranks, lm=lm, lm_shifts=lm_shifts)
+
+
+def exhaustive_decode(bag, models, config, leaves=None):
+    """Global argmax by enumerating every legal derivation.
+
+    Scores accumulate exactly as in `synlin.decoder.beam_decode`, ties break
+    the same way.  Refuses bags larger than the hard bounds.  A `leaves` list
+    gets every complete derivation's (score, history), in walk order.
+    """
+    root = _root(bag, models, config)
+    check_enumerable(len(bag), config.mode)
+    best = None
+
+    def walk(beam):
+        nonlocal best
+        state, score = beam.states[0], beam.scores[0]
+        if _is_terminal(state, config.mode):
+            if leaves is not None:
+                leaves.append((score, state.history))
+            if best is None or (-score, state.history) < best[0]:
+                best = (-score, state.history), state, score
+            return
+        cands = table_step_scores(beam, models, config)
+        children = _advance_all(beam, cands, np.flatnonzero(cands.valid))
+        for k in range(len(children.states)):
+            walk(one_item(children, k))
+
+    walk(root)
+    return _result(best[1], best[2], config.mode)

@@ -5,11 +5,17 @@ before it was written as matrix products.
 step and weight block; `batch_pass` is the scorer pass with the per-item
 `w2[rows]` gather and `np.add.at` scatters.  `test_grad_equivalence.py`
 checks the fast paths in `synlin` against them.
+
+The gradient oracle: `grad_check` and `lm_grad_check` compare the analytic
+gradients of `ffnn._batch_pass` and of the LM's BPTT with central finite
+differences (`max_grad_error`), and `loss` is the scorer objective they
+difference.
 """
 
 import numpy as np
 
-from synlin.lstm_lm import _CACHED, _cell
+from synlin.ffnn import _batch_pass, _check_examples
+from synlin.lstm_lm import _CACHED, _backward_sentence, _cell, _forward_sentence, sentence_ids
 from synlin.optim import log_softmax
 
 
@@ -146,3 +152,67 @@ def batch_pass(model, examples, idx, l2_lambda, dropout=0.0, rng=None):
         for name, t in p.items():
             grads[name] += l2_lambda * t
     return objective, grads
+
+
+def max_grad_error(tensors, grads, objective, epsilon, samples_per_tensor, rng):
+    """Max relative error between `grads` and central differences of `objective()`.
+
+    Each tensor is perturbed in place at every coordinate, or at
+    `samples_per_tensor` coordinates drawn from `rng` when it is larger.  The
+    error is relative for large gradients and absolute near zero
+    (denominator max(1, |a|, |n|)).
+    """
+    worst = 0.0
+    for name, tensor in tensors.items():
+        flat, gflat = tensor.reshape(-1), grads[name].reshape(-1)
+        coords = np.arange(flat.size)
+        if flat.size > samples_per_tensor:
+            coords = rng.choice(flat.size, size=samples_per_tensor, replace=False)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + epsilon
+            f_plus = objective()
+            flat[c] = orig - epsilon
+            f_minus = objective()
+            flat[c] = orig
+            numeric = (f_plus - f_minus) / (2.0 * epsilon)
+            worst = max(worst, abs(gflat[c] - numeric) / max(1.0, abs(gflat[c]), abs(numeric)))
+    return worst
+
+
+def loss(model, batch, l2_lambda=None):
+    """Cross-entropy over the batch's examples plus the L2 term over all tensors.
+    Examples made for another model are a ConfigError, here and in `ffnn.train`
+    and `grad_check`."""
+    _check_examples(model, batch)
+    if l2_lambda is None:
+        l2_lambda = model.config.l2_lambda
+    objective, _ = _batch_pass(model, batch, np.arange(len(batch)), l2_lambda, want_grads=False)
+    return objective
+
+
+def grad_check(model, batch, epsilon=1e-5, samples_per_tensor=120, rng=None):
+    """Max relative error between the analytic gradients of `ffnn._batch_pass`
+    and central differences of `loss` over the batch's examples, dropout off."""
+    _check_examples(model, batch)
+    _, grads = _batch_pass(model, batch, np.arange(len(batch)), model.config.l2_lambda)
+    rng = np.random.default_rng(0) if rng is None else rng
+    return max_grad_error(
+        model.params, grads, lambda: loss(model, batch), epsilon, samples_per_tensor, rng
+    )
+
+
+def lm_grad_check(model, sentences, epsilon=1e-5, samples_per_tensor=120, rng=None):
+    """Max relative error between the LM's analytic BPTT gradients and
+    central differences of its cross-entropy over `sentences`."""
+    data = [sentence_ids(model, s.forms()) for s in sentences]
+    analytic = {name: np.zeros_like(t) for name, t in model.params.items()}
+    for inputs, targets in data:
+        _, caches = _forward_sentence(model, inputs, targets)
+        for name, g in _backward_sentence(model, caches).items():
+            analytic[name] += g
+    rng = np.random.default_rng(0) if rng is None else rng
+    def total():
+        return sum(_forward_sentence(model, inputs, targets)[0] for inputs, targets in data)
+
+    return max_grad_error(model.params, analytic, total, epsilon, samples_per_tensor, rng)

@@ -16,6 +16,8 @@ import pytest
 
 import conftest
 from conftest import count_derivations, small_linearizer, small_lm
+from reference_decode import exhaustive_decode
+from reference_grads import grad_check, lm_grad_check
 from test_metrics import naive_corpus_bleu
 from synlin import decoder, ffnn, lstm_lm, metrics
 from synlin.cli import main as cli_main
@@ -26,7 +28,7 @@ from synlin.corpus import (
     to_bag,
     to_conll,
 )
-from synlin.decoder import DecodeConfig, Models, beam_decode, exhaustive_decode
+from synlin.decoder import DecodeConfig, Models, beam_decode
 from synlin.lstm_lm import next_word_logprobs, start_state, step_weights
 from synlin.optim import pad_rows
 from synlin.synth import toy_corpus
@@ -118,18 +120,18 @@ def test_gradient_correctness(synth220):
 
     model = small_linearizer(idx, "full", seed=301, scale=0.5, l2_lambda=1e-6)
     exs = ffnn.make_training_examples(corpus[:2], model)[:8]
-    errs["ffnn"] = ffnn.grad_check(
+    errs["ffnn"] = grad_check(
         model, exs, epsilon=1e-5, samples_per_tensor=120, rng=np.random.default_rng(1)
     )
 
     lm = small_lm(idx, seed=302, hidden_size=8, scale=0.5)
     model_lm = small_linearizer(idx, "light", seed=303, scale=0.5, lm_feat_dim=8)
     exs_lm = ffnn.make_training_examples(corpus[:2], model_lm, lm=lm)[:8]
-    errs["ffnn+lmfeat"] = ffnn.grad_check(
+    errs["ffnn+lmfeat"] = grad_check(
         model_lm, exs_lm, epsilon=1e-5, samples_per_tensor=120, rng=np.random.default_rng(2)
     )
 
-    errs["lstm"] = lstm_lm.lm_grad_check(
+    errs["lstm"] = lm_grad_check(
         lm, corpus[:2], epsilon=1e-5, samples_per_tensor=120, rng=np.random.default_rng(3)
     )
     elapsed = time.time() - t0

@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from conftest import (
     small_linearizer,
     small_lm,
 )
+from reference_decode import exhaustive_decode, one_item
 from reference_rows import inventory
 from synlin import decoder, ffnn
 from synlin.corpus import bag_from_forms, build_indexers, to_bag
@@ -23,7 +23,6 @@ from synlin.decoder import (
     DecodeConfig,
     Models,
     beam_decode,
-    exhaustive_decode,
     step_scores,
 )
 from synlin.errors import ConfigError, SearchSpaceError
@@ -249,7 +248,7 @@ class TestBatchedStep:
         single = [
             (score, k, action)
             for k in range(width)
-            for score, _, action in candidates(decoder._item(beam, k), models, cfg)
+            for score, _, action in candidates(one_item(beam, k), models, cfg)
         ]
         assert len(batched) == len(single)
         for (score, item, action), (score1, item1, action1) in zip(batched, single):
@@ -403,21 +402,10 @@ class TestExhaustive:
             lm=None if mode == "syn" else lm,
         )
         cfg = DecodeConfig(mode=mode, alpha=0.4)
-        best = exhaustive_decode(bag, models, cfg)
-        # enumerate (score, history) by DFS: none beats the argmax, and the
+        # every leaf's (score, history): none beats the argmax, and the
         # argmax wins every exact tie on the lexicographic history
         leaves = []
-
-        def walk(item):
-            if decoder._is_terminal(item.states[0], mode):
-                leaves.append((item.scores[0], item.states[0].history))
-                return
-            cands = step_scores(item, models, cfg)
-            children = decoder._advance_all(item, cands, np.flatnonzero(cands.valid))
-            for k in range(len(children.states)):
-                walk(decoder._item(children, k))
-
-        walk(decoder._root(bag, models, cfg))
+        best = exhaustive_decode(bag, models, cfg, leaves)
         assert len(leaves) == count_derivations(bag, mode)
         assert all(best.score >= s for s, _ in leaves)
         assert min(leaves, key=lambda leaf: (-leaf[0], leaf[1])) == (best.score, best.actions)
@@ -485,21 +473,6 @@ class TestExhaustive:
         assert abs(beamed.score - exact.score) < 1e-9
 
 
-def exhaustive_with_leaf_count(bag, models, cfg):
-    """exhaustive_decode, plus the number of terminal states its walk reached."""
-    is_terminal = decoder._is_terminal
-    leaves = 0
-
-    def counting(state, mode):
-        nonlocal leaves
-        done = is_terminal(state, mode)
-        leaves += done
-        return done
-
-    with mock.patch.object(decoder, "_is_terminal", counting):
-        return exhaustive_decode(bag, models, cfg), leaves
-
-
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -515,9 +488,10 @@ def test_beam_covering_space_equals_exhaustive_on_random_trees(seed, n, variant)
     bag = to_bag(sent)
     space = count_derivations(bag, "syn", variant, idx.content_pos_tags, idx.content_labels)
     cfg = DecodeConfig(mode="syn", beam_size=space)
-    exact, leaves = exhaustive_with_leaf_count(bag, models, cfg)
+    leaves = []
+    exact = exhaustive_decode(bag, models, cfg, leaves)
     beamed = beam_decode(bag, models, cfg)
-    assert leaves == space
+    assert len(leaves) == space
     assert beamed.tokens == exact.tokens
     assert beamed.actions == exact.actions
     assert abs(beamed.score - exact.score) < 1e-9

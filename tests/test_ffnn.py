@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import extract, randomize_params, score, small_linearizer, small_lm
+from reference_grads import grad_check, loss
 from reference_rows import ActionInventory, inventory
 from synlin import ffnn, lstm_lm
 from synlin.corpus import NULL_WORD, UNK_WORD, DepSentence, Token, bag_from_forms, build_indexers
@@ -16,8 +17,6 @@ from synlin.errors import ConfigError, DataError
 from synlin.ffnn import (
     TrainConfig,
     code_rows,
-    grad_check,
-    loss,
     make_training_examples,
     output_actions,
     train,

@@ -3,6 +3,7 @@ import pytest
 
 import reference_decode
 from conftest import parse_valid, small_lm
+from reference_grads import lm_grad_check
 from synlin import lstm_lm
 from synlin.corpus import build_indexers
 from synlin.errors import DataError
@@ -14,7 +15,6 @@ from synlin.lstm_lm import (
     init_lm,
     initial_lm_state,
     input_rows,
-    lm_grad_check,
     lm_step,
     next_word_logprobs,
     sentence_ids,

@@ -7,7 +7,7 @@ from conftest import small_linearizer
 from reference_rows import ActionInventory
 from synlin.corpus import build_indexers
 from synlin.errors import DataError
-from synlin.metrics import action_neighbors, corpus_bleu
+from synlin.metrics import LENGTH_BUCKETS, action_neighbors, corpus_bleu
 from synlin.synth import toy_corpus
 from synlin.transition import Action
 
@@ -109,6 +109,25 @@ class TestBleu:
         assert table["11-15"] == (1, 100.0)
         assert table["36+"] == (1, 100.0)
         assert table["16-20"][0] == 0 and table["16-20"][1] is None
+
+    def test_each_bucket_scores_its_pairs_alone(self):
+        rng = np.random.default_rng(21)
+        vocab = ["a", "b", "c", "d"]
+        pairs = []
+        for _ in range(40):
+            ref = [vocab[i] for i in rng.integers(0, len(vocab), int(rng.integers(1, 45)))]
+            pairs.append((ref, list(rng.permutation(ref))[: len(ref) - int(rng.integers(0, 3))]))
+        rep = corpus_bleu(*zip(*pairs))
+        scored = []
+        for (lo, hi), (name, count, score) in zip(LENGTH_BUCKETS, rep.buckets):
+            group = [(r, h) for r, h in pairs if lo <= len(r) and (hi is None or len(r) <= hi)]
+            assert count == len(group)
+            if group:
+                refs, hyps = zip(*group)
+                assert score == corpus_bleu(refs, hyps).bleu
+                assert score == pytest.approx(naive_corpus_bleu(refs, hyps), abs=0.01)
+                scored.append(score)
+        assert sum(score > 0.0 for score in scored) >= 4
 
     def test_against_independent_reference(self):
         rng = np.random.default_rng(20)

@@ -8,6 +8,7 @@ import pytest
 import synlin
 
 MODULES = sorted(Path(synlin.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,8 +37,9 @@ def test_the_check_sees_unused_names():
     assert unused_imports(source) == ["line 1: os", "line 3: e"]
 
 
-def private_names(source: str) -> dict[str, int]:
-    """The top-level `_`-prefixed functions, classes and constants of `source`, by line."""
+def top_level_names(source: str) -> dict[str, int]:
+    """The top-level functions, classes and constants of `source`, dunders
+    (`__all__`) aside, by line."""
     names = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -48,8 +50,7 @@ def private_names(source: str) -> dict[str, int]:
             targets = [node.target.id]
         else:
             continue
-        private = [name for name in targets if name.startswith("_") and not name.startswith("__")]
-        names.update((name, node.lineno) for name in private)
+        names.update((name, node.lineno) for name in targets if not name.startswith("__"))
     return names
 
 
@@ -75,20 +76,33 @@ def read_names(source: str) -> set[str]:
     return read
 
 
-def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """The private top-level names of each module of `sources` that no module reads."""
-    read = set().union(*map(read_names, sources.values()))
+def unused_names(sources: dict[str, str], readers: dict[str, str] | None = None) -> list[str]:
+    """The top-level names of each module of `sources` that no module of
+    `readers` (by default `sources`) reads."""
+    read = set().union(*map(read_names, (sources if readers is None else readers).values()))
     return [
         f"{module} line {line}: {name}"
         for module, source in sources.items()
-        for name, line in private_names(source).items()
+        for name, line in top_level_names(source).items()
         if name not in read
     ]
 
 
-def test_every_private_name_is_read():
-    # a helper or constant left behind by a refactor shows up here
-    assert unused_private_names({path.name: path.read_text(encoding="utf-8") for path in MODULES}) == []
+def sources_of(paths) -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8") for path in paths}
+
+
+def test_every_top_level_name_is_read():
+    # a helper or constant left behind by a refactor, or code that only a
+    # test calls, shows up here
+    assert unused_names(sources_of(MODULES)) == []
+
+
+def test_every_reference_is_read():
+    # a reference that no test compares against shows up here
+    tests = sources_of(TESTS)
+    references = {name: source for name, source in tests.items() if name.startswith("reference_")}
+    assert references and unused_names(references, tests) == []
 
 
 def test_the_check_sees_unused_private_names():
@@ -97,11 +111,27 @@ def test_the_check_sees_unused_private_names():
         "def _f():\n    return _A\nclass _K:\n    pass\ndef _g():\n    return _f()\n"
     )
     second = "import first\nprint(first._K)\n"
-    assert unused_private_names({"first.py": first, "second.py": second}) == [
+    assert unused_names({"first.py": first, "second.py": second}) == [
         "first.py line 2: _B",
         "first.py line 4: _C",
         "first.py line 10: _g",
     ]
+
+
+def test_the_check_sees_unused_public_names():
+    first = "LIMIT = 1\nUSED = 2\ndef api():\n    return USED\ndef helper():\n    pass\n"
+    second = "from first import api\napi()\n"
+    assert unused_names({"first.py": first, "second.py": second}) == [
+        "first.py line 1: LIMIT",
+        "first.py line 5: helper",
+    ]
+
+
+def test_the_reference_check_counts_the_tests_as_readers():
+    reference = "def oracle():\n    return _table()\ndef _table():\n    pass\ndef stale():\n    pass\n"
+    test = "from reference_x import oracle\ndef test_x():\n    assert oracle()\n"
+    sources = {"reference_x.py": reference}
+    assert unused_names(sources, sources | {"test_x.py": test}) == ["reference_x.py line 5: stale"]
 
 
 CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
