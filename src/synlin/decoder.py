@@ -22,11 +22,12 @@ A decode works on its bag's integer action codes; per bag, code arrays give
 each action's scorer row (`ffnn.code_rows`: OOV shifts share the UNK row)
 and LM word id.  A step's candidates are one (items x widest) score array,
 each item's columns in legal order.  Beam histories are distinct and of equal
-length, so one `np.lexsort` of (-score, parent's history rank, code) keeps the
-best.  A one-item beam takes no sort: its kept candidate is its first best
-one, and a lone kept item has rank 0.  Each item owns its LM state, row k of
-the beam's per-layer (h, c) arrays: moving the beam on costs one gather of
-those rows by parent.
+length, so a lexsort of (-score, parent's history rank, code) over the
+candidates up to the `np.partition` cut keeps the best.  A one-item beam
+takes no sort: its kept candidate is its first best one, and a lone kept
+item has rank 0.  Each item owns its LM state, row k of the beam's
+per-layer (h, c) arrays: moving the beam on costs one gather of those rows
+by parent.
 A kept Shift keeps its parent's state and its word until something reads its
 state, so a Shift pruned before then is never stepped.
 """
@@ -217,7 +218,7 @@ def step_scores(beam: Beam, models: Models, config: DecodeConfig) -> Candidates:
         features = lin.extract_features(beam.states, beam.ids)
         increments = forward(lin, features, beam.rows[codes], valid, lm_feats, beam.tables)
         if mode == MODE_JOINT:
-            increments = _joint(models, beam, codes, valid, increments, config)
+            increments = _joint(models, beam, codes, increments, config)
     count = sum(map(len, feasibles))
     return Candidates(beam.scores[:, None] + increments, codes, valid, count)
 
@@ -241,34 +242,37 @@ def _rows(lm: LmStates, at) -> LmStates:
     return tuple((h.take(at, 0), c.take(at, 0)) for h, c in lm)
 
 
-def _joint(models: Models, beam: Beam, codes, valid, base: np.ndarray, config: DecodeConfig):
+def _joint(models: Models, beam: Beam, codes, base: np.ndarray, config: DecodeConfig):
     """Scorer log-probs `base` plus alpha times the LM log-prob of each shifted word.
 
-    Adds in place.  Shifts come first in a feasible set, so the LM row of an
-    item that can shift lines up with the first columns of its scorer row.
-    Only the LM states of items that can shift are read.
+    Adds in place.  Shifts come first in a feasible set, so an item can shift
+    when its first code is a Shift, and then its first `len(state.shifts)`
+    columns are its Shifts, which line up with its LM row.  Only the LM
+    states of items that can shift are read.
     """
-    shift = valid & (codes < len(beam.states[0].space.forms))
-    shifting = np.flatnonzero(shift[:, 0])
+    shifting = np.flatnonzero(codes[:, 0] < len(beam.states[0].space.forms))
     if len(shifting):
-        width = np.maximum.reduce(np.add.reduce(shift, axis=1))
-        shift = shift[shifting, :width]
-        ids = beam.lm_ids[codes[shifting, :width]]
+        counts = np.array([len(beam.states[k].shifts) for k in shifting.tolist()])
+        shift = np.arange(counts.max()) < counts[:, None]
+        ids = beam.lm_ids[codes[shifting, : shift.shape[1]]]
         lm_logp = next_word_logprobs(models.lm, _lm_top(beam, shifting, models), ids, shift)
         lm_logp[~shift] = 0.0  # the other actions get no LM term
-        base[shifting, :width] += config.alpha * lm_logp
+        base[shifting, : shift.shape[1]] += config.alpha * lm_logp
     return log_softmax(base) if config.renormalize_joint else base
 
 
 def _kept(beam: Beam, candidates: Candidates, beam_size: int) -> np.ndarray:
-    """Flat indices of the best `beam_size` candidates in (-score, history) order."""
+    """Flat indices of the best `beam_size` candidates in (-score, history)
+    order; only those at or above the cut's score, ties included, are sorted."""
     if beam_size == 1:  # one item, whose columns ascend by code: its first best one
         scores = candidates.scores[0, : candidates.count].tolist()
         return np.array([max(range(len(scores)), key=scores.__getitem__)])
     neg = np.where(candidates.valid, -candidates.scores, np.inf).ravel()
-    ranks = np.repeat(beam.ranks, candidates.codes.shape[1])
-    order = np.lexsort((candidates.codes.ravel(), ranks, neg))
-    return order[: min(beam_size, len(candidates))]
+    cut = np.partition(neg, beam_size - 1)[beam_size - 1] if beam_size < len(neg) else np.inf
+    pool = np.flatnonzero(neg <= cut)
+    ranks = beam.ranks[pool // candidates.codes.shape[1]]
+    order = np.lexsort((candidates.codes.ravel()[pool], ranks, neg[pool]))
+    return pool[order[: min(beam_size, len(candidates))]]
 
 
 def _advance(state: State, code: int) -> State:

@@ -7,9 +7,10 @@ grandchildren lc1(lc1(.)) / rc1(rc1(.)) of the top two.  The word-only
 system keeps just the 15 word slots.  Absent referents fill with the
 padding ids.  Nothing is ever read from the remaining word set.
 
-Stack items carry their referents (`transition.StackItem.group`), so a
-step's features are one array of each state's top three groups, one column
-selection into slot order and one gather through the bag's `Lookup`.
+Stack items carry their referents (`transition.StackItem.group`, packed as
+bytes), so a step's features are one array read from each state's top three
+packed groups, one column selection into slot order and one gather through
+the bag's `Lookup`.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ def lookup(space: ActionSpace, indexers: Indexers) -> Lookup:
 
 def _groups(states, columns: np.ndarray) -> np.ndarray:
     """The `columns` of each state's top three groups laid side by side."""
-    rows = [s.top.group + s.below.top.group + s.below.below.top.group for s in states]
-    return np.array(rows, dtype=np.int64)[:, columns]
+    rows = b"".join([s.top.packed + s.below.top.packed + s.below.below.top.packed for s in states])
+    return np.frombuffer(rows, np.int64).reshape(len(states), -1)[:, columns]
 
 
 def extract(states, ids: Lookup) -> dict[str, np.ndarray]:

@@ -215,10 +215,9 @@ def _batch_pass(
     l2_lambda: float,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    want_grads: bool = True,
     scratch: dict[str, np.ndarray] | None = None,
 ):
-    """Objective and (optionally) gradients for the examples at `idx`: the
+    """Objective and gradients for the examples at `idx`: the
     embedding gathers, the w1 and embedding gradients and the L2 terms go
     through `scratch` (`_scratch` for at least `len(idx)` examples, new if
     None).  The ids must index their tables, as `_check_examples` checks.
@@ -260,8 +259,6 @@ def _batch_pass(
     objective = -float(np.sum(logp[gold]))
     if l2_lambda > 0.0:
         objective += 0.5 * l2_lambda * out["l2"]
-    if not want_grads:
-        return objective, None
 
     dlogits = np.exp(logp)
     dlogits[gold] -= 1.0
@@ -399,7 +396,9 @@ def forward(
     feasible actions of the output rows `rows[i][valid[i]]` (`optim.pad_rows`
     pads row sequences) and, for a model with an LM feature block, the row
     `lm_feats[i]` (None otherwise).  Row i holds their log-probabilities in
-    that order, padded with -inf.  The output layer is training's.
+    that order, padded with -inf.  Each block's slot rows are gathered
+    slot-major and summed in slot order, one reduction for all items; the
+    output layer is training's.
     """
     items = len(features["word"])
     if items != len(rows):
@@ -411,13 +410,15 @@ def forward(
     want = None if model.lm_feat_dim is None else (items, model.lm_feat_dim)
     if shape != want:
         raise ConfigError(f"LM feature rows of shape {shape}, model takes {want}")
-    pre = 0.0
+    pre = None
     for block, columns in features.items():
         table = tables[block][1]
-        pre = pre + np.add.reduce(table[_index(len(table)), columns], axis=1)
+        part = np.add.reduce(table[_index(len(table))[:, None], columns.T], axis=0)
+        pre = part if pre is None else np.add(pre, part, out=pre)
     if lm_feats is not None:
         pre += lm_feats @ p["w1_lm"].T
-    return _output_layer(model, np.tanh(pre + p["b1"]), rows, valid)
+    pre += p["b1"]
+    return _output_layer(model, np.tanh(pre, out=pre), rows, valid)
 
 
 def _output_layer(model: Linearizer, h: np.ndarray, rows: np.ndarray, valid: np.ndarray):

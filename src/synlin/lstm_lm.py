@@ -136,9 +136,13 @@ def _gates(z, c_prev):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp
+    overflows: with e = exp(-|x|) the numerator max(e, sign(x)) is 1 or e
+    (e = 1 at x = 0), and a NaN stays NaN."""
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    top = np.maximum(e, np.sign(x))
+    return np.divide(top, np.add(e, 1.0, out=e), out=top)
 
 
 def initial_lm_state(model: LanguageModel) -> LmStates:

@@ -14,11 +14,13 @@ freely; history, stack, remaining words and arcs are read back from the
 nodes.  The states from one initial state share an `ActionSpace` that
 numbers their actions in canonical order: `legal_actions` returns these
 codes, and `apply` takes one.  Each stack item carries the referents the
-scorer reads as one flat int tuple, which `apply` builds (`StackItem`).
+scorer reads as one flat int tuple and its bytes, which `apply` builds
+(`StackItem`).
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -82,15 +84,25 @@ class StackItem(NamedTuple):
     rc1, rc2, lc1(lc1) and rc1(rc1) (-1 when absent) at 0-6, their tags at
     7-13 and the labels of the six dependents at 14-19; a tag or label is 1
     + its offset in the space's `pos_tags` or `arc_labels`, 0 when absent.
+    `packed` holds the group as native int64 bytes, which features read.
     """
 
     root: TokenRef
     group: tuple[int, ...]
     children: int
     span: tuple[TokenRef, ...]
+    packed: bytes
 
 
 NULL_GROUP = (-1,) * 7 + (0,) * 13  # an absent item's
+_PACK = struct.Struct(f"{len(NULL_GROUP)}q").pack
+
+
+def _item(root, group: tuple[int, ...], children: int, span) -> StackItem:
+    """A stack item with its group packed."""
+    return StackItem(root, group, children, span, _PACK(*group))
+
+
 # A new group selects from `i.group + (tag,)` (Pos) or `i.group + j.group +
 # (label,)` (arcs, j's entries from 20): LArc makes j i's lc1, the old lc1
 # its lc2 and lc1(j) its lc1(lc1); RArc makes i j's rc1, the old rc1 its rc2
@@ -135,7 +147,7 @@ class ActionSpace:
         self.arc_codes = tuple(range(n + len(self.pos_tags), self.end_code))
         self.arg_ids = (0,) * n + arg_ids
         self.leaves = tuple(
-            StackItem(tok, (i, *NULL_GROUP[1:]), 0, (tok,)) for i, tok in enumerate(self.tokens)
+            _item(tok, (i, *NULL_GROUP[1:]), 0, (tok,)) for i, tok in enumerate(self.tokens)
         )
 
     @cached_property
@@ -244,7 +256,7 @@ class State:
         return [n.code for n in self.nodes()] == [n.code for n in other.nodes()]
 
 
-_ABSENT = StackItem(None, NULL_GROUP, 0, ())
+_ABSENT = _item(None, NULL_GROUP, 0, ())
 _BOTTOM = State(None, None, None, _ABSENT, None, 0, 0, ())
 _BOTTOM.below = _BOTTOM
 
@@ -318,14 +330,14 @@ def apply(state: State, code: int) -> State:
     i, below, depth = state.top, state.below, state.depth
     kind = space.actions[code].kind
     if kind == POS:
-        i = StackItem(i.root, _TAGGED(i.group + (space.arg_ids[code],)), i.children, i.span)
+        i = _item(i.root, _TAGGED(i.group + (space.arg_ids[code],)), i.children, i.span)
     elif kind != END:
         j, below, depth = below.top, below.below, depth - 1
         groups = i.group + j.group + (space.arg_ids[code],)
         if kind == LEFT_ARC:
-            i = StackItem(i.root, _LEFT_ARC(groups), i.children + 1, j.span + i.span)
+            i = _item(i.root, _LEFT_ARC(groups), i.children + 1, j.span + i.span)
         else:
-            i = StackItem(j.root, _RIGHT_ARC(groups), j.children + 1, j.span + i.span)
+            i = _item(j.root, _RIGHT_ARC(groups), j.children + 1, j.span + i.span)
     return State(space, state, code, i, below, depth, state.left, state.shifts)
 
 

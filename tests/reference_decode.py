@@ -32,6 +32,12 @@ way; a beam as wide as the space must find its argmax.  It refuses bags over
 `history_ranks` is the rank rule `synlin.decoder._advance_all` applies to
 every beam of two or more kept items, and applied to a lone one too until
 that took rank 0 without a sort; the two must agree bit for bit.
+
+`kept` is the selection `synlin.decoder._kept` made before it sorted only
+the candidates up to the cut: one `np.lexsort` of every candidate.
+`item_major_forward` is `synlin.ffnn.forward` before it summed the slot
+tables slot-major: each block gathered as (items x slots x hidden) and
+summed along the slots.  Both must agree bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -57,7 +63,7 @@ from synlin.decoder import (
 )
 from synlin.errors import SearchSpaceError
 from synlin.features import FEATURE_BLOCKS
-from synlin.ffnn import forward as table_forward, slot_tables
+from synlin.ffnn import _index, _output_layer, forward as table_forward, slot_tables
 from synlin.lstm_lm import _cell, initial_lm_state, input_rows, lm_step as table_lm_step
 from synlin.lstm_lm import next_word_logprobs as batch_next_word_logprobs, start_state, step_weights
 from synlin.optim import log_softmax, pad_rows
@@ -323,6 +329,27 @@ def history_ranks(codes, parent_ranks):
     ranks = np.empty(len(codes), dtype=np.int64)
     ranks[np.lexsort((codes, parent_ranks))] = np.arange(len(codes))
     return ranks
+
+
+def kept(beam, candidates, beam_size):
+    """Flat indices of the best `beam_size` candidates in (-score, parent's
+    history rank, code) order, from one lexsort of every candidate."""
+    neg = np.where(candidates.valid, -candidates.scores, np.inf).ravel()
+    ranks = np.repeat(beam.ranks, candidates.codes.shape[1])
+    order = np.lexsort((candidates.codes.ravel(), ranks, neg))
+    return order[: min(beam_size, len(candidates))]
+
+
+def item_major_forward(model, features, rows, valid, lm_feats, tables):
+    """`ffnn.forward`'s log-probabilities (inputs checked there), each block's
+    slot rows summed item-major."""
+    pre = 0.0
+    for block, columns in features.items():
+        table = tables[block][1]
+        pre = pre + np.add.reduce(table[_index(len(table)), columns], axis=1)
+    if lm_feats is not None:
+        pre += lm_feats @ model.params["w1_lm"].T
+    return _output_layer(model, np.tanh(pre + model.params["b1"]), rows, valid)
 
 
 # -- the search oracle ----------------------------------------------------------

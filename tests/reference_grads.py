@@ -9,7 +9,8 @@ checks the fast paths in `synlin` against them.
 The gradient oracle: `grad_check` and `lm_grad_check` compare the analytic
 gradients of `ffnn._batch_pass` and of the LM's BPTT with central finite
 differences (`max_grad_error`), and `loss` is the scorer objective they
-difference.
+difference: a whole `ffnn._batch_pass` whose gradients it drops, since the
+package has no objective-only pass.
 """
 
 import numpy as np
@@ -187,7 +188,7 @@ def loss(model, batch, l2_lambda=None):
     _check_examples(model, batch)
     if l2_lambda is None:
         l2_lambda = model.config.l2_lambda
-    objective, _ = _batch_pass(model, batch, np.arange(len(batch)), l2_lambda, want_grads=False)
+    objective, _ = _batch_pass(model, batch, np.arange(len(batch)), l2_lambda)
     return objective
 
 

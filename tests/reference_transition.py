@@ -10,7 +10,7 @@ first use.  Every attribute of a space must equal this one's
 
 from synlin.errors import StateError
 from synlin.transition import END, FULL, LEFT_ARC, NULL_GROUP, POS, RIGHT_ARC, SHIFT
-from synlin.transition import Action, StackItem
+from synlin.transition import Action, _item
 
 
 class ActionSpace:
@@ -41,5 +41,5 @@ class ActionSpace:
         label_ids = range(1, len(arc_labels) + 1) if variant == FULL else (0,)
         self.arg_ids = (0,) * len(bits) + (*range(1, len(pos_tags) + 1), *label_ids, *label_ids, 0)
         self.leaves = tuple(
-            StackItem(tok, (i, *NULL_GROUP[1:]), 0, (tok,)) for i, tok in enumerate(self.tokens)
+            _item(tok, (i, *NULL_GROUP[1:]), 0, (tok,)) for i, tok in enumerate(self.tokens)
         )

@@ -186,6 +186,33 @@ class TestNonUtf8Input:
         assert str(bad) in assert_one_error(capsys, "data").err
 
 
+class TestByteOrderMark:
+    # editors on some platforms start a UTF-8 file with U+FEFF; it is not text
+    def write_with_bom(self, path, text):
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        return str(path)
+
+    def test_evaluate_refs(self, data_dir, tmp_path, capsys):
+        text = "\n".join(" ".join(s.forms()) for s in toy_corpus(4, seed=52)) + "\n"
+        refs = self.write_with_bom(tmp_path / "refs.txt", text)
+        (tmp_path / "hyps.txt").write_text(text)
+        assert main(["evaluate", "--refs", refs, "--hyps", str(tmp_path / "hyps.txt")]) == 0
+        assert "BLEU = 100.00" in capsys.readouterr().out
+
+    def test_decode_bags(self, models_dir, tmp_path, capsys):
+        bags = self.write_with_bom(tmp_path / "bags.txt", "dog the ran\n")
+        assert main(["decode", "--model", str(models_dir / "syn.slm"), "--input", bags,
+                     "--input-format", "bags"]) == 0
+        assert sorted(capsys.readouterr().out.split("\t")[0].split()) == ["dog", "ran", "the"]
+
+    def test_config_file(self, data_dir, tmp_path):
+        cfg = self.write_with_bom(tmp_path / "run.cfg", "seed=3\nepochs=1\nhidden-dim=10\n")
+        out = tmp_path / "a.slm"
+        assert main(["train", "--corpus", str(data_dir / "train.conll"), "--out", str(out),
+                     "--config", cfg]) == 0
+        assert load(out).config["linearizer"]["seed"] == 3
+
+
 class TestTraining:
     def test_deterministic_model_files(self, data_dir, tmp_path):
         corpus = str(data_dir / "train.conll")

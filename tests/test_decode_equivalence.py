@@ -18,7 +18,9 @@ and map to the scorer rows and LM ids of those actions.  Each item owns its
 LM state, one row per item in every state array, and the LM steps a state
 when it is first read: every state read must be that of its item's shifted
 words within 1e-12 of the whole-block reference step, syn mode steps none,
-and a Shift pruned before it is read is never stepped.
+and a Shift pruned before it is read is never stepped.  Every step must keep
+the candidates a lexsort of all of them keeps, ties at the cut included, and
+every scorer call must equal the item-major hidden sum bit for bit.
 """
 
 import dataclasses
@@ -437,3 +439,67 @@ def test_one_item_ranks_and_padding_equal_the_replaced_forms(forms, case, beam_s
         assert beam.ranks.dtype == ranks.dtype and beam.ranks.tobytes() == ranks.tobytes()
         lone += len(kept) == 1
     assert lone or beam_size > 1
+
+
+def kept_steps(forms, case, beam_size, ties):
+    """Decode `forms` step by step, checking each step's kept candidates
+    against the full lexsort of `reference_decode.kept`; returns how many
+    steps had a tie at the cut and how many had fewer candidates than the beam."""
+    mode, variant, renormalize = case
+    idx = build_indexers(toy_corpus(30, seed=81))
+    models = models_for(idx, small_lm(idx, seed=82), mode, variant)
+    models = all_tie(models) if ties else models
+    cfg = DecodeConfig(mode=mode, beam_size=beam_size, renormalize_joint=renormalize)
+    beam = decoder._root(bag_from_forms(forms), models, cfg)
+    cut_ties = short = 0
+    while not decoder._is_terminal(beam.states[0], mode):
+        cands = step_scores(beam, models, cfg)
+        kept = decoder._kept(beam, cands, beam_size)
+        assert kept.tolist() == reference_decode.kept(beam, cands, beam_size).tolist()
+        neg = np.sort(-cands.scores[cands.valid])
+        short += len(cands) < beam_size
+        cut_ties += len(cands) > beam_size and neg[beam_size - 1] == neg[beam_size]
+        beam = decoder._advance_all(beam, cands, kept)
+    return cut_ties, short
+
+
+FORMS = ["the", "dog", "a", "cat", "qqq"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    forms=st.lists(st.sampled_from([*FORMS, "zebra", "ran"]), min_size=1, max_size=6),
+    case=st.sampled_from(CASES),
+    beam_size=st.sampled_from([2, 10, 64]),
+    ties=st.booleans(),
+)
+def test_selection_keeps_what_the_full_lexsort_keeps(forms, case, beam_size, ties):
+    # `_kept` sorts only the candidates up to the cut, ties there included
+    kept_steps(forms, case, beam_size, ties)
+
+
+@pytest.mark.parametrize("beam_size", [2, 10, 64])
+def test_the_selection_check_meets_ties_at_the_cut_and_short_steps(beam_size):
+    case = ("syn+lstm", "full", False)
+    counts = [kept_steps(forms, case, beam_size, ties=True) for forms in (FORMS, ["dog"])]
+    cut_ties, short = map(sum, zip(*counts))
+    assert cut_ties and short
+
+
+@pytest.mark.parametrize("beam_size", [1, 2, 10, 64])
+def test_slot_major_hidden_sums_equal_the_item_major_form(idx, lm, bags, beam_size):
+    widths = []
+
+    def both(model, features, rows, valid, lm_feats, tables):
+        want = reference_decode.item_major_forward(model, features, rows, valid, lm_feats, tables)
+        got = ffnn.forward(model, features, rows, valid, lm_feats, tables)
+        assert got.tobytes() == want.tobytes()
+        widths.append(len(rows))
+        return got
+
+    for mode, variant in [("syn", "full"), ("syn", "light"), ("synxlstm", "light")]:
+        models = models_for(idx, lm, mode, variant)
+        with mock.patch.object(decoder, "forward", both):
+            for bag in bags:
+                beam_decode(bag, models, DecodeConfig(mode=mode, beam_size=beam_size))
+    assert max(widths) == beam_size

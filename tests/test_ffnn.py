@@ -182,7 +182,7 @@ class TestSharedHiddenLayer:
         feats = ex.lm_feats
         batched = score(model, ex.ids, ex.rows, ex.valid, feats)
         for i in range(len(ex)):
-            ce, _ = ffnn._batch_pass(model, ex, np.array([i]), 0.0, want_grads=False)
+            ce, _ = ffnn._batch_pass(model, ex, np.array([i]), 0.0)
             assert abs(ce + batched[i][ex.gold_col[i]]) <= 1e-12
             row = None if feats is None else feats[i : i + 1]
             m = int(ex.valid[i].sum())

@@ -159,3 +159,31 @@ def test_only_optim_starts_threads_or_processes(path):
 def test_the_guard_sees_every_import_form():
     source = "import threading\nfrom concurrent.futures import wait\nimport multiprocessing.pool\n"
     assert imported_modules(source) & CONCURRENCY == CONCURRENCY
+
+
+def numpy_unique_uses(source: str) -> list[int]:
+    """The lines of `source` that reach numpy's `unique`: `np.unique`,
+    `numpy.unique` or `from numpy import unique`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "unique":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            lines += [node.lineno for alias in node.names if alias.name == "unique"]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_calls_np_unique(path):
+    # under numpy 2, the first `np.unique` call imports `numpy.ma`, resident
+    # memory a decode then holds (1.7 MB of ru_maxrss in a bare numpy 2.4 process)
+    assert numpy_unique_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_unique_guard_sees_a_planted_call():
+    source = (
+        "import numpy as np\nimport numpy\nfrom numpy import sort, unique\n"
+        "ids = np.unique([3, 1])\nmore = numpy.unique(ids)\nother = ids.unique\n"
+    )
+    assert numpy_unique_uses(source) == [3, 4, 5]
